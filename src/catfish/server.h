@@ -7,7 +7,11 @@
 //  * kPolling     — busy-polls the ring tail (Fig 6a); burns a core per
 //                   connection and collapses under oversubscription;
 //  * kEventDriven — blocks on the connection's completion queue until an
-//                   RDMA WRITE-with-IMM signals arrival (Fig 6b).
+//                   RDMA WRITE-with-IMM signals arrival (Fig 6b). A worker
+//                   that just served a request first polls the ring for a
+//                   short bounded budget (poll-then-block), so back-to-back
+//                   requests skip the thread sleep/wake; an idle worker
+//                   still blocks and costs no CPU.
 //
 // A monitor thread measures worker CPU utilization and broadcasts it as
 // heartbeats on every response ring each `Inv` (the server half of the
@@ -150,6 +154,16 @@ struct ServerStats {
   uint64_t heartbeats_sent = 0;
   uint64_t sheds = 0;           ///< admission-control kOverloaded replies
   uint64_t deadline_drops = 0;  ///< requests dropped with expired budgets
+  /// Event-driven notification (all four stay 0 under kPolling). A
+  /// pickup is one drain of the ring, which may serve several requests;
+  /// spin_pickups / (spin_pickups + wakeups) is the share of pickups the
+  /// poll budget saved a sleep/wake on.
+  uint64_t wakeups = 0;           ///< blocked Waits that returned a CQE
+  uint64_t spurious_wakeups = 0;  ///< …of which found the ring empty
+  uint64_t spin_pickups = 0;      ///< pickups found while polling the ring
+  /// Times a worker blocked on its recv CQ, counting its start. While
+  /// the server runs, blocks − wakeups is how many workers are blocked.
+  uint64_t blocks = 0;
 };
 
 class RTreeServer {
@@ -238,9 +252,13 @@ class RTreeServer {
   };
 
   void WorkerLoop(Connection& conn);
+  /// Serves every request in the connection's ring; returns how many.
+  /// Only this counts toward busy_ns: polling and blocking do not.
+  size_t ServeRing(Connection& conn, msg::Message& m);
   void MonitorLoop();
-  /// `picked_up_us` is when the worker woke (event mode) or resumed
-  /// polling — the start of the request's ring-dequeue span.
+  /// `picked_up_us` is when the worker started the drain that found the
+  /// request — the start of its ring-dequeue span. In event mode every
+  /// request of one drain batch shares it.
   void HandleMessage(Connection& conn, const msg::Message& m,
                      uint64_t picked_up_us);
   void SendResponse(Connection& conn, msg::MsgType type, uint16_t flags,
@@ -272,6 +290,10 @@ class RTreeServer {
   std::atomic<uint64_t> heartbeats_sent_{0};
   std::atomic<uint64_t> sheds_{0};
   std::atomic<uint64_t> deadline_drops_{0};
+  std::atomic<uint64_t> wakeups_{0};
+  std::atomic<uint64_t> spurious_wakeups_{0};
+  std::atomic<uint64_t> spin_pickups_{0};
+  std::atomic<uint64_t> blocks_{0};
   /// EWMA of per-request ring-dequeue delay (µs) — the pending-work
   /// gauge exported as overload.server.queue_delay_us and served by
   /// /healthz.

@@ -41,7 +41,7 @@ struct WorkCompletion {
   uint32_t qp_num = 0;    ///< local QP the completion belongs to
   uint32_t imm_data = 0;  ///< valid only for kRecvImm
   uint32_t byte_len = 0;  ///< bytes moved by the operation
-  uint64_t posted_ns = 0; ///< when the NIC pushed it (telemetry)
+  uint64_t posted_ns = 0; ///< when the NIC pushed it (0 without telemetry)
 };
 
 class CompletionQueue {
@@ -87,7 +87,7 @@ class CompletionQueue {
     {
       const std::scoped_lock lock(mu_);
       queue_.push_back(wc);
-      queue_.back().posted_ns = NowNanos();
+      queue_.back().posted_ns = StampNow();
     }
     cv_.notify_one();
   }
@@ -100,7 +100,7 @@ class CompletionQueue {
     if (wcs.empty()) return;
     {
       const std::scoped_lock lock(mu_);
-      const uint64_t now = NowNanos();
+      const uint64_t now = StampNow();
       for (const WorkCompletion& wc : wcs) {
         queue_.push_back(wc);
         queue_.back().posted_ns = now;
@@ -115,6 +115,12 @@ class CompletionQueue {
   }
 
  private:
+  /// The delivery stamp RecordDelay reads; builds without telemetry skip
+  /// the clock read on every completion.
+  static uint64_t StampNow() noexcept {
+    return CATFISH_TELEMETRY_ENABLED ? NowNanos() : 0;
+  }
+
   /// Time from NIC delivery to consumer pickup — the sim's analogue of
   /// completion latency (how long work sat in the CQ).
   static void RecordDelay(const WorkCompletion& wc) noexcept {

@@ -18,18 +18,9 @@
 #include "msg/ring.h"
 #include "rdmasim/rdma.h"
 #include "telemetry/trace_wire.h"
+#include "test_util.h"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CATFISH_ALLOC_COUNTING 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define CATFISH_ALLOC_COUNTING 0
-#endif
-#endif
-#ifndef CATFISH_ALLOC_COUNTING
-#define CATFISH_ALLOC_COUNTING 1
-#endif
+#define CATFISH_ALLOC_COUNTING (!CATFISH_TEST_SANITIZED)
 
 #if CATFISH_ALLOC_COUNTING
 

@@ -11,6 +11,8 @@
 
 #include "catfish/client.h"
 #include "catfish/server.h"
+#include "msg/protocol.h"
+#include "msg/ring.h"
 #include "rtree/bulk_load.h"
 #include "test_util.h"
 
@@ -20,6 +22,7 @@ namespace {
 using namespace std::chrono_literals;
 using testutil::BruteForceIndex;
 using testutil::RandomRect;
+using testutil::WaitUntil;
 
 std::vector<uint64_t> Ids(std::vector<rtree::Entry> entries) {
   std::vector<uint64_t> ids;
@@ -166,6 +169,126 @@ TEST_F(CatfishIntegrationTest, PollingModeServesRequests) {
     const auto q = RandomRect(rng, 0.05);
     EXPECT_EQ(Ids(client->SearchFast(q)), oracle_.Search(q));
   }
+}
+
+// --- Event-driven notification: poll-then-block workers ---------------
+
+// True once every worker is blocked on its recv CQ (one connection: its
+// worker). Waiting for this instead of sleeping a fixed gap keeps the
+// assertions below free of scheduling luck: a worker the OS kept off-CPU
+// past the gap would otherwise still be polling.
+bool AllWorkersBlocked(const RTreeServer& server) {
+  const ServerStats s = server.stats();
+  return s.blocks - s.wakeups == server.connection_count();
+}
+
+TEST_F(CatfishIntegrationTest, IdleWorkerBlocksAndWakesPerRequest) {
+  SetUpServer();
+  auto client = MakeClient();
+  constexpr uint64_t kRequests = 20;
+  Xoshiro256 rng(21);
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    // A gap far beyond the poll budget: the worker must block on its
+    // own, so the request arrives at a blocked worker and wakes it.
+    std::this_thread::sleep_for(2ms);
+    ASSERT_TRUE(WaitUntil([&] { return AllWorkersBlocked(*server_); }))
+        << "worker never blocked after request " << i;
+    const auto q = RandomRect(rng, 0.05);
+    EXPECT_EQ(Ids(client->SearchFast(q)), oracle_.Search(q));
+  }
+  const ServerStats s = server_->stats();
+  EXPECT_EQ(s.wakeups - s.spurious_wakeups, kRequests);
+  EXPECT_EQ(s.spin_pickups, 0u);
+
+  // Stop() must not wait out the poll budget's loop: right after a
+  // response the worker is polling, and it checks the stop flag on
+  // every poll.
+  client->SearchFast(RandomRect(rng, 0.05));
+  const auto t0 = std::chrono::steady_clock::now();
+  server_->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+}
+
+TEST_F(CatfishIntegrationTest, BurstLeavesNoStaleCompletions) {
+  SetUpServer();
+  // A bare connection: the test writes the request ring itself, so a
+  // whole burst is in flight at once (an RTreeClient keeps one request
+  // outstanding). Each request's WRITE-with-IMM leaves one completion on
+  // the worker's recv CQ; requests the worker finds by polling leave
+  // stale ones behind. Without the drain before blocking, each stale
+  // completion would wake the worker to an empty ring.
+  auto node = fabric_->CreateNode("raw-client");
+  auto send_cq = node->CreateCq();
+  auto recv_cq = node->CreateCq();
+  auto qp = node->CreateQp(send_cq, recv_cq);
+  std::vector<std::byte> response_ring(256 * 1024);
+  alignas(8) std::array<std::byte, 8> request_ack{};
+  // The server's monitor writes heartbeats into response_ring until the
+  // server stops: stop it before the buffers die, on every exit path.
+  struct StopServerFirst {
+    RTreeServer& server;
+    ~StopServerFirst() { server.Stop(); }
+  } stop_first{*server_};
+  const auto ring_mr = node->RegisterMemory(response_ring);
+  const auto ack_mr = node->RegisterMemory(request_ack);
+  ClientBootstrap mine;
+  mine.qp = qp;
+  mine.response_ring = rdma::RemoteAddr{ring_mr.rkey, 0};
+  mine.response_ring_capacity = response_ring.size();
+  mine.request_ack_cell = rdma::RemoteAddr{ack_mr.rkey, 0};
+  const ServerBootstrap boot = server_->AcceptConnection(mine);
+  msg::RingSender tx(qp, boot.request_ring, boot.request_ring_capacity,
+                     request_ack);
+  msg::RingReceiver rx(response_ring, qp, boot.response_ack_cell);
+
+  constexpr uint64_t kBurst = 64;
+  Xoshiro256 rng(22);
+  for (uint64_t id = 1; id <= kBurst; ++id) {
+    const auto req = msg::Encode(
+        msg::SearchRequest{id, RandomRect(rng, 0.001), {}, 0});
+    ASSERT_TRUE(tx.TrySend(static_cast<uint16_t>(msg::MsgType::kSearchReq),
+                           msg::kFlagEnd, req,
+                           static_cast<uint32_t>(msg::MsgType::kSearchReq)));
+  }
+  uint64_t answered = 0;
+  ASSERT_TRUE(WaitUntil(
+      [&] {
+        while (auto m = rx.TryReceive()) {
+          if (m->type == static_cast<uint16_t>(msg::MsgType::kSearchResp) &&
+              (m->flags & msg::kFlagEnd)) {
+            ++answered;
+          }
+        }
+        return answered == kBurst;
+      },
+      5000ms, 10us));
+  // Quiescence: once the worker has blocked, any stale completion left
+  // in its CQ wakes it at once; give those wakeups time to be counted.
+  ASSERT_TRUE(WaitUntil([&] { return AllWorkersBlocked(*server_); }));
+  std::this_thread::sleep_for(5ms);
+  const ServerStats s = server_->stats();
+  EXPECT_EQ(s.searches, kBurst);
+  // A spurious wakeup needs the poster to stall between placing a
+  // request's data and pushing its completion for a whole poll budget;
+  // the bound leaves room for a few such stalls on a loaded host.
+  EXPECT_LE(s.spurious_wakeups, kBurst / 8);
+}
+
+TEST_F(CatfishIntegrationTest, BackToBackRequestsArePickedUpByPolling) {
+#if CATFISH_TEST_SANITIZED
+  // The client's turnaround between a response and its next request is
+  // a few µs natively, well inside the poll budget; a sanitizer's
+  // slowdown can push it past the budget on every request.
+  GTEST_SKIP() << "client turnaround exceeds the poll budget under "
+                  "sanitizers";
+#endif
+  SetUpServer();
+  auto client = MakeClient();
+  Xoshiro256 rng(23);
+  for (int i = 0; i < 500; ++i) client->SearchFast(RandomRect(rng, 0.01));
+  const ServerStats s = server_->stats();
+  EXPECT_GT(s.spin_pickups, 0u);
+  EXPECT_EQ(s.searches, 500u);
 }
 
 TEST_F(CatfishIntegrationTest, HeartbeatsReachClient) {

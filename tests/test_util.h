@@ -12,6 +12,21 @@
 #include "common/rng.h"
 #include "geo/rect.h"
 
+// 1 in sanitizer builds. Their slowdown turns wall-clock margins into
+// scheduling luck, and their allocator interposition fights counting
+// replacements of operator new.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CATFISH_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define CATFISH_TEST_SANITIZED 1
+#endif
+#endif
+#ifndef CATFISH_TEST_SANITIZED
+#define CATFISH_TEST_SANITIZED 0
+#endif
+
 namespace catfish::testutil {
 
 /// Polls `pred` until it returns true or `timeout` elapses. Use instead
