@@ -32,6 +32,14 @@ uint64_t PayloadReqId(std::span<const std::byte> payload) {
   return id;
 }
 
+/// Validates+decodes a fetched image of the meta chunk.
+bool TryDecodeMeta(std::span<const std::byte> buf, rtree::TreeMeta& out) {
+  if (!rtree::ValidateVersions(buf).has_value()) return false;
+  std::byte payload[rtree::PayloadCapacity(rtree::kChunkSize)];
+  rtree::GatherPayload(buf, payload);
+  return rtree::DecodeMeta(payload, out);
+}
+
 }  // namespace
 
 const char* ToString(ClientStatus s) noexcept {
@@ -124,17 +132,21 @@ void RTreeClient::WireUp(const HandshakeFn& shake) {
   fetch_transport_ = std::make_unique<remote::QpFetchTransport>(
       qp_, send_cq_, rdma::RemoteAddr{boot_.arena_mr.rkey, 0},
       boot_.chunk_size);
+  UseFetchTransport(fetch_transport_.get());
+
+  // A fresh connection counts as a heartbeat: the watchdog measures
+  // silence from here.
+  last_heartbeat_us_ = NowMicros();
+}
+
+void RTreeClient::UseFetchTransport(remote::FetchTransport* transport) {
   engine_ = std::make_unique<remote::VersionedFetchEngine>(
-      fetch_transport_.get(), "rtree", cfg_.remote_retry);
+      transport, "rtree", cfg_.remote_retry);
   // Pooled fetch buffers: search rounds borrow chunk-sized scratch from
   // this bounded pool instead of allocating per level. On real verbs
   // the slab would be registered once here; the simulated NIC does not
   // require registered local buffers, so no MR is created for it.
   engine_->EnableScratch(boot_.chunk_size, cfg_.scratch_buffers);
-
-  // A fresh connection counts as a heartbeat: the watchdog measures
-  // silence from here.
-  last_heartbeat_us_ = NowMicros();
 }
 
 void RTreeClient::WatchdogTick(uint64_t now_us) {
@@ -210,10 +222,9 @@ ClientStatus RTreeClient::Reconnect() {
     CATFISH_COUNT("catfish.client.reconnect_failures");
     return ClientStatus::kReconnectFailed;
   }
-  // Everything cached from the old incarnation is garbage now.
+  // Everything cached from the old incarnation is garbage now: the
+  // arena may belong to a new primary with its own sequence words.
   node_cache_.clear();
-  cached_epoch_ = 0;
-  cache_epoch_known_ = false;
   conn_state_ = ConnState::kConnected;
   ++stats_.reconnects;
   CATFISH_COUNT("catfish.client.reconnects");
@@ -356,15 +367,6 @@ void RTreeClient::OnHeartbeatMessage(const msg::Heartbeat& hb) {
   CATFISH_COUNT("catfish.client.heartbeats");
   CATFISH_EVENT(kHeartbeat, NowMicros(), hb.seq, hb.cpu_util,
                 static_cast<double>(hb.tree_epoch));
-  if (cfg_.cache_internal_nodes &&
-      (!cache_epoch_known_ || hb.tree_epoch != cached_epoch_)) {
-    if (cache_epoch_known_ && !node_cache_.empty()) {
-      ++stats_.cache_invalidations;
-    }
-    node_cache_.clear();
-    cached_epoch_ = hb.tree_epoch;
-    cache_epoch_known_ = true;
-  }
 }
 
 void RTreeClient::OnTraceFrame(const msg::Message& m) {
@@ -486,6 +488,10 @@ std::vector<rtree::Entry> RTreeClient::SearchFast(const geo::Rect& rect) {
   PumpPending();
   EnsureUsable(/*fast_path=*/true);
   ArmOpDeadline();
+  return SearchFastArmed(rect);
+}
+
+std::vector<rtree::Entry> RTreeClient::SearchFastArmed(const geo::Rect& rect) {
   AdmitFastOrThrow();
   CATFISH_SCOPED_TIMER_US("catfish.client.search_fast_us");
   const bool own_trace = BeginTrace("search.fast");
@@ -742,29 +748,134 @@ void RTreeClient::ProcessNode(const rtree::NodeData& node,
   }
 }
 
-std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
-    const geo::Rect& rect, rtree::TraversalTrace* trace) {
-  PumpPending();
-  EnsureUsable(/*fast_path=*/false);
-  ArmOpDeadline();
-  if (trace) trace->nodes_per_level.clear();
-  CATFISH_SCOPED_TIMER_US("catfish.client.search_offload_us");
-  const bool own_trace = BeginTrace("search.offload");
-  const ClientStats before = stats_;
+bool RTreeClient::FetchRound(std::span<const rtree::ChunkId> ids,
+                             rtree::TreeMeta* meta_before,
+                             rtree::TreeMeta* meta_after) {
+  // The chain as posted: [meta] ids... [meta].
+  const size_t first = meta_before != nullptr ? 1 : 0;
+  round_ids_.clear();
+  if (meta_before != nullptr) round_ids_.push_back(rtree::kMetaChunk);
+  round_ids_.insert(round_ids_.end(), ids.begin(), ids.end());
+  if (meta_after != nullptr) round_ids_.push_back(rtree::kMetaChunk);
+  if (round_nodes_.size() < ids.size()) round_nodes_.resize(ids.size());
+  const auto validate = [&](size_t i, std::span<const std::byte> image) {
+    if (i < first) return TryDecodeMeta(image, *meta_before);
+    if (i - first == ids.size()) return TryDecodeMeta(image, *meta_after);
+    return TryDecodeNode(ids[i - first], image, round_nodes_[i - first]);
+  };
 
-  std::vector<rtree::Entry> results;
+  const remote::EngineStats before = engine_->stats();
+  remote::FetchStatus st = remote::FetchStatus::kOk;
+  if (cfg_.multi_issue) {
+    // §IV-C + doorbell batching: the engine stages every READ of this
+    // round and rings one doorbell for the whole chain, then validates
+    // images in completion order; torn reads re-fetch under the engine's
+    // bounded backoff. Images land in the engine's pooled scratch — no
+    // per-level buffer allocation.
+    st = engine_->FetchChunks(round_ids_, validate);
+  } else {
+    // One READ at a time: every chunk access pays a full round trip (the
+    // baseline that Fig. 8 compares against). Buffers still come from
+    // the pool — the comparison isolates batching, not malloc.
+    for (size_t i = 0; i < round_ids_.size() && st == remote::FetchStatus::kOk;
+         ++i) {
+      st = engine_->FetchChunks(
+          {&round_ids_[i], 1},
+          [&](size_t, std::span<const std::byte> image) {
+            return validate(i, image);
+          });
+    }
+  }
+  AccountEngineDelta(before);
+  if (st != remote::FetchStatus::kOk) {
+    throw ClientError(st == remote::FetchStatus::kTransportError
+                          ? ClientStatus::kTransportError
+                          : ClientStatus::kRetriesExhausted,
+                      std::string("catfish client: offloaded read failed: ") +
+                          remote::ToString(st));
+  }
+  // Chunks are read in posting order, so a chain with no re-fetch
+  // brackets its node READs between its meta READs. Single READs are
+  // issued strictly one after another.
+  return !cfg_.multi_issue ||
+         engine_->stats().reads - before.reads == round_ids_.size();
+}
+
+bool RTreeClient::SmosMissQuery(const geo::Rect& rect,
+                                 const rtree::TreeMeta& s1,
+                                 const rtree::TreeMeta& s2) {
+  if (s1.smo_seq == s2.smo_seq && s1.smo_seq % 2 == 0) return true;
+  if (s2.index_seq < s1.index_seq) return false;
+  // Every change that may have run between S1 and S2, including one
+  // running at either read.
+  const uint64_t first = s1.index_seq - s1.index_seq % 2 + 2;
+  const uint64_t last = s2.index_seq + s2.index_seq % 2;
+  if (last - first >= 2 * rtree::TreeMeta::kChangeLog) return false;
+  for (uint64_t seq = first; seq <= last; seq += 2) {
+    const rtree::IndexChange* c = s2.FindChange(seq);
+    if (c == nullptr || (c->smo && c->region.Intersects(rect))) return false;
+  }
+  return true;
+}
+
+bool RTreeClient::AbsorbChanges(const rtree::TreeMeta& s2) {
+  const uint64_t done = s2.index_seq - s2.index_seq % 2;
+  if (done < cache_index_seq_ ||
+      done - cache_index_seq_ > 2 * rtree::TreeMeta::kChangeLog) {
+    return false;
+  }
+  for (uint64_t seq = cache_index_seq_ + 2; seq <= done; seq += 2) {
+    const rtree::IndexChange* c = s2.FindChange(seq);
+    if (c == nullptr || dirty_regions_.size() == kMaxDirtyRegions) {
+      return false;
+    }
+    dirty_regions_.push_back(c->region);
+  }
+  cache_index_seq_ = done;
+  return true;
+}
+
+bool RTreeClient::CacheMissesChanges(const geo::Rect& rect,
+                                     const rtree::TreeMeta& s2) const {
+  for (const geo::Rect& r : dirty_regions_) {
+    if (r.Intersects(rect)) return false;
+  }
+  if (s2.index_seq % 2 == 0) return true;
+  // An SMO is running: its region so far bounds what it moved before S2.
+  const rtree::IndexChange* running = s2.FindChange(s2.index_seq + 1);
+  return running != nullptr && !running->region.Intersects(rect);
+}
+
+bool RTreeClient::TraverseOffloaded(const geo::Rect& rect, bool cached,
+                                    std::vector<rtree::Entry>& results,
+                                    rtree::TraversalTrace* trace) {
+  results.clear();
+  staged_nodes_.clear();
+  if (trace) trace->nodes_per_level.clear();
   std::vector<rtree::ChunkId> frontier{boot_.root};
   std::vector<rtree::ChunkId> next;
   std::vector<rtree::ChunkId> to_fetch;
-  rtree::NodeData node;
+  // S1 is read before the first node READ (uncached traversals only), S2
+  // after the last one; s2_last says the current S2 really was.
+  rtree::TreeMeta s1;
+  rtree::TreeMeta s2;
+  bool s2_last = false;
+  int level = -1;  // level of the frontier's nodes, -1 until the root
+  bool consistent = true;
+  // Routes one node. A node off its expected level can only come from a
+  // concurrent structure change; the traversal is then abandoned.
+  int seen_level = -1;
+  const auto visit = [&](const rtree::NodeData& node) {
+    if (level >= 0 && node.level != level) {
+      consistent = false;
+      return;
+    }
+    seen_level = node.level;
+    ProcessNode(node, rect, results, next);
+  };
 
-  // Caching is only sound once a heartbeat supplied the epoch to
-  // invalidate against (staleness is then bounded by the heartbeat
-  // interval).
-  const bool use_cache = cfg_.cache_internal_nodes && cache_epoch_known_;
-
-  int64_t level = 0;
-  while (!frontier.empty()) {
+  for (int64_t round = 0; consistent && (!frontier.empty() || !s2_last);
+       ++round) {
     // The offload path has no server to shed for us, so the budget is
     // enforced between rounds: a deadline that expired mid-traversal
     // stops issuing READs for an answer nobody will use.
@@ -772,7 +883,7 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
       FailDeadlineExpired(
           "catfish client: op deadline expired mid-offload");
     }
-    if (trace) {
+    if (trace && !frontier.empty()) {
       trace->nodes_per_level.push_back(
           static_cast<uint32_t>(frontier.size()));
     }
@@ -781,79 +892,44 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
     if (trace_) {
       round_span = trace_->StartSpan(trace_root_, "offload_round",
                                      cfg_.tracer->now_us());
-      trace_->SetAttr(round_span, "level", level);
+      trace_->SetAttr(round_span, "level", round);
       trace_->SetAttr(round_span, "frontier",
                       static_cast<int64_t>(frontier.size()));
       round_before = stats_;
     }
-    const remote::EngineStats engine_round_before = engine_->stats();
-    ++level;
     next.clear();
-    if (use_cache) {
-      // Serve cached internal nodes without touching the wire.
-      to_fetch.clear();
-      for (const rtree::ChunkId id : frontier) {
+    to_fetch.clear();
+    for (const rtree::ChunkId id : frontier) {
+      if (cached) {
         const auto it = node_cache_.find(id);
         if (it != node_cache_.end()) {
           ++stats_.cache_hits;
           CATFISH_COUNT("catfish.client.cache_hits");
-          ProcessNode(it->second, rect, results, next);
-        } else {
-          to_fetch.push_back(id);
+          visit(it->second);
+          continue;
         }
       }
-      frontier.swap(to_fetch);
-      if (frontier.empty()) {
-        frontier.swap(next);
-        continue;
-      }
+      to_fetch.push_back(id);
     }
-    if (cfg_.multi_issue) {
-      // §IV-C + doorbell batching: the engine stages every READ of this
-      // round and rings one doorbell for the whole tree level, then
-      // validates images in completion order; torn reads re-fetch under
-      // the engine's bounded backoff. Images land in the engine's
-      // pooled scratch — no per-level buffer allocation. Accepted nodes
-      // are processed right in the validate callback.
-      const auto st = engine_->FetchChunks(
-          frontier, [&](size_t i, std::span<const std::byte> image) {
-            if (!TryDecodeNode(frontier[i], image, node)) return false;
-            ProcessNode(node, rect, results, next);
-            if (use_cache && !node.IsLeaf()) node_cache_[frontier[i]] = node;
-            return true;
-          });
-      if (st != remote::FetchStatus::kOk) {
-        AccountEngineDelta(engine_round_before);
-        throw ClientError(
-            st == remote::FetchStatus::kTransportError
-                ? ClientStatus::kTransportError
-                : ClientStatus::kRetriesExhausted,
-            std::string("catfish client: offloaded read failed: ") +
-                remote::ToString(st));
-      }
-    } else {
-      // One READ at a time: every node access pays a full round trip
-      // (the baseline that Fig. 8 compares against). Buffers still come
-      // from the pool — the comparison isolates batching, not malloc.
-      for (const rtree::ChunkId id : frontier) {
-        const auto st = engine_->FetchChunks(
-            {&id, 1}, [&](size_t, std::span<const std::byte> image) {
-              return TryDecodeNode(id, image, node);
-            });
-        if (st != remote::FetchStatus::kOk) {
-          AccountEngineDelta(engine_round_before);
-          throw ClientError(
-              st == remote::FetchStatus::kTransportError
-                  ? ClientStatus::kTransportError
-                  : ClientStatus::kRetriesExhausted,
-              std::string("catfish client: offloaded read failed: ") +
-                  remote::ToString(st));
+    // S2 rides the leaf round's chain. A traversal that ends above the
+    // leaves, or whose leaf round had to re-fetch, reads it on its own.
+    const bool root_round = !cached && round == 0;
+    const bool leaf_round = level == 0 || frontier.empty();
+    if (!to_fetch.empty() || leaf_round) {
+      const bool bracketed = FetchRound(to_fetch, root_round ? &s1 : nullptr,
+                                        leaf_round ? &s2 : nullptr);
+      // A re-fetched S1 may have landed after the root: read it again.
+      if (root_round && !bracketed) FetchRound(to_fetch, nullptr, nullptr);
+      for (size_t i = 0; i < to_fetch.size(); ++i) {
+        const rtree::NodeData& node = round_nodes_[i];
+        visit(node);
+        if (cfg_.cache_internal_nodes && !node.IsLeaf()) {
+          staged_nodes_.push_back(node);
         }
-        ProcessNode(node, rect, results, next);
-        if (use_cache && !node.IsLeaf()) node_cache_[id] = node;
       }
+      s2_last = leaf_round && bracketed;
     }
-    AccountEngineDelta(engine_round_before);
+    level = seen_level - 1;
     if (trace_) {
       trace_->SetAttr(
           round_span, "reads",
@@ -868,18 +944,86 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
     }
     frontier.swap(next);
   }
-  ++stats_.offloaded_searches;
-  CATFISH_COUNT("catfish.client.search.offload");
+  if (!consistent) return false;
+
+  if (cached) {
+    // Cached internal nodes still route the query to every entry unless
+    // a change since they were validated touched the query's area.
+    if (!AbsorbChanges(s2) || !CacheMissesChanges(rect, s2)) return false;
+  } else {
+    if (!SmosMissQuery(rect, s1, s2)) return false;
+    if (!cfg_.cache_internal_nodes) return true;
+    // The fetched nodes are no older than S1: every change after it is
+    // dirty for them.
+    node_cache_.clear();
+    dirty_regions_.clear();
+    cache_index_seq_ = s1.index_seq - s1.index_seq % 2;
+    if (!AbsorbChanges(s2)) return true;
+  }
+  for (const rtree::NodeData& node : staged_nodes_) {
+    node_cache_[node.self] = node;
+  }
+  return true;
+}
+
+std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
+    const geo::Rect& rect, rtree::TraversalTrace* trace) {
+  PumpPending();
+  EnsureUsable(/*fast_path=*/false);
+  ArmOpDeadline();
+  CATFISH_SCOPED_TIMER_US("catfish.client.search_offload_us");
+  const bool own_trace = BeginTrace("search.offload");
+  const ClientStats before = stats_;
+
+  std::vector<rtree::Entry> results;
+  bool cached = cfg_.cache_internal_nodes && !node_cache_.empty();
+  bool valid = TraverseOffloaded(rect, cached, results, trace);
+  for (int restart = 0; !valid && restart < kMaxOffloadRestarts; ++restart) {
+    if (cached) {
+      // Stale internal nodes: refill from an uncached traversal now.
+      node_cache_.clear();
+      ++stats_.cache_invalidations;
+      CATFISH_COUNT("catfish.client.cache_invalidations");
+      cached = false;
+    } else {
+      // An SMO in the query's area overlapped the traversal. Only yield:
+      // a timed sleep overshoots by the timer slack, and the restart
+      // bound with the fallback already caps the wait.
+      std::this_thread::yield();
+    }
+    ++stats_.smo_restarts;
+    CATFISH_COUNT("catfish.client.smo_restarts");
+    valid = TraverseOffloaded(rect, /*cached=*/false, results, trace);
+  }
+  if (valid) {
+    ++stats_.offloaded_searches;
+    CATFISH_COUNT("catfish.client.search.offload");
+  } else {
+    // Every attempt overlapped a structure change: the server's own
+    // traversal serves the search instead of a possibly partial result.
+    ++stats_.offload_fallbacks;
+    CATFISH_COUNT("catfish.client.offload_fallbacks");
+    if (trace) trace->nodes_per_level.clear();
+    // Same op, same deadline: the offload attempts already spent part
+    // of it.
+    if (cur_deadline_us_ != 0 && NowMicros() >= cur_deadline_us_) {
+      FailDeadlineExpired("catfish client: op deadline expired before send");
+    }
+    EnsureUsable(/*fast_path=*/true);
+    results = SearchFastArmed(rect);
+  }
   if (trace_) {
-    trace_->SetAttr(trace_root_, "rdma_reads",
-                    static_cast<int64_t>(stats_.rdma_reads -
-                                         before.rdma_reads));
+    const auto delta = [&](uint64_t ClientStats::*field) {
+      return static_cast<int64_t>(stats_.*field - before.*field);
+    };
+    trace_->SetAttr(trace_root_, "rdma_reads", delta(&ClientStats::rdma_reads));
     trace_->SetAttr(trace_root_, "version_retries",
-                    static_cast<int64_t>(stats_.version_retries -
-                                         before.version_retries));
-    trace_->SetAttr(trace_root_, "cache_hits",
-                    static_cast<int64_t>(stats_.cache_hits -
-                                         before.cache_hits));
+                    delta(&ClientStats::version_retries));
+    trace_->SetAttr(trace_root_, "cache_hits", delta(&ClientStats::cache_hits));
+    trace_->SetAttr(trace_root_, "smo_restarts",
+                    delta(&ClientStats::smo_restarts));
+    trace_->SetAttr(trace_root_, "offload_fallbacks",
+                    delta(&ClientStats::offload_fallbacks));
     trace_->SetAttr(trace_root_, "results",
                     static_cast<int64_t>(results.size()));
     if (own_trace) FinishTrace();

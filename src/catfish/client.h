@@ -105,13 +105,13 @@ struct ClientConfig {
   /// Multi-issue offloading: fetch a whole frontier per round (§IV-C).
   bool multi_issue = true;
   /// Cache internal (non-leaf) nodes on the client between offloaded
-  /// searches — the Cell-style top-level cache (§VII). Invalidated
-  /// whenever a heartbeat reports a new tree write epoch, bounding
-  /// staleness to roughly the heartbeat interval. An offloaded search
-  /// using the cache may miss entries inserted after the last heartbeat
-  /// — the same read-your-heartbeat consistency the uncached traversal
-  /// has against in-flight writers.
-  bool cache_internal_nodes = false;
+  /// searches — the Cell-style top-level cache (§VII). A warm search
+  /// reads only the leaf level plus the meta chunk, whose change log
+  /// must show no index change since the cache was validated where the
+  /// query looks; otherwise the cache is dropped and the search restarts
+  /// uncached. Either way an offloaded search returns every entry
+  /// present for the whole search.
+  bool cache_internal_nodes = true;
   /// Seed for the back-off randomization.
   uint64_t seed = 1;
   /// Abort a stuck request after this long (guards tests/examples).
@@ -162,7 +162,9 @@ struct ClientStats {
   uint64_t version_retries = 0;   ///< torn-node re-reads (§III-B)
   uint64_t heartbeats_received = 0;
   uint64_t cache_hits = 0;        ///< internal nodes served from cache
-  uint64_t cache_invalidations = 0;
+  uint64_t cache_invalidations = 0;  ///< cache dropped, not validated
+  uint64_t smo_restarts = 0;      ///< offloaded traversals restarted
+  uint64_t offload_fallbacks = 0;  ///< offloaded searches served by the ring
   uint64_t timeouts = 0;          ///< fast-path deadline expiries
   uint64_t watchdog_trips = 0;    ///< Connected→Suspect/Disconnected edges
   uint64_t reconnects = 0;        ///< successful re-bootstraps
@@ -246,7 +248,18 @@ class RTreeClient {
     return last_retry_after_us_;
   }
 
-  /// Forces the offloading path; optionally reports the traversal trace.
+  /// Restarts an offloaded search may make after a sequence-word
+  /// mismatch (see rtree::TreeMeta) before it falls back to fast
+  /// messaging.
+  static constexpr int kMaxOffloadRestarts = 4;
+
+  /// Forces the offloading path; optionally reports the traversal trace
+  /// (of the attempt that validated). Returns every entry present for
+  /// the whole search: a traversal that overlapped a structure
+  /// modification in the query's area, or a cached one whose internal
+  /// nodes went stale there, is restarted; after kMaxOffloadRestarts
+  /// restarts the search is served by the fast path under the same op
+  /// deadline instead (counted in ClientStats::offload_fallbacks).
   std::vector<rtree::Entry> SearchOffloaded(
       const geo::Rect& rect, rtree::TraversalTrace* trace = nullptr);
 
@@ -357,6 +370,12 @@ class RTreeClient {
   /// assert scratch()->in_use() == 0 between operations, including
   /// across Reconnect()).
   remote::VersionedFetchEngine& remote_engine() noexcept { return *engine_; }
+  /// Runs the offload path's one-sided READs over `transport` (which
+  /// must outlive its use) with a fresh fetch engine. Connecting installs
+  /// the QP transport this way; tests install e.g. a
+  /// remote::CallbackTransport that interleaves writes between READs.
+  /// Reconnect() reinstalls the QP transport.
+  void UseFetchTransport(remote::FetchTransport* transport);
   AdaptiveController& controller() noexcept { return controller_; }
   uint32_t tree_height() const noexcept { return boot_.tree_height; }
 
@@ -387,6 +406,9 @@ class RTreeClient {
   /// cfg_.op_deadline_us default, else 0) and throws kDeadlineExpired
   /// if it already passed. Every public op calls it once on entry.
   void ArmOpDeadline();
+  /// SearchFast under the already armed op deadline; SearchOffloaded's
+  /// fallback uses it so the fallback cannot extend the op's budget.
+  std::vector<rtree::Entry> SearchFastArmed(const geo::Rect& rect);
   /// The wait bound for one blocking stretch: request_timeout_us capped
   /// by the armed op deadline.
   uint64_t WaitDeadline(uint64_t now) const noexcept;
@@ -435,6 +457,39 @@ class RTreeClient {
   /// callback); false → the engine re-fetches within its retry bounds.
   bool TryDecodeNode(rtree::ChunkId id, std::span<const std::byte> buf,
                      rtree::NodeData& out);
+
+  /// One traversal round: READs every chunk of `ids` in one doorbell
+  /// chain, with the meta chunk chained in front (into `*meta_before`)
+  /// and/or behind (into `*meta_after`) when those are non-null, and
+  /// decodes node ids[i] into round_nodes_[i]. Returns true when the
+  /// chained meta READs bracket the node READs, i.e. no chunk had to be
+  /// re-fetched after the first pass. Throws ClientError on fetch
+  /// failure.
+  bool FetchRound(std::span<const rtree::ChunkId> ids,
+                  rtree::TreeMeta* meta_before, rtree::TreeMeta* meta_after);
+
+  /// Whether an uncached traversal bracketed by the meta reads `s1` and
+  /// `s2` returns every entry present throughout: no SMO ran in between,
+  /// or s2's change log holds every change from S1 to S2 and no SMO
+  /// among them moved entries where `rect` looks.
+  static bool SmosMissQuery(const geo::Rect& rect, const rtree::TreeMeta& s1,
+                            const rtree::TreeMeta& s2);
+  /// Moves the regions of the changes s2 shows completed since
+  /// cache_index_seq_ into dirty_regions_ and advances cache_index_seq_.
+  /// False when the change log no longer covers them or the dirty set is
+  /// full: the cache can no longer be validated.
+  bool AbsorbChanges(const rtree::TreeMeta& s2);
+  /// Whether the cached nodes route `rect` to every entry: no dirty
+  /// region, nor the region of an SMO running at s2, meets it.
+  bool CacheMissesChanges(const geo::Rect& rect,
+                          const rtree::TreeMeta& s2) const;
+
+  /// One offloaded traversal, from the cache when `cached`. Returns
+  /// whether the meta chunk validated it; only then are the internal
+  /// nodes it fetched committed to the cache.
+  bool TraverseOffloaded(const geo::Rect& rect, bool cached,
+                         std::vector<rtree::Entry>& results,
+                         rtree::TraversalTrace* trace);
 
   /// Folds the engine's counters accumulated since `before` into
   /// ClientStats and the legacy `catfish.client.version_retries` metric.
@@ -491,10 +546,20 @@ class RTreeClient {
   uint64_t next_req_id_ = 0;
   const uint64_t client_gen_;  ///< process-unique write-session id
 
-  /// Cell-style cache of internal nodes (cfg_.cache_internal_nodes).
+  /// Cell-style cache of internal nodes (cfg_.cache_internal_nodes). The
+  /// nodes route every query correctly except where an index change
+  /// after cache_index_seq_ was made: dirty_regions_ holds those
+  /// changes' regions (see rtree::TreeMeta), at most kMaxDirtyRegions.
+  static constexpr size_t kMaxDirtyRegions = 64;
   std::unordered_map<rtree::ChunkId, rtree::NodeData> node_cache_;
-  uint64_t cached_epoch_ = 0;
-  bool cache_epoch_known_ = false;
+  uint64_t cache_index_seq_ = 0;
+  std::vector<geo::Rect> dirty_regions_;
+  /// Internal nodes fetched by the traversal in progress, committed to
+  /// the cache only once it validates.
+  std::vector<rtree::NodeData> staged_nodes_;
+  /// FetchRound scratch: the round's chunk ids and decoded nodes.
+  std::vector<rtree::ChunkId> round_ids_;
+  std::vector<rtree::NodeData> round_nodes_;
 
   /// The search currently being traced (null between requests or when
   /// sampled out). Owned by Search()/SearchFast()/SearchOffloaded();

@@ -124,8 +124,7 @@ struct OverloadReply {
 };
 
 /// Server→client load report (paper Algorithm 1's u_serv input), plus
-/// the tree's write epoch so clients can invalidate cached internal
-/// nodes with staleness bounded by the heartbeat interval.
+/// the tree's write epoch (RStarTree::write_epoch).
 struct Heartbeat {
   uint64_t seq = 0;
   double cpu_util = 0.0;  ///< in [0,1]

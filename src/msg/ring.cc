@@ -90,7 +90,10 @@ bool RingSender::TrySend(uint16_t type, uint16_t flags,
   StorePod(buf, 4, static_cast<uint32_t>(payload.size()));
   StorePod(buf, 8, type);
   StorePod(buf, 10, flags);
-  std::memcpy(buf.data() + kMsgHeaderBytes, payload.data(), payload.size());
+  // An empty span may carry a null data(), which memcpy must not see.
+  if (!payload.empty()) {
+    std::memcpy(buf.data() + kMsgHeaderBytes, payload.data(), payload.size());
+  }
   buf[wire - 1] = std::byte{kCommitByte};
 
   // Ring writes are unsignaled: their consumers poll the ring memory

@@ -171,4 +171,9 @@ void InitChunk(std::span<std::byte> chunk) noexcept {
   }
 }
 
+uint64_t LoadAfterReads(const std::atomic<uint64_t>& word) noexcept {
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return word.load(std::memory_order_relaxed);
+}
+
 }  // namespace catfish::rtree

@@ -16,6 +16,7 @@
 // snapshot atomicity with SnapshotCopy below.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -90,5 +91,11 @@ void SnapshotCopy(std::byte* dst, const std::byte* src, size_t n) noexcept;
 /// Initializes a fresh chunk: zero payload, all versions set to an even
 /// starting value.
 void InitChunk(std::span<std::byte> chunk) noexcept;
+
+/// A seqlock reader's closing read: loads `word` ordered after every
+/// load that precedes the call, so a reader that saw any store made
+/// after a writer's release fence sees that writer's earlier stores to
+/// `word` too.
+uint64_t LoadAfterReads(const std::atomic<uint64_t>& word) noexcept;
 
 }  // namespace catfish::rtree

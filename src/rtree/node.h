@@ -70,13 +70,60 @@ size_t EncodeNode(const NodeData& node, std::span<std::byte> payload);
 /// payload must never crash the decoder.
 bool DecodeNode(std::span<const std::byte> payload, NodeData& out);
 
-/// Tree metadata stored in chunk 0 (used at connection bootstrap; the
-/// root is pinned to chunk 1 so offloading clients never re-read it).
+/// One index change in the meta chunk's change log: the even
+/// `index_seq` value the change completes at (0 marks an empty slot),
+/// whether it is a structure modification, and a region that contains
+/// every entry the change moved between nodes and every internal-node
+/// MBR it grew. An entry outside the region was reachable through the
+/// same cached MBRs before and after the change.
+struct IndexChange {
+  uint64_t seq = 0;
+  bool smo = false;
+  geo::Rect region = geo::Rect::Empty();
+};
+
+/// Tree metadata stored in chunk 0. The root is pinned to chunk 1, so
+/// offloading clients never need it to find the root; what they read it
+/// for are the two sequence words and the change log, the control words
+/// that validate an offloaded traversal against concurrent writers:
+///
+///  * `smo_seq` is a seqlock over structure modifications (split, forced
+///    reinsert, condense, root grow or shrink): odd while one runs. A
+///    traversal that reads the same even value before its first node
+///    READ and after its last one saw no entry move between nodes.
+///  * `index_seq` changes whenever an internal node is written: it turns
+///    odd with `smo_seq` when an SMO starts and even when it ends, and a
+///    write that only enlarges or shrinks internal MBRs adds 2 at the end
+///    of its insert or delete. A client's cached internal nodes are
+///    current while `index_seq` still equals the value they were
+///    validated under; past that, the change log says where they may
+///    be stale.
+///  * `changes` logs the last kChangeLog index changes, change `seq` in
+///    slot (seq / 2) % kChangeLog. A running SMO's slot is published
+///    before its first node write and widened before each further step.
+///    A reader whose sequence words moved can still accept its traversal
+///    when every change in between is logged and none of their regions
+///    meets the query.
 struct TreeMeta {
+  static constexpr size_t kChangeLog = 16;
+
   uint64_t magic = kMagic;
   uint32_t root = kInvalidChunk;
   uint32_t height = 0;  // number of levels; a leaf-only tree has height 1
   uint64_t size = 0;    // number of data rectangles
+  uint64_t smo_seq = 0;
+  uint64_t index_seq = 0;
+  std::array<IndexChange, kChangeLog> changes{};
+
+  /// The logged change that completes at even `seq`, or null when its
+  /// slot has been reused (or `seq` never happened).
+  const IndexChange* FindChange(uint64_t seq) const noexcept {
+    const IndexChange& c = changes[(seq / 2) % kChangeLog];
+    return c.seq == seq ? &c : nullptr;
+  }
+  IndexChange& SlotFor(uint64_t seq) noexcept {
+    return changes[(seq / 2) % kChangeLog];
+  }
 
   static constexpr uint64_t kMagic = 0x4341544649534821ULL;  // "CATFISH!"
 };

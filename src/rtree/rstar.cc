@@ -7,9 +7,33 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <thread>
 
 namespace catfish::rtree {
 namespace {
+
+// The region of a change whose effect cannot be bounded: it meets every
+// query.
+constexpr geo::Rect kEverywhere{-std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::infinity()};
+
+// How much the overlap of child i with its siblings grows if it must
+// also enclose `rect`. A sibling the grown MBR does not meet contributes
+// exactly zero, so it is skipped.
+double OverlapEnlargement(const NodeData& node, size_t i,
+                          const geo::Rect& rect) {
+  const geo::Rect& mbr = node.entries[i].mbr;
+  const geo::Rect grown = mbr.Union(rect);
+  double delta = 0.0;
+  for (size_t j = 0; j < node.count; ++j) {
+    const geo::Rect& other = node.entries[j].mbr;
+    if (j == i || !grown.Intersects(other)) continue;
+    delta += grown.OverlapArea(other) - mbr.OverlapArea(other);
+  }
+  return delta;
+}
 
 geo::Rect MbrOf(const std::vector<Entry>& entries, size_t first,
                 size_t last) {
@@ -60,6 +84,17 @@ RStarTree RStarTree::Attach(NodeArena& arena, RStarConfig cfg) {
   }
   tree.size_.store(meta.size, std::memory_order_relaxed);
   tree.height_.store(meta.height, std::memory_order_relaxed);
+  // Keep counting from the stored words so they never repeat a value a
+  // reader may still hold. An image taken mid-SMO is closed here, with
+  // a region no reader can rule out.
+  tree.smo_seq_.store(meta.smo_seq + meta.smo_seq % 2,
+                      std::memory_order_relaxed);
+  tree.index_seq_ = meta.index_seq + meta.index_seq % 2;
+  tree.changes_.changes = meta.changes;
+  if (meta.index_seq % 2 != 0) {
+    tree.changes_.SlotFor(tree.index_seq_) =
+        IndexChange{tree.index_seq_, true, kEverywhere};
+  }
   return tree;
 }
 
@@ -78,6 +113,7 @@ void RStarTree::LoadNode(ChunkId id, NodeData& out) const {
 }
 
 void RStarTree::StoreNode(const NodeData& node) {
+  if (!node.IsLeaf()) index_dirty_ = true;
   std::byte payload[PayloadCapacity(kChunkSize)] = {};
   EncodeNode(node, payload);
   auto chunk = arena_->chunk(node.self);
@@ -91,12 +127,51 @@ void RStarTree::StoreMeta() {
   meta.root = kRootChunk;
   meta.height = height_.load(std::memory_order_relaxed);
   meta.size = size_.load(std::memory_order_relaxed);
+  meta.smo_seq = smo_seq_.load(std::memory_order_relaxed);
+  meta.index_seq = index_seq_;
+  meta.changes = changes_.changes;
   std::byte payload[PayloadCapacity(kChunkSize)] = {};
   EncodeMeta(meta, payload);
   auto chunk = arena_->chunk(kMetaChunk);
   BeginWrite(chunk);
   ScatterPayload(chunk, payload);
   EndWrite(chunk);
+}
+
+void RStarTree::BeginSmo(const geo::Rect& moved) {
+  if (!in_smo_) {
+    in_smo_ = true;
+    // StoreMeta's BeginWrite fence below orders this before every node
+    // write of the SMO, for local searches as for remote ones.
+    smo_seq_.store(smo_seq_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+    ++index_seq_;
+  } else if (changes_.SlotFor(index_seq_ + 1).region.Contains(moved)) {
+    return;  // this step moves entries only where readers already look
+  }
+  NoteChange(moved);
+  changes_.SlotFor(index_seq_ + 1) =
+      IndexChange{index_seq_ + 1, true, change_region_};
+  StoreMeta();
+}
+
+void RStarTree::FinishWrite() {
+  if (in_smo_ || index_dirty_) {
+    if (in_smo_) {
+      smo_seq_.store(smo_seq_.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_release);
+    }
+    index_seq_ += in_smo_ ? 1 : 2;
+    // An internal node written without a noted region could hide
+    // anything.
+    changes_.SlotFor(index_seq_) = IndexChange{
+        index_seq_, in_smo_,
+        change_region_.IsEmpty() ? kEverywhere : change_region_};
+  }
+  in_smo_ = false;
+  index_dirty_ = false;
+  change_region_ = geo::Rect::Empty();
+  StoreMeta();
 }
 
 uint64_t RStarTree::ReadNode(ChunkId id, NodeData& out) const {
@@ -125,6 +200,26 @@ size_t RStarTree::Search(const geo::Rect& query, std::vector<Entry>& out) const 
 }
 
 size_t RStarTree::SearchTraced(const geo::Rect& query, std::vector<Entry>& out,
+                               SearchStats* stats,
+                               TraversalTrace* trace) const {
+  // Per-node versions cannot see an entry move between nodes, so a
+  // traversal that overlapped a structure modification is redone; after
+  // kMaxSearchRestarts of them the search waits for the writer instead.
+  const size_t first = out.size();
+  for (int attempt = 0; attempt <= kMaxSearchRestarts; ++attempt) {
+    const uint64_t before = smo_seq_.load(std::memory_order_acquire);
+    if (before % 2 == 0) {
+      const size_t found = TraverseOnce(query, out, stats, trace);
+      if (LoadAfterReads(smo_seq_) == before) return found;
+      out.resize(first);
+    }
+    std::this_thread::yield();
+  }
+  const std::scoped_lock lock(writer_mutex_);
+  return TraverseOnce(query, out, stats, trace);
+}
+
+size_t RStarTree::TraverseOnce(const geo::Rect& query, std::vector<Entry>& out,
                                SearchStats* stats,
                                TraversalTrace* trace) const {
   // Breadth-first traversal: the frontier at each level is exactly the
@@ -217,23 +312,38 @@ size_t RStarTree::NearestNeighbors(const geo::Point& p, size_t k,
 // ---------------------------------------------------------------------------
 
 size_t RStarTree::ChooseSubtree(const NodeData& node,
-                                const geo::Rect& rect) const {
+                                const geo::Rect& rect) {
   assert(node.level > 0 && node.count > 0);
   size_t best = 0;
   if (node.level == 1) {
     // Children are leaves: R* minimizes overlap enlargement, then area
-    // enlargement, then area.
+    // enlargement, then area. Neither enlargement is ever negative, and
+    // both are exactly zero for a child that contains `rect`. So when
+    // one does, the winner is the smallest-area child with both zero,
+    // and the quadratic overlap sum is needed only for a child whose
+    // area enlargement is zero without containing `rect` (rounding).
+    bool contained = false;
+    for (size_t i = 0; i < node.count && !contained; ++i) {
+      contained = node.entries[i].mbr.Contains(rect);
+    }
+    if (contained) {
+      double best_area = std::numeric_limits<double>::infinity();
+      for (size_t i = 0; i < node.count; ++i) {
+        const geo::Rect& mbr = node.entries[i].mbr;
+        const double area = mbr.Area();
+        if (area < best_area && mbr.Enlargement(rect) == 0.0 &&
+            (mbr.Contains(rect) || OverlapEnlargement(node, i, rect) == 0.0)) {
+          best = i;
+          best_area = area;
+        }
+      }
+      return best;
+    }
     double best_overlap = std::numeric_limits<double>::infinity();
     double best_enlarge = std::numeric_limits<double>::infinity();
     double best_area = std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < node.count; ++i) {
-      const geo::Rect grown = node.entries[i].mbr.Union(rect);
-      double overlap_delta = 0.0;
-      for (size_t j = 0; j < node.count; ++j) {
-        if (j == i) continue;
-        overlap_delta += grown.OverlapArea(node.entries[j].mbr) -
-                         node.entries[i].mbr.OverlapArea(node.entries[j].mbr);
-      }
+      const double overlap_delta = OverlapEnlargement(node, i, rect);
       const double enlarge = node.entries[i].mbr.Enlargement(rect);
       const double area = node.entries[i].mbr.Area();
       if (overlap_delta < best_overlap ||
@@ -288,7 +398,7 @@ void RStarTree::Insert(const geo::Rect& rect, uint64_t id) {
   InsertAtLevel(Entry{rect, id}, 0, reinsert_mask);
   size_.fetch_add(1, std::memory_order_relaxed);
   write_epoch_.fetch_add(1, std::memory_order_relaxed);
-  StoreMeta();
+  FinishWrite();
 }
 
 void RStarTree::InsertAtLevel(const Entry& e, uint16_t level,
@@ -303,11 +413,13 @@ void RStarTree::AddEntryToNode(const std::vector<ChunkId>& path,
   if (node.count < cfg_.max_entries) {
     node.entries[node.count++] = e;
     StoreNode(node);
-    AdjustUpward(path);
+    AdjustUpward(path, node);
     return;
   }
 
-  // Overflow: collect the M+1 entries.
+  // Overflow: a split or forced reinsertion moves entries between nodes,
+  // all of them inside the node's MBR grown by `e`.
+  BeginSmo(node.ComputeMbr().Union(e.mbr));
   std::vector<Entry> all(node.entries.begin(),
                          node.entries.begin() + node.count);
   all.push_back(e);
@@ -333,7 +445,7 @@ void RStarTree::AddEntryToNode(const std::vector<ChunkId>& path,
     node.count = static_cast<uint16_t>(all.size() - p);
     std::copy(all.begin() + p, all.end(), node.entries.begin());
     StoreNode(node);
-    AdjustUpward(path);
+    AdjustUpward(path, node);
     const uint16_t level = node.level;
     for (auto it = removed.rbegin(); it != removed.rend(); ++it) {
       InsertAtLevel(*it, level, reinsert_mask);
@@ -484,13 +596,13 @@ void RStarTree::RStarSplit(const RStarConfig& cfg, std::vector<Entry>& all,
   g2.assign(order.begin() + k, order.end());
 }
 
-void RStarTree::AdjustUpward(const std::vector<ChunkId>& path) {
+void RStarTree::AdjustUpward(const std::vector<ChunkId>& path,
+                             NodeData child) {
   // Recompute child MBRs bottom-up along the path and patch the parent
-  // entries that reference them.
-  NodeData child;
+  // entries that reference them; each parent, as stored, is the next
+  // level's child.
   NodeData parent;
   for (size_t i = path.size(); i-- > 1;) {
-    LoadNode(path[i], child);
     LoadNode(path[i - 1], parent);
     const geo::Rect mbr = child.ComputeMbr();
     bool changed = false;
@@ -503,7 +615,11 @@ void RStarTree::AdjustUpward(const std::vector<ChunkId>& path) {
         break;
       }
     }
-    if (changed) StoreNode(parent);
+    if (changed) {
+      NoteChange(mbr);
+      StoreNode(parent);
+    }
+    child = parent;
   }
 }
 
@@ -558,6 +674,7 @@ bool RStarTree::Delete(const geo::Rect& rect, uint64_t id) {
     NodeData parent;
     LoadNode(path[i - 1], parent);
     if (node.count < cfg_.min_entries) {
+      BeginSmo(node.ComputeMbr());  // condense: its entries become orphans
       for (uint16_t j = 0; j < parent.count; ++j) {
         if (parent.entries[j].id == path[i]) {
           parent.entries[j] = parent.entries[--parent.count];
@@ -570,14 +687,19 @@ bool RStarTree::Delete(const geo::Rect& rect, uint64_t id) {
       }
       arena_->Free(path[i]);
     } else {
+      // Rewrite the parent only if the child's MBR shrank: an unchanged
+      // internal node must not move index_seq and drop client caches.
       const geo::Rect mbr = node.ComputeMbr();
       for (uint16_t j = 0; j < parent.count; ++j) {
         if (parent.entries[j].id == path[i]) {
-          parent.entries[j].mbr = mbr;
+          if (parent.entries[j].mbr != mbr) {
+            parent.entries[j].mbr = mbr;
+            NoteChange(mbr);
+            StoreNode(parent);
+          }
           break;
         }
       }
-      StoreNode(parent);
     }
   }
 
@@ -606,7 +728,9 @@ bool RStarTree::Delete(const geo::Rect& rect, uint64_t id) {
   for (;;) {
     NodeData root;
     LoadNode(kRootChunk, root);
-    if (root.level > 0 && root.count == 0) {
+    if (root.IsLeaf() || root.count > 1) break;
+    BeginSmo(kEverywhere);  // root shrink: every entry changes chunk
+    if (root.count == 0) {
       // All children were eliminated and nothing was re-inserted: the
       // tree is empty — reset to an empty leaf root.
       root.level = 0;
@@ -614,7 +738,6 @@ bool RStarTree::Delete(const geo::Rect& rect, uint64_t id) {
       height_.store(1, std::memory_order_relaxed);
       break;
     }
-    if (root.IsLeaf() || root.count != 1) break;
     const auto child_id = static_cast<ChunkId>(root.entries[0].id);
     NodeData child;
     LoadNode(child_id, child);
@@ -626,7 +749,7 @@ bool RStarTree::Delete(const geo::Rect& rect, uint64_t id) {
 
   size_.fetch_sub(1, std::memory_order_relaxed);
   write_epoch_.fetch_add(1, std::memory_order_relaxed);
-  StoreMeta();
+  FinishWrite();
   return true;
 }
 

@@ -8,10 +8,20 @@
 //  * Writers (insert/delete) are serialized by `writer_mutex_` — in
 //    Catfish all mutations are executed by server threads, so a writer
 //    lock suffices for write-write conflicts.
-//  * Readers never lock. Both local server threads and remote offloading
-//    clients read nodes optimistically and validate the FaRM-style
+//  * Readers read nodes optimistically and validate the FaRM-style
 //    per-cache-line versions (see layout.h), retrying torn reads. This is
-//    exactly the read-write conflict mechanism of §III-B.
+//    exactly the read-write conflict mechanism of §III-B. A local search
+//    that keeps overlapping structure modifications (below) takes the
+//    writer lock as a last resort.
+//  * Per-node versions cannot see an entry move between nodes while a
+//    reader holds the old parent. Writers therefore also maintain the
+//    meta chunk's sequence words (TreeMeta::smo_seq / index_seq): a
+//    structure modification makes them odd before its first node write
+//    and even after its last, and every other write to an internal node
+//    changes index_seq when its insert or delete ends. Each such change
+//    is logged with a region bounding what it moved or grew, so readers
+//    whose query lies elsewhere need not retry. Local searches check the
+//    in-memory smo_seq the same way.
 #pragma once
 
 #include <atomic>
@@ -76,7 +86,10 @@ class RStarTree {
       : arena_(other.arena_),
         cfg_(other.cfg_),
         size_(other.size_.load(std::memory_order_relaxed)),
-        height_(other.height_.load(std::memory_order_relaxed)) {}
+        height_(other.height_.load(std::memory_order_relaxed)),
+        smo_seq_(other.smo_seq_.load(std::memory_order_relaxed)),
+        index_seq_(other.index_seq_),
+        changes_(other.changes_) {}
   RStarTree(const RStarTree&) = delete;
   RStarTree& operator=(const RStarTree&) = delete;
   RStarTree& operator=(RStarTree&&) = delete;
@@ -89,8 +102,20 @@ class RStarTree {
   /// such entry exists.
   bool Delete(const geo::Rect& rect, uint64_t id);
 
+  /// R* ChooseSubtree: the index of the child of internal node `node`
+  /// that an entry with MBR `rect` descends into. In a leaves' parent,
+  /// least overlap enlargement, then least area enlargement, then least
+  /// area; higher up, least area enlargement, then least area. Ties go
+  /// to the lowest index.
+  static size_t ChooseSubtree(const NodeData& node, const geo::Rect& rect);
+
+  /// Traversals a search may redo because they overlapped a structure
+  /// modification, before it searches under the writer lock.
+  static constexpr int kMaxSearchRestarts = 4;
+
   /// Appends all entries intersecting `query` to `out`; returns the
-  /// number of matches. Safe to call concurrently with writers.
+  /// number of matches. Safe to call concurrently with writers: returns
+  /// every entry present for the whole search.
   size_t Search(const geo::Rect& query, std::vector<Entry>& out) const;
 
   /// Search variant that also reports traversal statistics and the
@@ -112,9 +137,9 @@ class RStarTree {
     return size_.load(std::memory_order_relaxed);
   }
 
-  /// Monotonic write counter, bumped by every Insert/Delete. Heartbeats
-  /// carry it so clients can bound the staleness of cached internal
-  /// nodes (client-side top-level caching, cf. Cell [10] in §VII).
+  /// Monotonic write counter, bumped by every Insert/Delete; heartbeats
+  /// carry it. Offloading clients validate against the meta chunk's
+  /// sequence words instead (TreeMeta).
   uint64_t write_epoch() const noexcept {
     return write_epoch_.load(std::memory_order_relaxed);
   }
@@ -146,19 +171,35 @@ class RStarTree {
  private:
   RStarTree(NodeArena& arena, RStarConfig cfg);
 
+  /// One unvalidated breadth-first traversal (SearchTraced's body).
+  size_t TraverseOnce(const geo::Rect& query, std::vector<Entry>& out,
+                      SearchStats* stats, TraversalTrace* trace) const;
+
   // --- writer-side node IO (caller holds writer_mutex_) ---
   void LoadNode(ChunkId id, NodeData& out) const;
   void StoreNode(const NodeData& node);
   void StoreMeta();
+  /// Marks the start of a structure modification step that moves
+  /// entries within `moved`: on the first step of an insert or delete
+  /// makes both sequence words odd, and publishes the SMO's change-log
+  /// slot, widened by `moved`, before the step's first node write.
+  void BeginSmo(const geo::Rect& moved);
+  /// Adds `r` to the region of the current insert or delete's change.
+  void NoteChange(const geo::Rect& r) { change_region_ = change_region_.Union(r); }
+  /// Ends an insert or delete: closes an open SMO, or folds an internal
+  /// node write into index_seq, logs the change with its region, then
+  /// publishes the meta chunk.
+  void FinishWrite();
 
   // --- insertion machinery ---
-  size_t ChooseSubtree(const NodeData& node, const geo::Rect& rect) const;
   std::vector<ChunkId> ChoosePath(const geo::Rect& rect,
                                   uint16_t target_level) const;
   void InsertAtLevel(const Entry& e, uint16_t level, uint32_t& reinsert_mask);
   void AddEntryToNode(const std::vector<ChunkId>& path, const Entry& e,
                       uint32_t& reinsert_mask);
-  void AdjustUpward(const std::vector<ChunkId>& path);
+  /// Patches the MBRs along `path` above its last node, `child` as just
+  /// stored.
+  void AdjustUpward(const std::vector<ChunkId>& path, NodeData child);
   void SplitNode(const std::vector<ChunkId>& path, NodeData& node,
                  std::vector<Entry> all, uint32_t& reinsert_mask);
   static void RStarSplit(const RStarConfig& cfg, std::vector<Entry>& all,
@@ -177,6 +218,14 @@ class RStarTree {
   std::atomic<uint64_t> size_{0};
   std::atomic<uint32_t> height_{1};
   std::atomic<uint64_t> write_epoch_{0};
+  // Sequence words of the meta chunk (see TreeMeta), written under
+  // writer_mutex_; local searches also read smo_seq_.
+  std::atomic<uint64_t> smo_seq_{0};
+  uint64_t index_seq_ = 0;
+  TreeMeta changes_;  // only its change log is used
+  bool in_smo_ = false;
+  bool index_dirty_ = false;
+  geo::Rect change_region_ = geo::Rect::Empty();
 };
 
 }  // namespace catfish::rtree

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <thread>
 
@@ -14,6 +15,7 @@
 #include "msg/protocol.h"
 #include "msg/ring.h"
 #include "rtree/bulk_load.h"
+#include "rtree/layout.h"
 #include "test_util.h"
 
 namespace catfish {
@@ -37,7 +39,8 @@ class CatfishIntegrationTest : public ::testing::Test {
   static constexpr size_t kDatasetSize = 3000;
 
   void SetUpServer(NotifyMode mode = NotifyMode::kEventDriven,
-                   uint64_t heartbeat_us = 10'000) {
+                   uint64_t heartbeat_us = 10'000,
+                   rtree::BulkLoadConfig load = {}) {
     fabric_ = std::make_unique<rdma::Fabric>(
         rdma::FabricProfile::InfiniBand100G());
     server_node_ = fabric_->CreateNode("server");
@@ -51,7 +54,7 @@ class CatfishIntegrationTest : public ::testing::Test {
       oracle_.Insert(r, i);
     }
     tree_ = std::make_unique<rtree::RStarTree>(
-        rtree::BulkLoad(*arena_, items));
+        rtree::BulkLoad(*arena_, items, load));
 
     ServerConfig cfg;
     cfg.mode = mode;
@@ -68,12 +71,105 @@ class CatfishIntegrationTest : public ::testing::Test {
     if (server_) server_->Stop();
   }
 
+  rtree::TreeMeta ReadMeta() const {
+    std::vector<std::byte> payload(arena_->payload_capacity());
+    rtree::GatherPayload(arena_->chunk(rtree::kMetaChunk), payload);
+    rtree::TreeMeta meta;
+    EXPECT_TRUE(rtree::DecodeMeta(payload, meta));
+    return meta;
+  }
+
+  void WriteMeta(const rtree::TreeMeta& meta) {
+    std::vector<std::byte> payload(arena_->payload_capacity());
+    rtree::EncodeMeta(meta, payload);
+    const auto chunk = arena_->chunk(rtree::kMetaChunk);
+    rtree::BeginWrite(chunk);
+    rtree::ScatterPayload(chunk, payload);
+    rtree::EndWrite(chunk);
+  }
+
+  /// A leaf whose path from the root is the only one whose MBRs contain
+  /// `*point`, so every insert at `point` lands in that leaf.
+  rtree::ChunkId LeafOwningPoint(geo::Rect* point) const {
+    std::vector<std::vector<rtree::NodeData>> levels(1);
+    tree_->ReadNode(rtree::kRootChunk, levels[0].emplace_back());
+    while (!levels.back()[0].IsLeaf()) {
+      std::vector<rtree::NodeData> below;
+      for (const auto& n : levels.back()) {
+        for (uint16_t i = 0; i < n.count; ++i) {
+          tree_->ReadNode(static_cast<rtree::ChunkId>(n.entries[i].id),
+                          below.emplace_back());
+        }
+      }
+      levels.push_back(std::move(below));
+    }
+    const auto owners = [&](const geo::Rect& p) {
+      size_t n = 0;
+      for (const auto& level : levels) {
+        for (const auto& node : level) {
+          n += node.ComputeMbr().Intersects(p) ? 1 : 0;
+        }
+      }
+      return n;
+    };
+    for (const auto& leaf : levels.back()) {
+      for (uint16_t i = 0; i < leaf.count; ++i) {
+        const geo::Rect& r = leaf.entries[i].mbr;
+        const double x = (r.min_x + r.max_x) / 2;
+        const double y = (r.min_y + r.max_y) / 2;
+        const geo::Rect p{x, y, x, y};
+        if (owners(p) == levels.size()) {
+          *point = p;
+          return leaf.self;
+        }
+      }
+    }
+    ADD_FAILURE() << "no point owned by a single root-to-leaf path";
+    return rtree::kInvalidChunk;
+  }
+
+  /// Drives the client's offload traversal over a CallbackTransport that
+  /// splits `leaf` right before the first READ of `trigger` (by default
+  /// the leaf itself — after the traversal read the leaf's parent) by
+  /// inserting copies of `point` until the leaf's entries move to a new
+  /// sibling. Returns the search result. The transport stays installed
+  /// (it outlives the test's client).
+  std::vector<uint64_t> SearchAcrossSplit(
+      RTreeClient& client, rtree::ChunkId leaf, const geo::Rect& point,
+      const geo::Rect& q, rtree::ChunkId trigger = rtree::kInvalidChunk) {
+    if (trigger == rtree::kInvalidChunk) trigger = leaf;
+    split_ = false;
+    transport_ = std::make_unique<remote::CallbackTransport>(
+        [this, leaf, point, trigger](rtree::ChunkId id,
+                                     std::span<std::byte> dst) {
+          if (id == trigger && !split_) {
+            split_ = true;
+            rtree::NodeData before;
+            tree_->ReadNode(leaf, before);
+            uint64_t next_id = 5'000'000;
+            for (rtree::NodeData now = before; now.count >= before.count;
+                 tree_->ReadNode(leaf, now)) {
+              ASSERT_LT(next_id, 5'000'000u + rtree::kMaxFanout);
+              tree_->Insert(point, next_id++);
+            }
+          }
+          rtree::SnapshotCopy(dst.data(), arena_->chunk(id).data(),
+                              dst.size());
+        });
+    client.UseFetchTransport(transport_.get());
+    auto ids = Ids(client.SearchOffloaded(q));
+    EXPECT_TRUE(split_) << "the traversal never read the trigger chunk";
+    return ids;
+  }
+
   std::unique_ptr<rdma::Fabric> fabric_;
   std::shared_ptr<rdma::SimNode> server_node_;
   std::unique_ptr<rtree::NodeArena> arena_;
   std::unique_ptr<rtree::RStarTree> tree_;
   std::unique_ptr<RTreeServer> server_;
   BruteForceIndex oracle_;
+  std::unique_ptr<remote::CallbackTransport> transport_;
+  bool split_ = false;
 };
 
 TEST_F(CatfishIntegrationTest, FastSearchMatchesOracle) {
@@ -359,15 +455,10 @@ TEST_F(CatfishIntegrationTest, KnnServedByServer) {
 }
 
 TEST_F(CatfishIntegrationTest, NodeCacheCutsReads) {
-  SetUpServer(NotifyMode::kEventDriven, /*heartbeat_us=*/2'000);
+  SetUpServer();
   ClientConfig cfg;
   cfg.cache_internal_nodes = true;
   auto client = MakeClient(cfg);
-
-  // Let a heartbeat arrive so the cache has an epoch to pin against.
-  std::this_thread::sleep_for(20ms);
-  client->SearchFast(geo::Rect{0.5, 0.5, 0.51, 0.51});  // pumps heartbeats
-  ASSERT_GT(client->stats().heartbeats_received, 0u);
 
   // First offloaded search populates; repeats hit the cached internals.
   const geo::Rect q{0.3, 0.3, 0.35, 0.35};
@@ -384,36 +475,229 @@ TEST_F(CatfishIntegrationTest, NodeCacheCutsReads) {
   EXPECT_EQ(Ids(client->SearchOffloaded(q)), oracle_.Search(q));
 }
 
-TEST_F(CatfishIntegrationTest, NodeCacheSeesInsertsAfterHeartbeat) {
-  SetUpServer(NotifyMode::kEventDriven, /*heartbeat_us=*/1'000);
+TEST_F(CatfishIntegrationTest, CachedSearchSeesMbrEnlargement) {
+  // One heartbeat arrives, then none for the rest of the test: whatever
+  // keeps the cache current, it is not the heartbeat.
+  SetUpServer(NotifyMode::kEventDriven, /*heartbeat_us=*/100'000);
   ClientConfig cfg;
   cfg.cache_internal_nodes = true;
   auto client = MakeClient(cfg);
-  std::this_thread::sleep_for(20ms);
+  ASSERT_TRUE(WaitUntil([&] {
+    client->Poll();
+    return client->stats().heartbeats_received > 0;
+  }));
 
-  const geo::Rect q{0.71, 0.71, 0.72, 0.72};
-  client->SearchFast(q);              // pump heartbeats → epoch known
-  client->SearchOffloaded(q);         // warm the cache
+  // The query lies beyond the data: a warm traversal stops at the cached
+  // root unless the root's MBRs grow to reach the insert below.
+  const geo::Rect q{1.4, 1.4, 1.6, 1.6};
+  ASSERT_EQ(Ids(client->SearchOffloaded(q)), oracle_.Search(q));
+  const uint64_t hits = client->stats().cache_hits;
+  ASSERT_EQ(Ids(client->SearchOffloaded(q)), oracle_.Search(q));
+  ASSERT_GT(client->stats().cache_hits, hits) << "cache never warmed";
 
-  // Insert through the server: the next heartbeat bumps the epoch and
-  // flushes the cache, so the cached client finds the new entry within
-  // ~Inv.
-  const geo::Rect mine{0.711, 0.711, 0.7111, 0.7111};
+  const geo::Rect mine{1.5, 1.5, 1.501, 1.501};
   ASSERT_TRUE(client->Insert(mine, 31337));
-  std::this_thread::sleep_for(20ms);
+  oracle_.Insert(mine, 31337);
 
-  std::vector<uint64_t> ids;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    client->SearchFast(q);  // pumps pending heartbeats
-    ids = Ids(client->SearchOffloaded(q));
-    if (std::binary_search(ids.begin(), ids.end(), 31337ull)) break;
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "cached client never observed the insert";
-    std::this_thread::sleep_for(1ms);
+  // The first offloaded search after the ack must see the entry.
+  EXPECT_EQ(Ids(client->SearchOffloaded(q)), oracle_.Search(q));
+  EXPECT_EQ(client->stats().cache_invalidations, 1u);
+  EXPECT_EQ(client->stats().offload_fallbacks, 0u);
+}
+
+TEST_F(CatfishIntegrationTest, SplitBetweenParentAndChildReadIsNotMissed) {
+  // Without forced reinsertion an overflow is a plain split, which moves
+  // part of the leaf's pre-loaded entries to a fresh sibling the
+  // already-read parent does not list.
+  rtree::BulkLoadConfig load;
+  load.tree.forced_reinsert = false;
+  SetUpServer(NotifyMode::kEventDriven, 10'000, load);
+  ClientConfig cfg;
+  cfg.cache_internal_nodes = false;
+  auto client = MakeClient(cfg);
+
+  geo::Rect point;
+  const rtree::ChunkId leaf = LeafOwningPoint(&point);
+  rtree::NodeData node;
+  tree_->ReadNode(leaf, node);
+  const geo::Rect q = node.ComputeMbr();
+  const auto expect = oracle_.Search(q);
+
+  const auto got = SearchAcrossSplit(*client, leaf, point, q);
+  for (const uint64_t want : expect) {
+    EXPECT_TRUE(std::binary_search(got.begin(), got.end(), want))
+        << "pre-loaded entry " << want << " missed";
   }
-  EXPECT_GT(client->stats().cache_invalidations, 0u);
+  EXPECT_GE(client->stats().smo_restarts, 1u);
+  EXPECT_EQ(client->stats().offload_fallbacks, 0u);
+}
+
+TEST_F(CatfishIntegrationTest, SplitUnderCachedParentIsNotMissed) {
+  rtree::BulkLoadConfig load;
+  load.tree.forced_reinsert = false;
+  SetUpServer(NotifyMode::kEventDriven, 10'000, load);
+  ClientConfig cfg;
+  cfg.cache_internal_nodes = true;
+  auto client = MakeClient(cfg);
+
+  geo::Rect point;
+  const rtree::ChunkId leaf = LeafOwningPoint(&point);
+  rtree::NodeData node;
+  tree_->ReadNode(leaf, node);
+  const geo::Rect q = node.ComputeMbr();
+  const auto expect = oracle_.Search(q);
+  ASSERT_EQ(Ids(client->SearchOffloaded(q)), expect);  // warms the cache
+
+  const auto got = SearchAcrossSplit(*client, leaf, point, q);
+  for (const uint64_t want : expect) {
+    EXPECT_TRUE(std::binary_search(got.begin(), got.end(), want))
+        << "pre-loaded entry " << want << " missed";
+  }
+  EXPECT_GT(client->stats().cache_hits, 0u);
+  EXPECT_EQ(client->stats().cache_invalidations, 1u);
+  EXPECT_GE(client->stats().smo_restarts, 1u);
+}
+
+TEST_F(CatfishIntegrationTest, SplitAwayFromTheQueryNeedsNoRestart) {
+  rtree::BulkLoadConfig load;
+  load.tree.forced_reinsert = false;
+  SetUpServer(NotifyMode::kEventDriven, 10'000, load);
+  ClientConfig cfg;
+  cfg.cache_internal_nodes = false;
+  auto client = MakeClient(cfg);
+
+  // The split moves entries only inside the leaf's parent (which the
+  // new sibling may overflow); pick a query corner clear of it.
+  geo::Rect point;
+  const rtree::ChunkId leaf = LeafOwningPoint(&point);
+  rtree::NodeData root;
+  tree_->ReadNode(rtree::kRootChunk, root);
+  geo::Rect parent_mbr = geo::Rect::Empty();
+  for (uint16_t i = 0; i < root.count; ++i) {
+    rtree::NodeData child;
+    tree_->ReadNode(static_cast<rtree::ChunkId>(root.entries[i].id), child);
+    for (uint16_t j = 0; j < child.count; ++j) {
+      if (child.entries[j].id == leaf) parent_mbr = child.ComputeMbr();
+    }
+  }
+  ASSERT_EQ(root.level, 2) << "test assumes a three-level tree";
+  ASSERT_FALSE(parent_mbr.IsEmpty());
+  geo::Rect q = geo::Rect::Empty();
+  for (const geo::Rect corner :
+       {geo::Rect{0.0, 0.0, 0.1, 0.1}, geo::Rect{0.9, 0.9, 1.0, 1.0},
+        geo::Rect{0.0, 0.9, 0.1, 1.0}, geo::Rect{0.9, 0.0, 1.0, 0.1}}) {
+    if (!corner.Intersects(parent_mbr)) q = corner;
+  }
+  ASSERT_FALSE(q.IsEmpty()) << "no corner clear of the split";
+  const auto expect = oracle_.Search(q);
+  ASSERT_FALSE(expect.empty());
+
+  // The split runs between S1 and the root READ, so S1 and S2 disagree.
+  const uint64_t smo_before = ReadMeta().smo_seq;
+  EXPECT_EQ(SearchAcrossSplit(*client, leaf, point, q, rtree::kRootChunk),
+            expect);
+  EXPECT_GT(ReadMeta().smo_seq, smo_before);
+  EXPECT_EQ(client->stats().smo_restarts, 0u);
+  EXPECT_EQ(client->stats().offload_fallbacks, 0u);
+}
+
+TEST_F(CatfishIntegrationTest, EnlargementAwayFromTheQueryKeepsTheCache) {
+  SetUpServer();
+  auto client = MakeClient();  // the cache is on by default
+  const geo::Rect q{0.0, 0.0, 0.05, 0.05};
+  ASSERT_EQ(Ids(client->SearchOffloaded(q)), oracle_.Search(q));
+  const uint64_t index_before = ReadMeta().index_seq;
+
+  // An insert in the far corner grows internal MBRs there only.
+  const geo::Rect far{0.9995, 0.9995, 0.99999, 0.99999};
+  ASSERT_TRUE(client->Insert(far, 31337));
+  oracle_.Insert(far, 31337);
+  ASSERT_GT(ReadMeta().index_seq, index_before) << "no internal MBR grew";
+
+  const uint64_t hits = client->stats().cache_hits;
+  EXPECT_EQ(Ids(client->SearchOffloaded(q)), oracle_.Search(q));
+  EXPECT_GT(client->stats().cache_hits, hits);
+  EXPECT_EQ(client->stats().cache_invalidations, 0u);
+  EXPECT_EQ(client->stats().smo_restarts, 0u);
+  // A query that meets the change is not served from the stale cache.
+  EXPECT_EQ(Ids(client->SearchOffloaded(far)), oracle_.Search(far));
+  EXPECT_EQ(client->stats().cache_invalidations, 1u);
+}
+
+TEST_F(CatfishIntegrationTest, ExhaustedRestartsFallBackToFastMessaging) {
+  SetUpServer();
+  auto client = MakeClient();
+  const geo::Rect q{0.2, 0.2, 0.3, 0.3};
+  ASSERT_EQ(Ids(client->SearchOffloaded(q)), oracle_.Search(q));
+
+  std::vector<uint64_t> got;
+  {
+    // A writer stuck mid-SMO: both sequence words stay odd for the whole
+    // search, exactly as RStarTree leaves them while a split runs.
+    const std::scoped_lock writer(tree_->writer_mutex());
+    const rtree::TreeMeta meta = ReadMeta();
+    rtree::TreeMeta open = meta;
+    ++open.smo_seq;
+    ++open.index_seq;
+    WriteMeta(open);
+    got = Ids(client->SearchOffloaded(q));
+    WriteMeta(meta);
+  }
+  EXPECT_EQ(got, oracle_.Search(q));
+  const ClientStats st = client->stats();
+  EXPECT_EQ(st.offload_fallbacks, 1u);
+  EXPECT_EQ(st.smo_restarts,
+            static_cast<uint64_t>(RTreeClient::kMaxOffloadRestarts));
+  EXPECT_EQ(st.cache_invalidations, 1u);
+  EXPECT_EQ(st.fast_searches, 1u);
+  EXPECT_EQ(st.offloaded_searches, 1u);
+
+  // Once the writer is done, offloading serves again.
+  EXPECT_EQ(Ids(client->SearchOffloaded(q)), oracle_.Search(q));
+  EXPECT_EQ(client->stats().offload_fallbacks, 1u);
+  EXPECT_EQ(client->stats().offloaded_searches, 2u);
+}
+
+TEST_F(CatfishIntegrationTest, FallbackKeepsTheOpDeadline) {
+  SetUpServer();
+  constexpr uint64_t kBudgetUs = 300'000;
+  ClientConfig cfg;
+  cfg.op_deadline_us = kBudgetUs;
+  auto client = MakeClient(cfg);
+  // Each offload attempt reads the root once and stalls there, so the
+  // 1 + kMaxOffloadRestarts attempts spend 2/3 of the budget, and the
+  // server needs another 2/3 for the fallback: a fallback that re-armed
+  // the deadline would succeed after 4/3 of the budget.
+  static constexpr uint64_t kAttemptUs =
+      2 * kBudgetUs / 3 / (1 + RTreeClient::kMaxOffloadRestarts);
+  transport_ = std::make_unique<remote::CallbackTransport>(
+      [this](rtree::ChunkId id, std::span<std::byte> dst) {
+        if (id == rtree::kRootChunk) {
+          std::this_thread::sleep_for(std::chrono::microseconds(kAttemptUs));
+        }
+        rtree::SnapshotCopy(dst.data(), arena_->chunk(id).data(), dst.size());
+      });
+  client->UseFetchTransport(transport_.get());
+  server_->SetServiceDelayForTest(2 * kBudgetUs / 3);
+
+  const std::scoped_lock writer(tree_->writer_mutex());
+  rtree::TreeMeta open = ReadMeta();
+  ++open.smo_seq;
+  ++open.index_seq;
+  WriteMeta(open);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    client->SearchOffloaded(geo::Rect{0.2, 0.2, 0.3, 0.3});
+    ADD_FAILURE() << "expected kDeadlineExpired";
+  } catch (const ClientError& e) {
+    EXPECT_EQ(e.status(), ClientStatus::kDeadlineExpired) << e.what();
+  }
+  const auto elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  EXPECT_LT(static_cast<uint64_t>(elapsed_us), kBudgetUs * 6 / 5);
+  EXPECT_EQ(client->stats().offload_fallbacks, 1u);
+  EXPECT_EQ(client->stats().deadline_expired, 1u);
 }
 
 TEST_F(CatfishIntegrationTest, ManyClientsConcurrently) {
@@ -478,6 +762,66 @@ TEST_F(CatfishIntegrationTest, OffloadSurvivesConcurrentInserts) {
     // Version retries are possible but must not be pathological.
     EXPECT_LT(rclient->stats().version_retries, 100000u);
   }
+  writer.join();
+}
+
+TEST_F(CatfishIntegrationTest, OffloadSurvivesConcurrentInsertsAndDeletes) {
+  SetUpServer();
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> writes{0};
+
+  // The writer keeps a window of its own entries: deletes condense
+  // nodes, inserts split and reinsert, and pre-loaded entries move.
+  std::thread writer([&] {
+    auto wclient = MakeClient();
+    Xoshiro256 rng(9);
+    std::deque<rtree::Entry> mine;
+    uint64_t id = 1'000'000;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const rtree::Entry e{RandomRect(rng, 0.005), id++};
+      wclient->Insert(e.mbr, e.id);
+      mine.push_back(e);
+      if (mine.size() > 300) {
+        wclient->Delete(mine.front().mbr, mine.front().id);
+        mine.pop_front();
+      }
+      writes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  // One cached and one uncached reader; neither may miss or repeat a
+  // pre-loaded entry. They read until the writer has cycled its window
+  // several times.
+  std::vector<std::thread> readers;
+  for (const bool cache : {true, false}) {
+    readers.emplace_back([&, cache] {
+      ClientConfig cfg;
+      cfg.cache_internal_nodes = cache;
+      auto rclient = MakeClient(cfg);
+      Xoshiro256 rng(cache ? 10 : 11);
+      for (int i = 0; i < 200 || (writes.load() < 2'000 && i < 100'000);
+           ++i) {
+        const auto q = RandomRect(rng, i % 2 ? 0.01 : 0.05);
+        const ClientStats before = rclient->stats();
+        const auto results = rclient->SearchOffloaded(q);
+        for (const auto& e : results) {
+          ASSERT_TRUE(e.mbr.Intersects(q));
+        }
+        const auto ids = Ids(results);
+        ASSERT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+        const ClientStats after = rclient->stats();
+        for (const uint64_t want : oracle_.Search(q)) {
+          ASSERT_TRUE(std::binary_search(ids.begin(), ids.end(), want))
+              << "pre-loaded entry " << want << " missed, cache " << cache
+              << ", restarts " << after.smo_restarts - before.smo_restarts
+              << ", fell back "
+              << after.offload_fallbacks - before.offload_fallbacks;
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  stop.store(true);
   writer.join();
 }
 

@@ -80,6 +80,8 @@ TEST(MetaCodecTest, RoundTrip) {
   meta.root = 1;
   meta.height = 4;
   meta.size = 123456789ULL;
+  meta.smo_seq = 0x1234567890abcdefULL;
+  meta.index_seq = 0xfedcba0987654321ULL;
   std::vector<std::byte> payload(PayloadCapacity(kChunkSize));
   EncodeMeta(meta, payload);
   TreeMeta out;
@@ -87,6 +89,27 @@ TEST(MetaCodecTest, RoundTrip) {
   EXPECT_EQ(out.root, 1u);
   EXPECT_EQ(out.height, 4u);
   EXPECT_EQ(out.size, 123456789ULL);
+  EXPECT_EQ(out.smo_seq, 0x1234567890abcdefULL);
+  EXPECT_EQ(out.index_seq, 0xfedcba0987654321ULL);
+}
+
+TEST(MetaCodecTest, ChangeLogRoundTrip) {
+  TreeMeta meta;
+  meta.SlotFor(40) = IndexChange{40, true, geo::Rect{0.1, 0.2, 0.3, 0.4}};
+  meta.SlotFor(42) = IndexChange{42, false, geo::Rect{-1.0, 0.0, 0.5, 2.0}};
+  std::vector<std::byte> payload(PayloadCapacity(kChunkSize));
+  EncodeMeta(meta, payload);
+  TreeMeta out;
+  ASSERT_TRUE(DecodeMeta(payload, out));
+  ASSERT_NE(out.FindChange(40), nullptr);
+  EXPECT_TRUE(out.FindChange(40)->smo);
+  EXPECT_EQ(out.FindChange(40)->region, (geo::Rect{0.1, 0.2, 0.3, 0.4}));
+  ASSERT_NE(out.FindChange(42), nullptr);
+  EXPECT_FALSE(out.FindChange(42)->smo);
+  EXPECT_EQ(out.FindChange(42)->region, (geo::Rect{-1.0, 0.0, 0.5, 2.0}));
+  // A slot reused by a later change no longer answers for the old one.
+  EXPECT_EQ(out.FindChange(40 + 2 * TreeMeta::kChangeLog), nullptr);
+  EXPECT_EQ(out.FindChange(44), nullptr);
 }
 
 TEST(MetaCodecTest, RejectsBadMagic) {

@@ -74,6 +74,23 @@ TEST(RingTest, EmptyPayloadMessage) {
   EXPECT_TRUE(m->payload.empty());
 }
 
+TEST(RingTest, EmptyPayloadsInterleaveAndWrap) {
+  // Null-data empty spans between non-empty messages, across wraps: the
+  // commit byte and the neighbours' payloads stay intact.
+  RingPair p(256);
+  for (int round = 0; round < 40; ++round) {
+    const bool empty = round % 2 == 0;
+    const auto payload = Payload(empty ? 0 : 40, static_cast<uint8_t>(round));
+    ASSERT_TRUE(p.tx->TrySend(3, kFlagEnd,
+                              empty ? std::span<const std::byte>{}
+                                    : std::span<const std::byte>(payload)))
+        << "round " << round;
+    const auto m = p.rx->TryReceive();
+    ASSERT_TRUE(m.has_value()) << "round " << round;
+    EXPECT_EQ(m->payload, payload) << "round " << round;
+  }
+}
+
 TEST(RingTest, FifoAcrossManyMessages) {
   RingPair p;
   for (uint8_t i = 0; i < 50; ++i) {

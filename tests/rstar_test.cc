@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
+#include <map>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.h"
+#include "rtree/layout.h"
 #include "test_util.h"
 
 namespace catfish::rtree {
@@ -168,6 +171,193 @@ TEST(RStarTreeTest, ForcedReinsertDisabledStillCorrect) {
     const geo::Rect q = RandomRect(rng, 0.2);
     EXPECT_EQ(SearchIds(tree, q), oracle.Search(q));
   }
+}
+
+/// The R* criterion evaluated exhaustively: in a leaves' parent every
+/// child's overlap enlargement is summed over all its siblings.
+size_t ExhaustiveChooseSubtree(const NodeData& node, const geo::Rect& rect) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  size_t best = 0;
+  std::tuple<double, double, double> best_key{inf, inf, inf};
+  for (size_t i = 0; i < node.count; ++i) {
+    const geo::Rect& mbr = node.entries[i].mbr;
+    double overlap = 0.0;
+    if (node.level == 1) {
+      const geo::Rect grown = mbr.Union(rect);
+      for (size_t j = 0; j < node.count; ++j) {
+        if (j == i) continue;
+        overlap += grown.OverlapArea(node.entries[j].mbr) -
+                   mbr.OverlapArea(node.entries[j].mbr);
+      }
+    }
+    const std::tuple<double, double, double> key{
+        overlap, mbr.Enlargement(rect), mbr.Area()};
+    if (key < best_key) {
+      best = i;
+      best_key = key;
+    }
+  }
+  return best;
+}
+
+TEST(RStarTreeTest, ChooseSubtreeMatchesExhaustiveCriterion) {
+  // Child 0 does not contain the query, but its area enlargement rounds
+  // to zero (its width 1.5 + 2^-53 rounds to 1.5) while its overlap with
+  // child 1 grows by 2^-53. Child 2 contains the query, so it wins.
+  const geo::Rect sliver{0.4, 0.4, 0.5 + 0x1p-53, 0.6};
+  NodeData rounding;
+  rounding.level = 1;
+  rounding.count = 3;
+  rounding.entries[0].mbr = geo::Rect{-1, 0, 0.5, 1};
+  rounding.entries[1].mbr = geo::Rect{0.5, 0, 1, 1};
+  rounding.entries[2].mbr = geo::Rect{-2, -2, 2, 2};
+  ASSERT_EQ(rounding.entries[0].mbr.Enlargement(sliver), 0.0);
+  EXPECT_EQ(ExhaustiveChooseSubtree(rounding, sliver), 2u);
+  EXPECT_EQ(RStarTree::ChooseSubtree(rounding, sliver), 2u);
+
+  // Random nodes mix children that contain the query, duplicates (ties),
+  // random rects, and zero-area segments; every fourth query is itself a
+  // segment on those segments' line, so some children have zero area
+  // enlargement without containing it.
+  Xoshiro256 rng(71);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const bool flat = trial % 4 == 0;
+    geo::Rect query = RandomRect(rng, 0.05);
+    if (flat) query.max_y = query.min_y;
+    NodeData node;
+    node.level = trial % 10 == 0 ? 2 : 1;
+    node.count = static_cast<uint16_t>(1 + rng.Next() % kMaxFanout);
+    for (uint16_t i = 0; i < node.count; ++i) {
+      geo::Rect& r = node.entries[i].mbr;
+      switch (rng.Next() % 5) {
+        case 0:
+          r = geo::Rect{query.min_x - rng.NextDouble() * 0.1,
+                        query.min_y - rng.NextDouble() * 0.1,
+                        query.max_x + rng.NextDouble() * 0.1,
+                        query.max_y + rng.NextDouble() * 0.1};
+          break;
+        case 1:
+          r = i == 0 ? RandomRect(rng, 0.3) : node.entries[rng.Next() % i].mbr;
+          break;
+        case 2:
+          r = RandomRect(rng, 0.3);
+          break;
+        case 3: {
+          const double x = rng.NextDouble() * 0.9;
+          r = geo::Rect{x, query.min_y, x + rng.NextDouble() * 0.1,
+                        query.min_y};
+          break;
+        }
+        default: {
+          const double dx = (rng.NextDouble() - 0.5) * 0.05;
+          const double dy = (rng.NextDouble() - 0.5) * 0.05;
+          r = geo::Rect{query.min_x + dx, query.min_y + dy,
+                        query.max_x + dx, query.max_y + dy};
+        }
+      }
+      node.entries[i].id = i;
+    }
+    ASSERT_EQ(RStarTree::ChooseSubtree(node, query),
+              ExhaustiveChooseSubtree(node, query))
+        << "trial " << trial;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Change log (TreeMeta::changes)
+// ---------------------------------------------------------------------------
+
+/// Every internal entry's MBR by child chunk, and every data entry's
+/// leaf chunk and MBR by id.
+struct TreeShape {
+  std::map<uint64_t, geo::Rect> child_mbr;
+  std::map<uint64_t, std::pair<ChunkId, geo::Rect>> data;
+};
+
+TreeShape ShapeOf(const RStarTree& tree) {
+  TreeShape shape;
+  std::vector<ChunkId> todo{kRootChunk};
+  while (!todo.empty()) {
+    NodeData node;
+    tree.ReadNode(todo.back(), node);
+    todo.pop_back();
+    for (uint16_t i = 0; i < node.count; ++i) {
+      const Entry& e = node.entries[i];
+      if (node.IsLeaf()) {
+        shape.data[e.id] = {node.self, e.mbr};
+      } else {
+        shape.child_mbr[e.id] = e.mbr;
+        todo.push_back(static_cast<ChunkId>(e.id));
+      }
+    }
+  }
+  return shape;
+}
+
+TreeMeta MetaOf(NodeArena& arena) {
+  std::vector<std::byte> payload(arena.payload_capacity());
+  GatherPayload(arena.chunk(kMetaChunk), payload);
+  TreeMeta meta;
+  EXPECT_TRUE(DecodeMeta(payload, meta));
+  return meta;
+}
+
+TEST(RStarTreeChangeLogTest, RegionsCoverEveryMoveAndGrowth) {
+  NodeArena arena(kChunkSize, 2048);
+  RStarTree tree = RStarTree::Create(arena);
+  Xoshiro256 rng(53);
+  std::vector<Entry> live;
+  uint64_t next_id = 0;
+  int smo_deletes = 0;
+  int smo_inserts = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const TreeShape before = ShapeOf(tree);
+    const TreeMeta m0 = MetaOf(arena);
+    const bool del = live.size() > 300 && rng.Next() % 2 == 0;
+    if (del) {
+      const size_t k = rng.Next() % live.size();
+      ASSERT_TRUE(tree.Delete(live[k].mbr, live[k].id));
+      live[k] = live.back();
+      live.pop_back();
+    } else {
+      live.push_back(Entry{RandomRect(rng, 0.02), next_id++});
+      tree.Insert(live.back().mbr, live.back().id);
+    }
+    const TreeShape after = ShapeOf(tree);
+    const TreeMeta m1 = MetaOf(arena);
+    ASSERT_EQ(m1.smo_seq % 2, 0u);
+    const IndexChange* change = nullptr;
+    if (m1.index_seq != m0.index_seq) {
+      ASSERT_EQ(m1.index_seq, m0.index_seq + 2);
+      change = m1.FindChange(m1.index_seq);
+      ASSERT_NE(change, nullptr);
+      EXPECT_EQ(change->smo, m1.smo_seq != m0.smo_seq);
+      if (change->smo) ++(del ? smo_deletes : smo_inserts);
+    } else {
+      EXPECT_EQ(m1.smo_seq, m0.smo_seq);
+    }
+    // An internal MBR that grew (or a new child pointer) lies inside the
+    // change's region...
+    for (const auto& [child, mbr] : after.child_mbr) {
+      const auto was = before.child_mbr.find(child);
+      if (was != before.child_mbr.end() && was->second.Contains(mbr)) continue;
+      ASSERT_NE(change, nullptr) << "op " << op << ": MBR grew unlogged";
+      EXPECT_TRUE(change->region.Contains(mbr)) << "op " << op;
+    }
+    // ...and so does every data entry that changed leaves, in an SMO.
+    for (const auto& [id, where] : after.data) {
+      const auto was = before.data.find(id);
+      if (was == before.data.end() || was->second.first == where.first) {
+        continue;
+      }
+      ASSERT_NE(change, nullptr) << "op " << op << ": entry moved unlogged";
+      EXPECT_TRUE(change->smo) << "op " << op;
+      EXPECT_TRUE(change->region.Contains(where.second)) << "op " << op;
+    }
+  }
+  // Both kinds of structure modification were exercised.
+  EXPECT_GT(smo_inserts, 0);
+  EXPECT_GT(smo_deletes, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -371,6 +561,62 @@ TEST(RStarTreeConcurrencyTest, ReadersNeverSeeTornNodes) {
   writer.join();
   for (auto& r : readers) r.join();
   EXPECT_GT(reads.load(), 0u);
+  tree.CheckInvariants();
+}
+
+TEST(RStarTreeConcurrencyTest, LocalSearchesNeverMissPreloadedEntries) {
+  NodeArena arena(kChunkSize, 1 << 14);
+  RStarTree tree = RStarTree::Create(arena);
+  BruteForceIndex preloaded;
+  Xoshiro256 seed_rng(101);
+  for (uint64_t i = 0; i < 2000; ++i) {
+    const geo::Rect r = RandomRect(seed_rng, 0.01);
+    tree.Insert(r, i);
+    preloaded.Insert(r, i);
+  }
+
+  // The writer cycles a window of its own entries, so splits, forced
+  // reinserts and condenses keep moving pre-loaded entries.
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    Xoshiro256 rng(102);
+    std::vector<Entry> mine;
+    uint64_t id = 1'000'000;
+    while (!stop.load(std::memory_order_relaxed)) {
+      mine.push_back(Entry{RandomRect(rng, 0.005), id++});
+      tree.Insert(mine.back().mbr, mine.back().id);
+      if (mine.size() > 300) {
+        const size_t k = rng.Next() % mine.size();
+        tree.Delete(mine[k].mbr, mine[k].id);
+        mine[k] = mine.back();
+        mine.pop_back();
+      }
+    }
+  });
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Xoshiro256 rng(103 + static_cast<uint64_t>(t));
+      std::vector<Entry> out;
+      for (int i = 0; i < 10'000; ++i) {
+        out.clear();
+        const geo::Rect q = RandomRect(rng, 0.05);
+        tree.Search(q, out);
+        std::vector<uint64_t> ids;
+        for (const Entry& e : out) ids.push_back(e.id);
+        std::sort(ids.begin(), ids.end());
+        ASSERT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+        for (const uint64_t want : preloaded.Search(q)) {
+          ASSERT_TRUE(std::binary_search(ids.begin(), ids.end(), want))
+              << "pre-loaded entry " << want << " missed";
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  stop.store(true);
+  writer.join();
   tree.CheckInvariants();
 }
 

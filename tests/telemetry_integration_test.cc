@@ -156,6 +156,11 @@ TEST_F(TelemetryIntegrationTest, OffloadTraceCountsMatchClientStats) {
             static_cast<int64_t>(after.version_retries -
                                  before.version_retries));
   EXPECT_EQ(root.AttrOr("results"), static_cast<int64_t>(results.size()));
+  EXPECT_EQ(root.AttrOr("smo_restarts", -1),
+            static_cast<int64_t>(after.smo_restarts - before.smo_restarts));
+  EXPECT_EQ(root.AttrOr("offload_fallbacks", -1),
+            static_cast<int64_t>(after.offload_fallbacks -
+                                 before.offload_fallbacks));
 
   // One offload_round span per tree level, and their per-round read
   // counts must sum to the root's total.
