@@ -1,7 +1,7 @@
-// Host micro-benchmarks (google-benchmark) of the building blocks, plus
-// the calibration measurement behind DESIGN.md §5: the real per-node
-// traversal cost of this build's R-tree. These are not paper figures —
-// they pin down the constants the cluster model charges and guard
+// Host micro-benchmarks (google-benchmark) of the building blocks, among
+// them the real per-node traversal cost of this build's R-tree. These
+// are not paper figures — DESIGN.md §5 sets them beside the
+// paper-calibrated constants the cluster model charges, and they guard
 // against performance regressions in the data structures.
 #include <benchmark/benchmark.h>
 

@@ -15,7 +15,7 @@
 // flowing — nothing a watchdog can see) and shows hedged fan-out
 // re-issuing straggler sub-queries against a follower replica: query
 // p99 and tail amplification drop back toward the healthy baseline,
-// at a duplicate-work cost of hedges_issued / fast_subqueries < 10%.
+// at a duplicate-work cost of hedges_issued / fast sub-queries < 10%.
 //
 // `--check` turns the two claims into hard assertions (CI smoke mode):
 // protected goodput at max load must beat unprotected by 1.5x, hedging
@@ -23,7 +23,6 @@
 #include <cstring>
 
 #include "bench_util.h"
-#include "model/shard_sim.h"
 
 namespace {
 
@@ -58,10 +57,10 @@ model::ClusterConfig OverloadConfig(size_t clients, bool shedding,
   return cfg;
 }
 
-model::ShardedClusterConfig HedgeConfig(bool hedge, bool slow,
-                                        const workload::RequestGen::Config& w,
-                                        const BenchEnv& env) {
-  model::ShardedClusterConfig cfg;
+model::ClusterConfig HedgeConfig(bool hedge, bool slow,
+                                 const workload::RequestGen::Config& w,
+                                 const BenchEnv& env) {
+  model::ClusterConfig cfg;
   // Fast messaging keeps every sub-query on the two-sided path through
   // the degraded shard's worker pool; the adaptive scheme would escalate
   // the hot shard to offloading and mask the very gray failure this
@@ -72,7 +71,6 @@ model::ShardedClusterConfig HedgeConfig(bool hedge, bool slow,
   cfg.requests_per_client = env.requests;
   cfg.workload = w;
   cfg.seed = env.seed;
-  cfg.arena_chunks = ArenaChunksFor(env.dataset / cfg.num_shards + 1);
   cfg.num_replicas = 1;  // the hedge target
   cfg.ack_followers = 0;
   if (slow) {
@@ -109,7 +107,7 @@ void WriteOverloadCell(telemetry::JsonLinesWriter* out,
 }
 
 void WriteHedgeCell(telemetry::JsonLinesWriter* out, const char* variant,
-                    const model::ShardedRunResult& r) {
+                    const model::RunResult& r) {
   if (out == nullptr) return;
   telemetry::JsonWriter j;
   j.BeginObject();
@@ -121,7 +119,7 @@ void WriteHedgeCell(telemetry::JsonLinesWriter* out, const char* variant,
   j.Key("search_p99_us").Value(r.search_latency_us.p99());
   j.Key("subquery_p99_us").Value(r.subquery_latency_us.p99());
   j.Key("tail_amplification").Value(r.tail_amplification);
-  j.Key("fast_subqueries").Value(r.fast_subqueries);
+  j.Key("fast_subqueries").Value(r.fast_searches);
   j.Key("hedges_issued").Value(r.hedges_issued);
   j.Key("hedges_won").Value(r.hedges_won);
   j.Key("hedges_wasted").Value(r.hedges_wasted);
@@ -222,19 +220,19 @@ int main(int argc, char** argv) {
   for (const auto& row : rows) {
     telemetry::Registry::Global().Reset();
     const auto cfg = HedgeConfig(row.hedge, row.slow, w, env);
-    model::ShardedClusterSim sim(items, cfg);
+    model::ClusterSim sim(items, cfg);
     const auto r = sim.Run();
     // Issued overhead tracks the degraded shard's traffic share — those
     // hedges are rescues, the cost of masking the failure. The pure
     // duplicate-work overhead (the <10% budget) is the wasted legs:
     // hedges the primary beat, where the follower read bought nothing.
     const double issued_ovh =
-        r.fast_subqueries > 0 ? 100.0 * static_cast<double>(r.hedges_issued) /
-                                    static_cast<double>(r.fast_subqueries)
+        r.fast_searches > 0 ? 100.0 * static_cast<double>(r.hedges_issued) /
+                                    static_cast<double>(r.fast_searches)
                               : 0.0;
     const double ovh =
-        r.fast_subqueries > 0 ? 100.0 * static_cast<double>(r.hedges_wasted) /
-                                    static_cast<double>(r.fast_subqueries)
+        r.fast_searches > 0 ? 100.0 * static_cast<double>(r.hedges_wasted) /
+                                    static_cast<double>(r.fast_searches)
                               : 0.0;
     std::printf(
         "%12s %10.1f %9.1f %9.1f %9.1f %8.2f %7lu %7lu %7.2f%% %6.2f%%\n",

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "model/shard_sim.h"
 #include "shard/client.h"
 #include "shard/host.h"
 
@@ -71,13 +70,13 @@ void ReadScaling(const bench::BenchEnv& env, telemetry::JsonLinesWriter* out) {
   for (const auto& w : workloads) {
     std::printf("--- workload: scale %s, insert_ratio %.2f, %u shards, "
                 "256 clients (offloading) ---\n",
-                bench::ScaleLabel(w), w.insert_ratio, kShards);
+                bench::ScaleLabel(w).c_str(), w.insert_ratio, kShards);
     std::printf("%9s %10s %9s %9s %11s %11s %11s\n", "replicas", "kops",
                 "p50_us", "p99_us", "fol_reads", "ack_p50", "ack_p99");
     double base_kops = 0.0;
     for (const uint32_t replicas : {0u, 1u, 2u}) {
       telemetry::Registry::Global().Reset();
-      model::ShardedClusterConfig cfg;
+      model::ClusterConfig cfg;
       // Offloading pins every sub-query to the one-sided path — the
       // path followers can serve; fast messaging would need the
       // primary's worker pool regardless of the replica count.
@@ -87,11 +86,10 @@ void ReadScaling(const bench::BenchEnv& env, telemetry::JsonLinesWriter* out) {
       cfg.requests_per_client = env.requests;
       cfg.workload = w;
       cfg.seed = env.seed;
-      cfg.arena_chunks = bench::ArenaChunksFor(env.dataset / kShards + 1);
       cfg.num_replicas = replicas;
       cfg.ack_followers = 1;
       cfg.follower_read_fraction = 1.0;
-      model::ShardedClusterSim sim(items, cfg);
+      model::ClusterSim sim(items, cfg);
       const auto r = sim.Run();
       if (base_kops == 0.0) base_kops = r.throughput_kops;
       std::printf("%9u %10.1f %9.1f %9.1f %11llu %11.1f %11.1f  (%4.2fx)\n",
@@ -116,7 +114,7 @@ void ReadScaling(const bench::BenchEnv& env, telemetry::JsonLinesWriter* out) {
         j.Key("duration_us").Value(r.duration_us);
         j.Key("throughput_kops").Value(r.throughput_kops);
         j.Key("follower_reads").Value(r.follower_reads);
-        j.Key("offload_subqueries").Value(r.offload_subqueries);
+        j.Key("offload_subqueries").Value(r.offloaded_searches);
         j.Key("replicated_writes").Value(r.replicated_writes);
         j.Key("inserts").Value(r.inserts);
         j.Key("search_latency_us");

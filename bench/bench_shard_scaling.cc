@@ -11,21 +11,19 @@
 // shard, capping its speedup and driving tail amplification up with the
 // shard count.
 #include "bench_util.h"
-#include "model/shard_sim.h"
 
 namespace {
 
-catfish::model::ShardedClusterConfig MakeShardConfig(
+catfish::model::ClusterConfig MakeShardConfig(
     uint32_t shards, const catfish::workload::RequestGen::Config& w,
     const catfish::bench::BenchEnv& env) {
-  catfish::model::ShardedClusterConfig cfg;
+  catfish::model::ClusterConfig cfg;
   cfg.scheme = catfish::model::Scheme::kCatfish;
   cfg.num_shards = shards;
   cfg.num_clients = 256;
   cfg.requests_per_client = env.requests;
   cfg.workload = w;
   cfg.seed = env.seed;
-  cfg.arena_chunks = catfish::bench::ArenaChunksFor(env.dataset / shards + 1);
   if (!env.trace_json.empty()) {
     cfg.trace_sample_every = env.trace_sample_every;
     cfg.trace_retain = 64;
@@ -68,14 +66,15 @@ int main(int argc, char** argv) {
   const uint32_t shard_counts[] = {1, 2, 4, 8};
 
   for (const auto& w : workloads) {
-    std::printf("--- workload: scale %s, 256 clients ---\n", ScaleLabel(w));
+    std::printf("--- workload: scale %s, 256 clients ---\n",
+                ScaleLabel(w).c_str());
     std::printf("%8s %10s %9s %9s %9s %8s %9s\n", "shards", "kops",
                 "p50_us", "p99_us", "sub_p99", "fanout", "tail_amp");
     double base_kops = 0.0;
     for (const uint32_t shards : shard_counts) {
       telemetry::Registry::Global().Reset();
       const auto cfg = MakeShardConfig(shards, w, env);
-      model::ShardedClusterSim sim(items, cfg);
+      model::ClusterSim sim(items, cfg);
       const auto r = sim.Run();
       if (base_kops == 0.0) base_kops = r.throughput_kops;
       std::printf("%8u %10.1f %9.1f %9.1f %9.1f %8.2f %9.2f  (%4.2fx)\n",
@@ -97,7 +96,7 @@ int main(int argc, char** argv) {
         j.Key("completed").Value(r.completed);
         j.Key("duration_us").Value(r.duration_us);
         j.Key("throughput_kops").Value(r.throughput_kops);
-        j.Key("mean_shard_cpu_util").Value(r.mean_shard_cpu_util);
+        j.Key("mean_shard_cpu_util").Value(r.server_cpu_util);
         j.Key("mean_fanout").Value(r.mean_fanout);
         j.Key("tail_amplification").Value(r.tail_amplification);
         j.Key("search_latency_us");
@@ -109,8 +108,8 @@ int main(int argc, char** argv) {
         j.Key("sharded");
         j.BeginObject();
         j.Key("searches").Value(r.searches);
-        j.Key("fast_subqueries").Value(r.fast_subqueries);
-        j.Key("offload_subqueries").Value(r.offload_subqueries);
+        j.Key("fast_subqueries").Value(r.fast_searches);
+        j.Key("offload_subqueries").Value(r.offloaded_searches);
         j.Key("inserts").Value(r.inserts);
         j.Key("rdma_reads").Value(r.rdma_reads);
         j.Key("mode_switches").Value(r.mode_switches);

@@ -13,9 +13,11 @@
 // suite within minutes on one core.
 #pragma once
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -143,13 +145,7 @@ struct Testbed {
   }
 };
 
-inline size_t ArenaChunksFor(size_t dataset) {
-  // ~19 entries per packed leaf plus internals and insert headroom.
-  const size_t nodes = dataset / 12 + 4096;
-  size_t chunks = 2;
-  while (chunks < nodes) chunks <<= 1;
-  return chunks;
-}
+using model::ArenaChunksFor;
 
 /// The §V-B dataset: `n` rectangles, edges in (0, 1e-4].
 inline Testbed MakeUniformTestbed(size_t n, uint64_t seed) {
@@ -217,12 +213,21 @@ inline model::RunResult RunOne(Testbed& tb, model::Scheme s, size_t clients,
   return sim.Run();
 }
 
-inline const char* ScaleLabel(const workload::RequestGen::Config& w) {
+/// A workload's cell label: the distribution's name, or a fixed scale in
+/// plain decimal ("0.00001", "0.0001", "0.001", "0.01").
+inline std::string ScaleLabel(const workload::RequestGen::Config& w) {
   switch (w.dist) {
     case workload::RequestGen::ScaleDist::kPowerLaw: return "power-law";
     case workload::RequestGen::ScaleDist::kRea02: return "rea02";
     case workload::RequestGen::ScaleDist::kFixed:
-    default: return w.scale <= 1e-4 ? "0.00001" : "0.01";
+    default: {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.10f", w.scale);
+      std::string label(buf);
+      label.erase(label.find_last_not_of('0') + 1);
+      if (label.back() == '.') label.pop_back();
+      return label;
+    }
   }
 }
 
@@ -468,5 +473,54 @@ inline void PrintEnv(const char* figure, const BenchEnv& env) {
       env.dataset, static_cast<unsigned long long>(env.requests),
       static_cast<unsigned long long>(env.seed));
 }
+
+/// The §V-B sweep: every scheme × workload × client count (32..256),
+/// run once and printed as several tables — Figs 10/11 (search-only)
+/// and Figs 12/13 (hybrid) each share one.
+struct SchemeSweep {
+  static constexpr size_t kClients[] = {32, 64, 128, 256};
+  static constexpr size_t kSchemes = std::size(kAllSchemes);
+  struct Cell {
+    double kops = 0.0;
+    double mean_latency_us = 0.0;
+  };
+  using Row = std::array<Cell, std::size(kClients)>;
+
+  std::vector<workload::RequestGen::Config> workloads;
+  /// cells[workload][scheme][clients], schemes in kAllSchemes order.
+  std::vector<std::array<Row, kSchemes>> cells;
+
+  void Run(CellExporter& exporter, Testbed& tb, const BenchEnv& env) {
+    cells.assign(workloads.size(), {});
+    for (size_t w = 0; w < workloads.size(); ++w) {
+      for (size_t s = 0; s < kSchemes; ++s) {
+        for (size_t c = 0; c < std::size(kClients); ++c) {
+          const auto r =
+              exporter.Run(tb, kAllSchemes[s], kClients[c], workloads[w], env);
+          cells[w][s][c] = {r.throughput_kops, r.latency_us.mean()};
+        }
+      }
+    }
+  }
+
+  /// One table per workload of `field`; `suffix` extends its heading.
+  void Print(double Cell::*field, const char* suffix = "") const {
+    for (size_t w = 0; w < workloads.size(); ++w) {
+      std::printf("--- workload: scale %s%s ---\n",
+                  ScaleLabel(workloads[w]).c_str(), suffix);
+      std::printf("%18s", "clients:");
+      for (const size_t c : kClients) std::printf(" %10zu", c);
+      std::printf("\n");
+      for (size_t s = 0; s < kSchemes; ++s) {
+        std::printf("%-18s", model::SchemeName(kAllSchemes[s]));
+        for (const Cell& cell : cells[w][s]) {
+          std::printf(" %10.1f", cell.*field);
+        }
+        std::printf("\n");
+      }
+      std::printf("\n");
+    }
+  }
+};
 
 }  // namespace catfish::bench

@@ -16,7 +16,7 @@ int main() {
 
   // The deployment's expected dataset and workload.
   const size_t dataset = 500'000;
-  rtree::NodeArena arena(rtree::kChunkSize, 1 << 16);
+  rtree::NodeArena arena(rtree::kChunkSize, model::ArenaChunksFor(dataset));
   const auto items = workload::UniformDataset(dataset, 1e-4, 21);
   rtree::RStarTree tree = rtree::BulkLoad(arena, items);
 

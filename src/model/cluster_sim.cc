@@ -1,9 +1,9 @@
 #include "model/cluster_sim.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
+#include <limits>
 
+#include "rtree/bulk_load.h"
 #include "telemetry/events.h"
 #include "telemetry/metrics.h"
 
@@ -20,6 +20,13 @@ const char* SchemeName(Scheme s) {
   return "?";
 }
 
+size_t ArenaChunksFor(size_t items) {
+  const size_t nodes = items / 12 + 4096;
+  size_t chunks = 2;
+  while (chunks < nodes) chunks <<= 1;
+  return chunks;
+}
+
 namespace {
 
 rdma::FabricProfile FabricFor(Scheme s) {
@@ -32,123 +39,234 @@ rdma::FabricProfile FabricFor(Scheme s) {
 
 }  // namespace
 
+ClusterSim::Client::Client(size_t i, const ClusterConfig& cfg, uint64_t seed)
+    : index(i), gen(cfg.workload, seed), rng(seed + 0x51ed2701u),
+      breaker(cfg.overload.breaker, seed ^ (i << 1)) {
+  for (uint32_t sh = 0; sh < cfg.num_shards; ++sh) {
+    ctrl.emplace_back(cfg.adaptive, seed ^ (0x9e3779b9u + sh), i);
+  }
+}
+
 ClusterSim::ClusterSim(rtree::RStarTree& tree, ClusterConfig cfg)
-    : tree_(&tree), cfg_(cfg), fabric_(FabricFor(cfg.scheme)) {
-  cpu_ = std::make_unique<des::CpuPool>(sched_, cfg_.server_cores);
-  writer_ = std::make_unique<des::CpuPool>(sched_, 1);  // the writer lock
-  nic_ = std::make_unique<des::CpuPool>(sched_, 1);     // NIC msg engine
-  up_ = std::make_unique<des::Link>(sched_, fabric_.bandwidth_gbps,
-                                    fabric_.base_latency_us);
-  down_ = std::make_unique<des::Link>(sched_, fabric_.bandwidth_gbps,
-                                      fabric_.base_latency_us);
+    : cfg_(std::move(cfg)), fabric_(FabricFor(cfg_.scheme)) {
+  cfg_.num_shards = 1;
+  AddShard(&tree);
+  fanout_scratch_.assign(1, 0);
+  if (cfg_.oracle_every != 0) {
+    const double inf = std::numeric_limits<double>::infinity();
+    tree.SearchTraced(geo::Rect{-inf, -inf, inf, inf}, oracle_items_,
+                      nullptr, nullptr);
+  }
+  AddClients();
+}
+
+ClusterSim::ClusterSim(std::span<const rtree::Entry> items, ClusterConfig cfg)
+    : cfg_(std::move(cfg)), fabric_(FabricFor(cfg_.scheme)) {
+  if (cfg_.num_shards == 0) cfg_.num_shards = 1;
+  map_ = std::make_unique<shard::ShardMap>(
+      shard::BuildGridMap(items, cfg_.num_shards));
+  map_->version = 1;
+  // BuildGridMap's slop covers the bulk-loaded extents only; workload
+  // inserts can be larger (edges up to the scale draw), so raise the
+  // query expansion to their half-extent — the ShardHost::min_slop knob.
+  if (cfg_.workload.insert_ratio > 0.0) {
+    const double max_edge =
+        cfg_.workload.dist == workload::RequestGen::ScaleDist::kPowerLaw
+            ? cfg_.workload.pl_hi
+            : cfg_.workload.scale;
+    map_->slop = std::max(map_->slop, max_edge / 2.0);
+  }
+  if (cfg_.oracle_every != 0) oracle_items_.assign(items.begin(), items.end());
+  for (const auto& bucket : shard::PartitionItems(*map_, items)) {
+    auto arena = std::make_unique<rtree::NodeArena>(
+        rtree::kChunkSize, ArenaChunksFor(bucket.size()));
+    auto tree = std::make_unique<rtree::RStarTree>(
+        rtree::BulkLoad(*arena, bucket));
+    AddShard(tree.get());
+    shards_.back()->arena = std::move(arena);
+    shards_.back()->owned_tree = std::move(tree);
+  }
+  AddClients();
+}
+
+ClusterSim::~ClusterSim() = default;
+
+ClusterSim::Plane ClusterSim::MakePlane() {
+  Plane p;
+  p.nic = std::make_unique<des::CpuPool>(sched_, 1);  // NIC msg engine
+  p.up = std::make_unique<des::Link>(sched_, fabric_.bandwidth_gbps,
+                                     fabric_.base_latency_us);
+  p.down = std::make_unique<des::Link>(sched_, fabric_.bandwidth_gbps,
+                                       fabric_.base_latency_us);
+  return p;
+}
+
+void ClusterSim::AddShard(rtree::RStarTree* tree) {
+  auto s = std::make_unique<Shard>();
+  s->tree = tree;
+  s->primary = MakePlane();
+  s->cpu = std::make_unique<des::CpuPool>(sched_, cfg_.server_cores);
+  s->writer = std::make_unique<des::CpuPool>(sched_, 1);  // the writer lock
+  for (uint32_t j = 0; j < cfg_.num_replicas; ++j) {
+    auto r = std::make_unique<Replica>();
+    r->plane = MakePlane();
+    r->applier = std::make_unique<des::CpuPool>(sched_, 1);
+    s->replicas.push_back(std::move(r));
+  }
+  s->live_replicas = cfg_.num_replicas;
+  shards_.push_back(std::move(s));
+}
+
+void ClusterSim::AddClients() {
   for (size_t i = 0; i < cfg_.num_clients; ++i) {
-    clients_.push_back(std::make_unique<Client>(
-        i, cfg_.workload, cfg_.adaptive, cfg_.overload.breaker,
-        cfg_.seed + i * 7919));
+    clients_.push_back(
+        std::make_unique<Client>(i, cfg_, cfg_.seed + i * 7919));
     clients_.back()->remaining = cfg_.requests_per_client;
   }
 }
 
 double ClusterSim::PollingPickupUs() const noexcept {
+  // Polling burn scales with connections per server machine: clients
+  // spread their connections over every shard, so each shard carries
+  // num_clients connections but only its share of the request rate.
   const double c = static_cast<double>(cfg_.num_clients);
   const double k = cfg_.server_cores;
   if (c <= k) return 0.0;
   return cfg_.costs.poll_quantum_us * c * c / k;
 }
 
-double ClusterSim::ReadRetryProbability() const noexcept {
+double ClusterSim::ReadRetryProbability(const Shard& s) const noexcept {
   const double now = std::max(sched_.now(), 1.0);
-  const double write_busy = std::min(1.0, insert_service_cum_us_ / now);
+  const double write_busy = std::min(1.0, s.insert_service_cum_us / now);
   return std::min(0.5, write_busy * cfg_.conflict_factor);
 }
 
-void ClusterSim::TraceStage(const std::shared_ptr<SubTrace>& st,
-                            const char* next) {
-  if (!st || !st->trace) return;
+double ClusterSim::HedgeDelayUs() const noexcept {
+  if (cfg_.hedge_delay_us != 0) {
+    return static_cast<double>(cfg_.hedge_delay_us);
+  }
+  // Adaptive: the live client's percentile rule against the sub-query
+  // latencies observed so far; an RTT-derived floor until warmed up.
+  if (result_.subquery_latency_us.count() >= 32) {
+    return result_.subquery_latency_us.p95();
+  }
+  return fabric_.base_latency_us * 20.0;
+}
+
+void ClusterSim::TraceStage(Leg* leg, const char* next) {
+  if (leg == nullptr || !leg->query->trace || leg->done) return;
+  telemetry::Trace& trace = *leg->query->trace;
   const auto now = static_cast<uint64_t>(sched_.now());
-  if (st->open != telemetry::kInvalidSpan) {
-    st->trace->EndSpan(st->open, now);
-    st->open = telemetry::kInvalidSpan;
+  if (leg->open != telemetry::kInvalidSpan) {
+    trace.EndSpan(leg->open, now);
+    leg->open = telemetry::kInvalidSpan;
   }
   if (next != nullptr) {
-    st->open = st->trace->StartSpan(st->span, next, now);
+    leg->open = trace.StartSpan(leg->span, next, now);
   }
 }
 
-void ClusterSim::CompleteRequest(Client& c, workload::OpType op, double t0,
-                                 bool offloaded,
-                                 const std::shared_ptr<SubTrace>& st) {
-  if (st && st->trace) {
-    TraceStage(st, nullptr);  // close the last stage child
-    st->trace->EndSpan(st->span, static_cast<uint64_t>(sched_.now()));
-    result_.traces.push_back(st->trace);
+void ClusterSim::LegDone(const std::shared_ptr<Leg>& leg, bool from_hedge) {
+  if (leg->done) return;  // the other leg of a hedge joined first
+  if (leg->hedged) {
+    if (from_hedge) {
+      ++result_.hedges_won;
+      CATFISH_COUNT("shard.client.hedges_won");
+    } else {
+      ++result_.hedges_wasted;
+      CATFISH_COUNT("shard.client.hedges_wasted");
+    }
+    CATFISH_EVENT(kHedge, static_cast<uint64_t>(sched_.now()), leg->shard,
+                  leg->hedge_delay_us, from_hedge ? 1.0 : 0.0);
+  }
+  const double latency = sched_.now() - leg->query->t0;
+  result_.subquery_latency_us.Add(latency);
+  // Mirror the live client's per-path timers (same metric names) so a
+  // bench cell's registry snapshot reads identically whether the data
+  // came from the DES or from real client/server objects.
+  if (leg->offloaded) {
+    result_.offload_latency_us.Add(latency);
+    CATFISH_TIMER_RECORD_US("catfish.client.search_offload_us", latency);
+  } else {
+    result_.fast_latency_us.Add(latency);
+    CATFISH_TIMER_RECORD_US("catfish.client.search_fast_us", latency);
+  }
+  if (map_) CATFISH_TIMER_RECORD_US("shard.client.subquery_us", latency);
+  FinishLeg(*leg);
+}
+
+void ClusterSim::LegRefused(const std::shared_ptr<Leg>& leg, bool expired) {
+  if (leg->done) return;
+  leg->query->refused = true;
+  leg->query->expired |= expired;
+  FinishLeg(*leg);
+}
+
+void ClusterSim::FinishLeg(Leg& leg) {
+  TraceStage(&leg, nullptr);  // close the last stage child
+  const auto& trace = leg.query->trace;
+  if (trace && leg.span != trace->root()) {
+    trace->EndSpan(leg.span, static_cast<uint64_t>(sched_.now()));
+  }
+  leg.done = true;
+  Join(leg.query);
+}
+
+void ClusterSim::Join(const std::shared_ptr<Query>& q) {
+  if (--q->remaining > 0) return;
+  Client& c = *q->client;
+  const auto now = static_cast<uint64_t>(sched_.now());
+  if (q->trace) {
+    if (q->refused) q->trace->SetAttr(q->trace->root(), "shed", 1);
+    q->trace->EndSpan(q->trace->root(), now);
+    result_.traces.push_back(q->trace);
     if (result_.traces.size() > cfg_.trace_retain) {
       result_.traces.erase(result_.traces.begin());
     }
   }
-  const double latency = sched_.now() - t0;
-  result_.latency_us.Add(latency);
-  if (cfg_.overload.deadline_us == 0 ||
-      latency <= static_cast<double>(cfg_.overload.deadline_us)) {
-    ++result_.goodput;
-  } else {
-    ++result_.deadline_misses;
-    CATFISH_COUNT("overload.sim.deadline_misses");
-  }
-  c.breaker.OnSuccess();
-  if (op == workload::OpType::kInsert) {
-    result_.insert_latency_us.Add(latency);
-    ++result_.inserts;
-  } else {
-    result_.search_latency_us.Add(latency);
-    // Mirror the live client's per-path timers (same metric names) so a
-    // bench cell's registry snapshot reads identically whether the data
-    // came from the DES or from real client/server objects.
-    if (offloaded) {
-      result_.offload_latency_us.Add(latency);
-      CATFISH_TIMER_RECORD_US("catfish.client.search_offload_us", latency);
+  if (q->refused) {
+    // A refusal is never a completion: feed the client's breaker and
+    // move on.
+    if (q->expired) {
+      ++result_.deadline_drops;
+      CATFISH_COUNT("overload.server.deadline_drops");
     } else {
-      result_.fast_latency_us.Add(latency);
-      CATFISH_TIMER_RECORD_US("catfish.client.search_fast_us", latency);
+      ++result_.sheds;
+      CATFISH_COUNT("overload.server.sheds");
     }
+    CATFISH_EVENT(kShed, now, c.index, 0.0,
+                  static_cast<double>(cfg_.overload.retry_after_us));
+    if (c.breaker.OnFailure(now,
+                            q->expired ? 0 : cfg_.overload.retry_after_us)) {
+      ++result_.breaker_opens;
+      CATFISH_COUNT("breaker.opens");
+      CATFISH_EVENT(kBreakerOpen, now, c.index,
+                    static_cast<double>(c.breaker.state()),
+                    static_cast<double>(c.breaker.last_open_window_us()));
+    }
+  } else {
+    const double latency = sched_.now() - q->t0;
+    result_.latency_us.Add(latency);
+    if (cfg_.overload.deadline_us == 0 ||
+        latency <= static_cast<double>(cfg_.overload.deadline_us)) {
+      ++result_.goodput;
+    } else {
+      ++result_.deadline_misses;
+      CATFISH_COUNT("overload.sim.deadline_misses");
+    }
+    c.breaker.OnSuccess();
+    if (q->op == workload::OpType::kInsert) {
+      result_.insert_latency_us.Add(latency);
+      ++result_.inserts;
+    } else {
+      result_.search_latency_us.Add(latency);
+      if (map_) CATFISH_TIMER_RECORD_US("shard.client.search_us", latency);
+    }
+    ++result_.completed;
   }
-  ++result_.completed;
   --outstanding_;
   // The run's duration is the last *request* completion — trailing
   // bookkeeping events (heartbeats) must not dilute throughput.
-  result_.duration_us = sched_.now();
-  StartNextRequest(c);
-}
-
-void ClusterSim::CompleteShed(Client& c, bool expired,
-                              const std::shared_ptr<SubTrace>& st) {
-  if (st && st->trace) {
-    TraceStage(st, nullptr);
-    st->trace->SetAttr(st->span, "shed", 1);
-    st->trace->EndSpan(st->span, static_cast<uint64_t>(sched_.now()));
-    result_.traces.push_back(st->trace);
-    if (result_.traces.size() > cfg_.trace_retain) {
-      result_.traces.erase(result_.traces.begin());
-    }
-  }
-  if (expired) {
-    ++result_.deadline_drops;
-    CATFISH_COUNT("overload.server.deadline_drops");
-  } else {
-    ++result_.sheds;
-    CATFISH_COUNT("overload.server.sheds");
-  }
-  const auto now = static_cast<uint64_t>(sched_.now());
-  CATFISH_EVENT(kShed, now, c.index, 0.0,
-                static_cast<double>(cfg_.overload.retry_after_us));
-  if (c.breaker.OnFailure(now, expired ? 0 : cfg_.overload.retry_after_us)) {
-    ++result_.breaker_opens;
-    CATFISH_COUNT("breaker.opens");
-    CATFISH_EVENT(kBreakerOpen, now, c.index,
-                  static_cast<double>(c.breaker.state()),
-                  static_cast<double>(c.breaker.last_open_window_us()));
-  }
-  --outstanding_;
   result_.duration_us = sched_.now();
   StartNextRequest(c);
 }
@@ -170,75 +288,195 @@ void ClusterSim::StartNextRequest(Client& c) {
   --c.remaining;
   ++outstanding_;
   const workload::Request req = c.gen.Next();
-  const double t0 = sched_.now();
-
-  // Every Nth search builds a span tree on the virtual clock.
-  std::shared_ptr<SubTrace> st;
-  if (req.op == workload::OpType::kSearch && cfg_.trace_sample_every != 0 &&
-      (searches_started_++ % cfg_.trace_sample_every) == 0) {
-    st = std::make_shared<SubTrace>();
-    st->trace = std::make_shared<telemetry::Trace>(
-        "sim.search", next_trace_id_++, static_cast<uint64_t>(t0));
-    st->span = st->trace->root();
-    st->trace->SetAttr(st->span, "client", static_cast<int64_t>(c.index));
-  }
-
-  if (req.op == workload::OpType::kInsert || IsTcp() ||
-      cfg_.scheme == Scheme::kFastMessaging) {
-    ExecViaServer(c, req, t0, std::move(st));
-    return;
-  }
-  if (cfg_.scheme == Scheme::kRdmaOffloading) {
-    ExecOffloaded(c, req.rect, t0, std::move(st));
-    return;
-  }
-  // Catfish: Algorithm 1 decides per request.
-  const AccessMode mode =
-      c.ctrl.NextMode(static_cast<uint64_t>(sched_.now()));
-  if (mode == AccessMode::kRdmaOffloading) {
-    ExecOffloaded(c, req.rect, t0, std::move(st));
+  auto q = std::make_shared<Query>();
+  q->client = &c;
+  q->op = req.op;
+  q->t0 = sched_.now();
+  if (req.op == workload::OpType::kInsert) {
+    ExecInsert(c, std::move(q), req);
   } else {
-    ExecViaServer(c, req, t0, std::move(st));
+    StartSearch(c, std::move(q), req.rect);
   }
 }
 
-void ClusterSim::ExecViaServer(Client& c, const workload::Request& req,
-                               double t0, std::shared_ptr<SubTrace> st) {
+void ClusterSim::OracleCheck(const geo::Rect& rect) {
+  // Both sides evaluated at the same virtual instant: the union of the
+  // per-shard traversals against a scan of everything applied so far.
+  ++result_.oracle_checks;
+  std::vector<uint64_t> got;
+  std::vector<rtree::Entry> out;
+  for (const uint32_t sh : fanout_scratch_) {
+    out.clear();
+    shards_[sh]->tree->SearchTraced(rect, out, nullptr, nullptr);
+    for (const auto& e : out) got.push_back(e.id);
+  }
+  std::vector<uint64_t> want;
+  for (const auto& e : oracle_items_) {
+    if (e.mbr.Intersects(rect)) want.push_back(e.id);
+  }
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  if (got != want) {
+    ++result_.oracle_mismatches;
+    CATFISH_COUNT("shard.sim.oracle_mismatches");
+  }
+}
+
+void ClusterSim::StartSearch(Client& c, std::shared_ptr<Query> q,
+                             const geo::Rect& rect) {
+  const uint64_t n = result_.searches++;
+  if (map_) map_->QueryShards(rect, fanout_scratch_);
+  const auto width = static_cast<uint32_t>(fanout_scratch_.size());
+  result_.fanout_width.Add(static_cast<double>(width));
+  if (map_) CATFISH_TIMER_RECORD_US("shard.client.fanout_width", width);
+  if (cfg_.oracle_every != 0 && n % cfg_.oracle_every == 0) {
+    OracleCheck(rect);
+  }
+
+  const double t0 = q->t0;
+  q->remaining = width;
+  // Counter-based sampling (the DES must stay deterministic): every Nth
+  // search builds a span tree on the virtual clock.
+  if (cfg_.trace_sample_every != 0 && n % cfg_.trace_sample_every == 0) {
+    q->trace = std::make_shared<telemetry::Trace>(
+        map_ ? "shard.search" : "sim.search", next_trace_id_++,
+        static_cast<uint64_t>(t0));
+    q->trace->SetAttr(q->trace->root(), "client",
+                      static_cast<int64_t>(c.index));
+    if (map_) {
+      q->trace->SetAttr(q->trace->root(), "fanout",
+                        static_cast<int64_t>(width));
+    }
+  }
+  // Sub-requests are posted back-to-back from the single client thread.
+  // The i-th fast request leaves the client i+1 posts after t0; the i-th
+  // offloaded sub-query starts its rounds i posts after t0 (each round
+  // pays its own posts).
+  const double post_us =
+      IsTcp() ? cfg_.costs.tcp_kernel_us : cfg_.costs.verbs_post_us;
+  double post_delay = 0.0;
+  for (const uint32_t sh : fanout_scratch_) {
+    const Shard& s = *shards_[sh];
+    AccessMode mode = AccessMode::kFastMessaging;
+    if (cfg_.scheme == Scheme::kRdmaOffloading) {
+      mode = AccessMode::kRdmaOffloading;
+    } else if (cfg_.scheme == Scheme::kCatfish) {
+      // Algorithm 1 decides per sub-query.
+      mode = c.ctrl[sh].NextMode(static_cast<uint64_t>(sched_.now()));
+    }
+    // A dead primary cannot serve the two-sided fast path; its
+    // followers' arenas still answer one-sided reads — the live client
+    // makes the same call (follower routing + primary fallback).
+    if (s.primary_down && s.live_replicas > 0) {
+      mode = AccessMode::kRdmaOffloading;
+    }
+    auto leg = std::make_shared<Leg>();
+    leg->query = q;
+    leg->shard = sh;
+    if (q->trace) {
+      leg->span = q->trace->root();
+      if (map_) {
+        leg->span = q->trace->StartSpan(q->trace->root(), "subquery",
+                                        static_cast<uint64_t>(t0));
+        q->trace->SetAttr(leg->span, "shard", sh);
+      }
+    }
+    const double offload_delay = post_delay;
+    post_delay += post_us;
+    if (mode == AccessMode::kFastMessaging) {
+      SubqueryFast(c, std::move(leg), rect, post_delay);
+    } else {
+      if (q->trace) q->trace->SetAttr(leg->span, "offload", 1);
+      SubqueryOffloaded(c, std::move(leg), rect, offload_delay);
+    }
+  }
+}
+
+bool ClusterSim::Refuse(Shard& s, double t0,
+                        std::function<void(bool)> refused) {
+  const bool expired =
+      cfg_.overload.deadline_us != 0 &&
+      sched_.now() - t0 >= static_cast<double>(cfg_.overload.deadline_us);
+  const bool shed = !expired && cfg_.overload.max_queue != 0 &&
+                    s.cpu->queued() >= cfg_.overload.max_queue;
+  if (!expired && !shed) return false;
+  s.primary.nic->Submit(cfg_.costs.nic_write_op_us, [this, &s, expired,
+                                                     refused]() {
+    s.primary.up->Transfer(cfg_.costs.ack_bytes, [this, expired, refused]() {
+      sched_.After(cfg_.costs.verbs_post_us,
+                   [expired, refused]() { refused(expired); });
+    });
+  });
+  return true;
+}
+
+void ClusterSim::SubqueryFast(Client& c, std::shared_ptr<Leg> leg,
+                              const geo::Rect& rect, double issue_delay) {
+  Shard& s = *shards_[leg->shard];
   const CostModel& k = cfg_.costs;
   const bool tcp = IsTcp();
-  const bool search = req.op == workload::OpType::kSearch;
-  const double post_us = tcp ? k.tcp_kernel_us : k.verbs_post_us;
-  const size_t req_bytes =
-      search ? k.search_request_bytes : k.insert_request_bytes;
 
-  // Pre-compute the real tree work for searches. (Inserts execute at
-  // writer-lock grant time so concurrent searches see them in virtual-
-  // time order.)
-  double service = 0.0;
-  size_t resp_bytes = 0;
-  if (search) {
-    rtree::SearchStats st;
-    std::vector<rtree::Entry> out;
-    tree_->SearchTraced(req.rect, out, &st, nullptr);
-    const size_t segments =
-        1 + st.results * k.per_result_bytes / k.max_segment_payload_bytes;
-    service = k.request_dispatch_us +
-              static_cast<double>(st.nodes_visited) * k.per_node_visit_us +
-              static_cast<double>(st.results) * k.per_result_us;
-    if (tcp) {
-      service += k.tcp_kernel_us * static_cast<double>(1 + segments);
-    }
-    resp_bytes = k.response_base_bytes * segments +
-                 st.results * k.per_result_bytes;
-    if (cfg_.scheme == Scheme::kCatfish ||
-        cfg_.scheme == Scheme::kFastMessaging) {
-      ++result_.fast_searches;
-      CATFISH_COUNT("catfish.client.search.fast");
-    }
-  } else {
-    resp_bytes = k.ack_bytes;
-    CATFISH_COUNT("catfish.client.insert");
+  // Pre-compute the real tree work. (Inserts execute at writer-lock
+  // grant time so concurrent searches see them in virtual-time order.)
+  rtree::SearchStats sst;
+  std::vector<rtree::Entry> out;
+  s.tree->SearchTraced(rect, out, &sst, nullptr);
+  const size_t segments =
+      1 + sst.results * k.per_result_bytes / k.max_segment_payload_bytes;
+  double service =
+      k.request_dispatch_us +
+      static_cast<double>(sst.nodes_visited) * k.per_node_visit_us +
+      static_cast<double>(sst.results) * k.per_result_us;
+  if (tcp) service += k.tcp_kernel_us * static_cast<double>(1 + segments);
+  // Gray failure: the degraded shard serves every fast sub-query slower
+  // by the configured factor — still answering, just limping.
+  if (static_cast<int>(leg->shard) == cfg_.slow_shard &&
+      cfg_.slow_factor > 1.0) {
+    service *= cfg_.slow_factor;
   }
+  const size_t resp_bytes =
+      k.response_base_bytes * segments + sst.results * k.per_result_bytes;
+  if (!tcp) {
+    ++result_.fast_searches;
+    CATFISH_COUNT("catfish.client.search.fast");
+  }
+
+  // Arm the hedge: if the primary has not joined after the delay,
+  // re-issue as an offloaded read against a follower (round-robin).
+  if (cfg_.hedge && s.live_replicas > 0) {
+    leg->hedge_delay_us = HedgeDelayUs();
+    sched_.After(issue_delay + leg->hedge_delay_us,
+                 [this, &c, &s, rect, leg]() {
+      if (leg->done) return;  // primary answered in time; no hedge
+      if (s.live_replicas == 0) return;  // promotion consumed them all
+      leg->hedged = true;
+      ++result_.hedges_issued;
+      CATFISH_COUNT("shard.client.hedges_issued");
+      Plane& plane = s.replicas[s.read_rr++ % s.live_replicas]->plane;
+      auto trace = std::make_shared<rtree::TraversalTrace>();
+      std::vector<rtree::Entry> hout;
+      s.tree->SearchTraced(rect, hout, nullptr, trace.get());
+      OffloadRound(c, s, plane, std::move(trace), 0, leg, /*hedge=*/true);
+    });
+  }
+
+  ExecViaServer(
+      s, leg->query->t0, issue_delay, k.search_request_bytes, resp_bytes, leg,
+      [this, &s, service, leg](std::function<void()> respond) {
+        TraceStage(leg.get(), "traverse");  // includes the queue wait
+        s.cpu->Submit(service, std::move(respond));
+      },
+      [this, leg]() { LegDone(leg, false); },
+      [this, leg](bool expired) { LegRefused(leg, expired); });
+}
+
+void ClusterSim::ExecViaServer(Shard& s, double t0, double issue_delay,
+                               size_t req_bytes, size_t resp_bytes,
+                               const std::shared_ptr<Leg>& leg,
+                               std::function<void(std::function<void()>)> serve,
+                               std::function<void()> done,
+                               std::function<void(bool)> refused) {
+  const bool tcp = IsTcp();
   if (!tcp) {
     // The request is one RDMA WRITE into the server's ring and the
     // response one WRITE back — mirror the rdmasim counter names. Each
@@ -253,119 +491,102 @@ void ClusterSim::ExecViaServer(Client& c, const workload::Request& req,
     CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size", 1.0);
   }
 
-  auto respond = [this, &c, t0, resp_bytes, tcp, op = req.op, st]() {
-    TraceStage(st, "reply");
-    auto deliver = [this, &c, t0, resp_bytes, tcp, op, st]() {
-      up_->Transfer(resp_bytes, [this, &c, t0, tcp, op, st]() {
-        const double recv_us =
-            tcp ? cfg_.costs.tcp_kernel_us : cfg_.costs.verbs_post_us;
+  auto respond = [this, &s, resp_bytes, tcp, leg, done]() {
+    TraceStage(leg.get(), "reply");
+    auto deliver = [this, &s, resp_bytes, tcp, done]() {
+      s.primary.up->Transfer(resp_bytes, [this, tcp, done]() {
         if (!tcp) {
           // One recv-CQ reap per response; closed-loop clients have at
           // most one response in flight, so nothing to coalesce here.
           ++result_.polls;
           CATFISH_COUNT("rdma.polls");
         }
-        sched_.After(recv_us, [this, &c, t0, op, st]() {
-          CompleteRequest(c, op, t0, /*offloaded=*/false, st);
-        });
+        sched_.After(
+            tcp ? cfg_.costs.tcp_kernel_us : cfg_.costs.verbs_post_us, done);
       });
     };
     if (tcp) {
       deliver();
     } else {
-      nic_->Submit(cfg_.costs.nic_write_op_us, deliver);
+      s.primary.nic->Submit(cfg_.costs.nic_write_op_us, deliver);
     }
   };
 
-  auto handle = [this, &c, req, service, search, tcp, respond, st, t0]() {
-    // Admission control (overload model): a request that is already
-    // past its deadline, or that arrives to an over-long worker queue,
-    // is refused here — turned around at the NIC with a small reply,
-    // never touching a worker core. RDMA schemes only (the TCP
-    // baselines predate the admission layer).
-    if (!tcp) {
-      const bool expired =
-          cfg_.overload.deadline_us != 0 &&
-          sched_.now() - t0 >= static_cast<double>(cfg_.overload.deadline_us);
-      const bool shed = !expired && cfg_.overload.max_queue != 0 &&
-                        cpu_->queued() >= cfg_.overload.max_queue;
-      if (expired || shed) {
-        nic_->Submit(cfg_.costs.nic_write_op_us, [this, &c, st, expired]() {
-          up_->Transfer(cfg_.costs.ack_bytes, [this, &c, st, expired]() {
-            sched_.After(cfg_.costs.verbs_post_us, [this, &c, st, expired]() {
-              CompleteShed(c, expired, st);
-            });
-          });
-        });
-        return;
-      }
-    }
-    TraceStage(st, "dequeue");
+  auto handle = [this, &s, t0, tcp, leg, serve, respond, refused]() {
+    if (!tcp && Refuse(s, t0, refused)) return;
+    TraceStage(leg.get(), "dequeue");
     const double pickup = (!tcp && cfg_.notify == NotifyMode::kPolling)
                               ? PollingPickupUs()
                               : 0.0;
-    sched_.After(pickup, [this, &c, req, service, search, tcp, respond,
-                          st]() {
-      if (search) {
-        TraceStage(st, "traverse");  // includes the worker-pool queue wait
-        cpu_->Submit(service, respond);
-      } else {
-        // Parse on a worker, then serialize on the tree writer lock.
-        double parse = cfg_.costs.request_dispatch_us;
-        if (tcp) parse += 2 * cfg_.costs.tcp_kernel_us;
-        cpu_->Submit(parse, [this, req, respond]() {
-          writer_->Submit(cfg_.costs.per_insert_us, [this, req, respond]() {
-            tree_->Insert(req.rect, req.id);  // real mutation
-            insert_service_cum_us_ += cfg_.costs.per_insert_us;
-            respond();
-          });
-        });
-      }
-    });
+    sched_.After(pickup, [serve, respond]() { serve(respond); });
   };
 
-  TraceStage(st, "net_down");
-  sched_.After(post_us, [this, req_bytes, tcp, handle]() {
-    down_->Transfer(req_bytes, [this, tcp, handle]() {
+  TraceStage(leg.get(), "net_down");
+  sched_.After(issue_delay, [this, &s, req_bytes, tcp, handle]() {
+    s.primary.down->Transfer(req_bytes, [this, &s, tcp, handle]() {
       if (tcp) {
         handle();
       } else {
-        nic_->Submit(cfg_.costs.nic_write_op_us, handle);
+        s.primary.nic->Submit(cfg_.costs.nic_write_op_us, handle);
       }
     });
   });
 }
 
-void ClusterSim::ExecOffloaded(Client& c, const geo::Rect& rect, double t0,
-                               std::shared_ptr<SubTrace> st) {
-  auto trace = std::make_shared<rtree::TraversalTrace>();
-  rtree::SearchStats sst;
-  std::vector<rtree::Entry> out;
-  tree_->SearchTraced(rect, out, &sst, trace.get());
+void ClusterSim::SubqueryOffloaded(Client& c, std::shared_ptr<Leg> leg,
+                                   const geo::Rect& rect,
+                                   double issue_delay) {
+  Shard& s = *shards_[leg->shard];
+  leg->offloaded = true;
   ++result_.offloaded_searches;
   CATFISH_COUNT("catfish.client.search.offload");
-  if (st && st->trace) st->trace->SetAttr(st->span, "offload", 1);
-  OffloadRound(c, std::move(trace), 0, t0, std::move(st));
-}
-
-void ClusterSim::OffloadRound(Client& c,
-                              std::shared_ptr<rtree::TraversalTrace> trace,
-                              size_t level, double t0,
-                              std::shared_ptr<SubTrace> st) {
-  if (level >= trace->nodes_per_level.size()) {
-    CompleteRequest(c, workload::OpType::kSearch, t0, /*offloaded=*/true, st);
+  auto trace = std::make_shared<rtree::TraversalTrace>();
+  std::vector<rtree::Entry> out;
+  s.tree->SearchTraced(rect, out, nullptr, trace.get());
+  // Follower read routing: spread the configured fraction of offloaded
+  // sub-queries round-robin over the live followers (they hold the same
+  // tree, shipped record by record); a dead primary forces it.
+  Plane* plane = &s.primary;
+  if (s.live_replicas > 0 &&
+      (s.primary_down ||
+       (cfg_.follower_read_fraction > 0.0 &&
+        c.rng.NextDouble() < cfg_.follower_read_fraction))) {
+    plane = &s.replicas[s.read_rr++ % s.live_replicas]->plane;
+    ++result_.follower_reads;
+    CATFISH_COUNT("shard.client.follower_reads");
+    if (leg->query->trace) leg->query->trace->SetAttr(leg->span, "follower", 1);
+  }
+  if (issue_delay == 0.0) {
+    OffloadRound(c, s, *plane, std::move(trace), 0, std::move(leg), false);
     return;
   }
-  TraceStage(st, "offload_round");
-  if (st && st->trace) {
-    st->trace->SetAttr(st->open, "level", static_cast<int64_t>(level));
-    st->trace->SetAttr(st->open, "reads",
-                       static_cast<int64_t>(trace->nodes_per_level[level]));
+  sched_.After(issue_delay, [this, &c, &s, plane, trace, leg]() {
+    OffloadRound(c, s, *plane, trace, 0, leg, false);
+  });
+}
+
+void ClusterSim::OffloadRound(Client& c, Shard& s, Plane& plane,
+                              std::shared_ptr<rtree::TraversalTrace> trace,
+                              size_t level, std::shared_ptr<Leg> leg,
+                              bool hedge) {
+  if (level >= trace->nodes_per_level.size()) {
+    LegDone(leg, hedge);
+    return;
+  }
+  if (!hedge) {
+    TraceStage(leg.get(), "offload_round");
+    if (leg->query->trace && !leg->done) {
+      leg->query->trace->SetAttr(leg->open, "level",
+                                 static_cast<int64_t>(level));
+      leg->query->trace->SetAttr(
+          leg->open, "reads",
+          static_cast<int64_t>(trace->nodes_per_level[level]));
+    }
   }
   const CostModel& k = cfg_.costs;
   const uint32_t n = trace->nodes_per_level[level];
   const size_t chunk_bytes =
-      tree_->arena().chunk_size() + k.read_response_overhead_bytes;
+      s.tree->arena().chunk_size() + k.read_response_overhead_bytes;
 
   // Shared round state: arrivals processed serially on the client CPU
   // (processing one node overlaps the other reads in flight, §IV-C).
@@ -375,20 +596,24 @@ void ClusterSim::OffloadRound(Client& c,
   };
   auto round = std::make_shared<Round>(Round{n, sched_.now()});
 
-  auto node_done = [this, &c, trace, level, t0, round, st]() {
+  auto node_done = [this, &c, &s, &plane, trace, level, round, leg,
+                    hedge]() {
     if (--round->remaining == 0) {
       const double resume = std::max(round->client_free_at, sched_.now());
-      sched_.At(resume, [this, &c, trace, level, t0, st]() {
-        OffloadRound(c, trace, level + 1, t0, st);
+      sched_.At(resume, [this, &c, &s, &plane, trace, level, leg, hedge]() {
+        OffloadRound(c, s, plane, trace, level + 1, leg, hedge);
       });
     }
   };
 
-  // One READ: request over the down link, NIC serves it, chunk back over
-  // the up link; a modeled version-conflict retries the whole fetch.
+  // One READ: request over the plane's down link, its NIC serves it,
+  // chunk back over the up link; a modeled version-conflict retries the
+  // whole fetch.
   struct ReadOp {
     ClusterSim* sim;
     Client* client;
+    const Shard* shard;
+    Plane* plane;
     size_t chunk_bytes;
     std::function<void()> done;
 
@@ -396,11 +621,11 @@ void ClusterSim::OffloadRound(Client& c,
       ++sim->result_.rdma_reads;
       CATFISH_COUNT("rdma.read.posted");
       CATFISH_COUNT_ADD("rdma.read.bytes", chunk_bytes);
-      sim->down_->Transfer(sim->cfg_.costs.read_request_bytes, [self]() {
-        self->sim->nic_->Submit(self->sim->cfg_.costs.nic_read_op_us,
-                                [self]() {
-          self->sim->up_->Transfer(self->chunk_bytes, [self]() {
-            const double p = self->sim->ReadRetryProbability();
+      plane->down->Transfer(sim->cfg_.costs.read_request_bytes, [self]() {
+        self->plane->nic->Submit(self->sim->cfg_.costs.nic_read_op_us,
+                                 [self]() {
+          self->plane->up->Transfer(self->chunk_bytes, [self]() {
+            const double p = self->sim->ReadRetryProbability(*self->shard);
             if (p > 0.0 && self->client->rng.NextDouble() < p) {
               ++self->sim->result_.version_retries;
               CATFISH_COUNT("catfish.client.version_retries");
@@ -429,9 +654,8 @@ void ClusterSim::OffloadRound(Client& c,
     // rings one doorbell per chain of ≤ doorbell_batch_limit WRs; the
     // chain's reads hit the wire together at flush time. Without it,
     // read i pays its own full post — the per-WR issue cadence of the
-    // FaRM-style baseline (and of this sim before batching existed:
-    // limit == 1 reproduces the old verbs_post_us * (i + 1) schedule
-    // exactly).
+    // FaRM-style baseline (limit == 1 reproduces the
+    // verbs_post_us * (i + 1) schedule exactly).
     const bool batched = cfg_.doorbell_batching;
     const uint32_t limit =
         !batched ? 1
@@ -463,7 +687,7 @@ void ClusterSim::OffloadRound(Client& c,
           sched_.At(round->client_free_at, node_done);
         };
         auto op = std::make_shared<ReadOp>(
-            ReadOp{this, &c, chunk_bytes, std::move(process)});
+            ReadOp{this, &c, &s, &plane, chunk_bytes, std::move(process)});
         sched_.After(t, [op]() { op->Issue(op); });
       }
       issued += m;
@@ -478,7 +702,7 @@ void ClusterSim::OffloadRound(Client& c,
     // — every node access pays a full round trip (Fig 8's baseline).
     // Build the sequential chain explicitly.
     auto issue_seq = std::make_shared<std::function<void(uint32_t)>>();
-    *issue_seq = [this, &c, n, chunk_bytes, round, node_done,
+    *issue_seq = [this, &c, &s, &plane, n, chunk_bytes, round, node_done,
                   issue_seq](uint32_t i) {
       auto process = [this, round, node_done, issue_seq, i, n]() {
         // Lock-step issue: every completion is reaped alone.
@@ -498,7 +722,7 @@ void ClusterSim::OffloadRound(Client& c,
         });
       };
       auto op = std::make_shared<ReadOp>(
-          ReadOp{this, &c, chunk_bytes, std::move(process)});
+          ReadOp{this, &c, &s, &plane, chunk_bytes, std::move(process)});
       ++result_.doorbells;  // one WR, one doorbell — nothing to chain
       CATFISH_COUNT("rdma.doorbells");
       CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size", 1.0);
@@ -508,32 +732,128 @@ void ClusterSim::OffloadRound(Client& c,
   }
 }
 
+void ClusterSim::ReplicateWrite(Shard& s, const std::function<void()>& done) {
+  const uint32_t live = s.live_replicas;
+  const uint32_t quorum = std::min(cfg_.ack_followers, live);
+  const double t0 = sched_.now();
+  if (quorum > 0) {
+    ++result_.replicated_writes;
+  } else {
+    done();  // asynchronous shipping: the write never waits
+  }
+  struct Gate {
+    uint32_t acks = 0;
+    bool released = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  auto on_ack = [this, gate, quorum, t0, done]() {
+    ++gate->acks;
+    if (quorum > 0 && !gate->released && gate->acks >= quorum) {
+      gate->released = true;
+      result_.repl_ack_us.Add(sched_.now() - t0);
+      CATFISH_TIMER_RECORD_US("repl.sim.ack_us", sched_.now() - t0);
+      done();
+    }
+  };
+  // One shipped record per live follower: primary NIC → follower link →
+  // follower WAL/tree apply → ack back over the follower's uplink.
+  for (uint32_t j = 0; j < live && j < s.replicas.size(); ++j) {
+    Replica& r = *s.replicas[j];
+    s.primary.nic->Submit(cfg_.costs.nic_write_op_us, [this, &r, on_ack]() {
+      r.plane.down->Transfer(cfg_.costs.repl_record_bytes, [this, &r,
+                                                            on_ack]() {
+        r.applier->Submit(cfg_.costs.follower_apply_us, [this, &r,
+                                                         on_ack]() {
+          r.plane.nic->Submit(cfg_.costs.nic_write_op_us, [this, &r,
+                                                           on_ack]() {
+            r.plane.up->Transfer(cfg_.costs.repl_ack_bytes, on_ack);
+          });
+        });
+      });
+    });
+  }
+}
+
+void ClusterSim::ExecInsert(Client& c, std::shared_ptr<Query> q,
+                            const workload::Request& req) {
+  Shard& s = *shards_[map_ ? map_->OwnerOf(req.rect) : 0];
+  if (s.primary_down) {
+    // The primary is dead and promotion hasn't finished: the live
+    // client's watchdog would park this write and re-route after the
+    // re-bootstrap. Model the park as a retry once the shard is
+    // writable again; the park counts toward the write's latency.
+    ++result_.stalled_writes;
+    result_.write_stall_us.Add(s.primary_up_at - sched_.now());
+    CATFISH_COUNT("shard.sim.stalled_writes");
+    sched_.At(s.primary_up_at,
+              [this, &c, q, req]() { ExecInsert(c, q, req); });
+    return;
+  }
+  const bool tcp = IsTcp();
+  CATFISH_COUNT("catfish.client.insert");
+  ExecViaServer(
+      s, q->t0, tcp ? cfg_.costs.tcp_kernel_us : cfg_.costs.verbs_post_us,
+      cfg_.costs.insert_request_bytes, cfg_.costs.ack_bytes, nullptr,
+      [this, &s, req, tcp](std::function<void()> respond) {
+        // Parse on a worker, then serialize on the tree writer lock.
+        double parse = cfg_.costs.request_dispatch_us;
+        if (tcp) parse += 2 * cfg_.costs.tcp_kernel_us;
+        s.cpu->Submit(parse, [this, &s, req, respond]() {
+          s.writer->Submit(cfg_.costs.per_insert_us, [this, &s, req,
+                                                      respond]() {
+            s.tree->Insert(req.rect, req.id);  // real mutation
+            if (cfg_.oracle_every != 0) {
+              oracle_items_.push_back({req.rect, req.id});
+            }
+            s.insert_service_cum_us += cfg_.costs.per_insert_us;
+            if (s.live_replicas > 0) {
+              ReplicateWrite(s, respond);  // semi-sync gate
+            } else {
+              respond();
+            }
+          });
+        });
+      },
+      [this, q]() { Join(q); },
+      [this, q](bool expired) {
+        q->refused = true;
+        q->expired = expired;
+        Join(q);
+      });
+}
+
 void ClusterSim::ScheduleHeartbeat() {
   sched_.After(cfg_.adaptive.heartbeat_interval_us, [this]() {
     if (outstanding_ == 0) return;  // run drained; stop the pulse
     const double now = sched_.now();
-    const double util = hb_window_.Advance(
-        now, cpu_->busy_core_us() + writer_->busy_core_us(),
-        cfg_.server_cores);
-    CATFISH_GAUGE_SET("catfish.server.utilization", util);
-    CATFISH_EVENT(kUtilization, static_cast<uint64_t>(now), 0, util, util);
-    for (auto& c : clients_) {
-      // Heartbeats ride the response rings: the server writes them to
-      // each connection in turn and every client consumes its mailbox at
-      // its own next request, so delivery is naturally staggered. The
-      // jitter also prevents an artificial thundering herd of offload
-      // windows that lockstep virtual time would otherwise create.
-      const double jitter =
-          c->rng.NextDouble() *
-          (static_cast<double>(cfg_.adaptive.heartbeat_interval_us) / 4.0);
-      sched_.After(fabric_.base_latency_us + jitter,
-                   [this, &ctrl = c->ctrl, util, idx = c->index]() {
-                     ctrl.OnHeartbeat(util);
-                     CATFISH_EVENT(kHeartbeat,
-                                   static_cast<uint64_t>(sched_.now()), idx,
-                                   util, 0.0);
-                   });
+    double util_sum = 0.0;
+    for (uint32_t sh = 0; sh < shards_.size(); ++sh) {
+      Shard& s = *shards_[sh];
+      const double util = s.hb_window.Advance(
+          now, s.cpu->busy_core_us() + s.writer->busy_core_us(),
+          cfg_.server_cores);
+      util_sum += util;
+      CATFISH_EVENT(kUtilization, static_cast<uint64_t>(now), sh, util, util);
+      for (auto& c : clients_) {
+        // Heartbeats ride the response rings: the server writes them to
+        // each connection in turn and every client consumes its mailbox
+        // at its own next request, so delivery is naturally staggered.
+        // The jitter also prevents an artificial thundering herd of
+        // offload windows that lockstep virtual time would create.
+        const double jitter =
+            c->rng.NextDouble() *
+            (static_cast<double>(cfg_.adaptive.heartbeat_interval_us) / 4.0);
+        sched_.After(fabric_.base_latency_us + jitter,
+                     [this, &ctrl = c->ctrl[sh], util, idx = c->index]() {
+                       ctrl.OnHeartbeat(util);
+                       CATFISH_EVENT(kHeartbeat,
+                                     static_cast<uint64_t>(sched_.now()), idx,
+                                     util, 0.0);
+                     });
+      }
     }
+    CATFISH_GAUGE_SET("catfish.server.utilization",
+                      util_sum / static_cast<double>(shards_.size()));
     ScheduleHeartbeat();
   });
 }
@@ -553,6 +873,25 @@ RunResult ClusterSim::Run() {
     sched_.After(static_cast<double>(c->index) * 0.11,
                  [this, &c = *c]() { StartNextRequest(c); });
   }
+  // Kill schedule: each event crashes a primary at a virtual instant.
+  // Writes park for detection + promotion; promotion consumes one
+  // follower (it *becomes* the primary), shrinking the read pool.
+  for (const auto& ev : cfg_.kill_schedule) {
+    if (ev.shard >= shards_.size()) continue;
+    sched_.At(ev.at_us, [this, shard = ev.shard]() {
+      Shard& s = *shards_[shard];
+      if (s.primary_down || s.live_replicas == 0) return;
+      s.primary_down = true;
+      s.primary_up_at =
+          sched_.now() + cfg_.failover_detect_us + cfg_.failover_promote_us;
+      ++result_.failovers;
+      CATFISH_COUNT("shard.sim.failovers");
+      sched_.At(s.primary_up_at, [&s]() {
+        s.primary_down = false;
+        --s.live_replicas;  // the promoted follower is the new primary
+      });
+    });
+  }
   if (cfg_.scheme == Scheme::kCatfish) ScheduleHeartbeat();
   if (cfg_.sampler != nullptr) {
     cfg_.sampler->Tick(static_cast<uint64_t>(sched_.now()));  // baseline
@@ -568,21 +907,34 @@ RunResult ClusterSim::Run() {
   // The controllers emit adaptive.* metrics live; these sums only feed
   // the RunResult the benches print.
   for (const auto& c : clients_) {
-    const AdaptiveStats& st = c->ctrl.stats();
-    result_.mode_switches += st.mode_switches;
-    result_.adaptive_escalations += st.escalations;
+    for (const auto& ctrl : c->ctrl) {
+      result_.mode_switches += ctrl.stats().mode_switches;
+      result_.adaptive_escalations += ctrl.stats().escalations;
+    }
   }
 
   if (result_.duration_us > 0.0) {
     result_.throughput_kops =
         static_cast<double>(result_.completed) / result_.duration_us * 1e3;
-    result_.server_cpu_util =
-        std::min(1.0, (cpu_->busy_core_us() + writer_->busy_core_us()) /
-                          (result_.duration_us * cfg_.server_cores));
-    result_.server_tx_gbps = static_cast<double>(up_->bytes_transferred()) *
-                             8.0 / (result_.duration_us * 1e3);
-    result_.server_rx_gbps = static_cast<double>(down_->bytes_transferred()) *
-                             8.0 / (result_.duration_us * 1e3);
+    double util_sum = 0.0;
+    uint64_t tx_bytes = 0, rx_bytes = 0;
+    for (const auto& s : shards_) {
+      util_sum += std::min(
+          1.0, (s->cpu->busy_core_us() + s->writer->busy_core_us()) /
+                   (result_.duration_us * cfg_.server_cores));
+      tx_bytes += s->primary.up->bytes_transferred();
+      rx_bytes += s->primary.down->bytes_transferred();
+    }
+    result_.server_cpu_util = util_sum / static_cast<double>(shards_.size());
+    result_.server_tx_gbps = static_cast<double>(tx_bytes) * 8.0 /
+                             (result_.duration_us * 1e3);
+    result_.server_rx_gbps = static_cast<double>(rx_bytes) * 8.0 /
+                             (result_.duration_us * 1e3);
+  }
+  result_.mean_fanout = result_.fanout_width.mean();
+  const double sub_p99 = result_.subquery_latency_us.p99();
+  if (sub_p99 > 0.0) {
+    result_.tail_amplification = result_.search_latency_us.p99() / sub_p99;
   }
   return result_;
 }

@@ -1,8 +1,9 @@
-// Execution-driven cluster simulation of the paper's 9-node testbed.
+// Execution-driven cluster simulation of the paper's testbed and of its
+// sharded, replicated scale-out.
 //
-// Reproduces the evaluation cluster (§V): one server (28 cores, one NIC)
-// and up to 256 closed-loop clients, connected by one of the three
-// fabrics. R-tree operations execute for real against the real tree —
+// Reproduces the evaluation cluster (§V): server machines (28 cores, one
+// NIC each) and up to 256 closed-loop clients, connected by one of the
+// three fabrics. R-tree operations execute for real against real trees —
 // the traversal trace decides how many nodes each search touches, how
 // many results flow back, and when inserts land — while CPU time, NIC
 // message processing and link bandwidth are charged to contended virtual
@@ -12,14 +13,34 @@
 //      ▲                                  (or writer lock) │
 //      └──────────── up link ◄── server NIC ◄──────────────┘
 //
-// Offloaded searches bypass the worker pool entirely: each node fetch is
-// a READ served by the NIC + links only. The adaptive scheme runs the
-// production AdaptiveController against virtual heartbeats computed from
-// the worker pool's real utilization window — Algorithm 1 unmodified.
+// The server side is a vector of shards, each one such machine with its
+// own tree, plus optional follower replicas (own NIC + links + applier).
+// The paper's testbed is one shard over a caller-owned tree. A sharded
+// deployment is built from items: a real shard::ShardMap partitions them
+// and routes every request. Every search takes one path — fan out to the
+// shards its (slop-widened) rectangle touches, run a fast or offloaded
+// sub-query on each, and complete at the last one's join, the fan-out
+// cost reported as tail amplification (query p99 / sub-query p99).
+// Inserts route to their owning shard alone.
+//
+// Offloaded sub-queries bypass the worker pool entirely: each node fetch
+// is a READ served by a read plane (NIC + links) only — the primary's or
+// a follower's. The adaptive scheme runs one production
+// AdaptiveController per (client, shard) against virtual heartbeats
+// computed from that shard's worker-pool utilization — Algorithm 1
+// unmodified, mirroring the live ShardedRTreeClient's per-connection
+// controllers.
+//
+// An optional oracle checks every Nth search synchronously: the union of
+// the per-shard traversal results is diffed against a brute-force scan
+// of everything loaded or inserted so far (both at the same virtual
+// instant, so concurrent inserts cannot fake a mismatch).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "catfish/adaptive.h"
@@ -31,6 +52,7 @@
 #include "model/cost_model.h"
 #include "rdmasim/fabric_profile.h"
 #include "rtree/rstar.h"
+#include "shard/partition.h"
 #include "telemetry/timeseries.h"
 #include "telemetry/trace.h"
 #include "workload/generators.h"
@@ -48,8 +70,14 @@ enum class Scheme : uint8_t {
 
 const char* SchemeName(Scheme s);
 
+/// Arena chunks for a tree bulk-loaded from `items` rectangles: ~19
+/// entries per packed leaf plus internals and insert headroom, rounded
+/// up to a power of two.
+size_t ArenaChunksFor(size_t items);
+
 struct ClusterConfig {
   Scheme scheme = Scheme::kCatfish;
+  /// Cores per server machine (each shard is its own machine).
   unsigned server_cores = 28;
   /// Fast-messaging notification mode. The Catfish scheme is always
   /// event-driven (§IV-B); the FaRM baseline polls.
@@ -77,14 +105,64 @@ struct ClusterConfig {
   /// a final flush, so --timeline-json gets the same window shape a
   /// live run would produce. The sim does not reset or re-baseline it.
   telemetry::MetricsSampler* sampler = nullptr;
-  /// Build a span tree for every Nth search (0 = off): a "sim.search"
-  /// root with net_down/dequeue/traverse/reply stage children on the
-  /// fast path, or per-level offload_round children when offloaded —
-  /// all on the scheduler's virtual clock, same stage names as the
-  /// sharded sim's sub-queries.
+  /// Build a span tree for every Nth search (0 = off), all on the
+  /// scheduler's virtual clock. On the testbed: a "sim.search" root
+  /// with net_down/dequeue/traverse/reply stage children on the fast
+  /// path, or per-level offload_round children when offloaded. Sharded:
+  /// a "shard.search" root with one "subquery" span per contacted shard
+  /// holding those stages, so the join's critical path is computable
+  /// exactly as for live traces.
   uint64_t trace_sample_every = 0;
   /// Sampled traces retained in RunResult::traces (oldest dropped).
   size_t trace_retain = 32;
+
+  // --- sharding (the item-built constructor; the testbed is 1 shard) ---
+  uint32_t num_shards = 1;
+  /// Diff every Nth search against the brute-force oracle (0 = off).
+  uint32_t oracle_every = 0;
+
+  // --- replication (mirrors ShardHostConfig) ---
+  /// Followers per shard: each is a replica machine (own NIC + links)
+  /// that serves one-sided offloaded reads and must durably apply a
+  /// write before the semi-sync gate releases it.
+  uint32_t num_replicas = 0;
+  /// Followers that must ack a write before it completes (clamped to
+  /// num_replicas; 0 = asynchronous shipping, writes never wait).
+  uint32_t ack_followers = 1;
+  /// Fraction of offloaded sub-queries routed to a follower when the
+  /// shard has replicas (round-robin over them); the rest stay on the
+  /// primary. 1.0 = all reads offloaded to followers.
+  double follower_read_fraction = 1.0;
+  /// Virtual-time kill schedule: at `at_us` the primary of `shard`
+  /// dies. Writes to it park until detection + promotion elapse;
+  /// offloaded reads keep flowing against the surviving followers.
+  struct KillEvent {
+    double at_us = 0.0;
+    uint32_t shard = 0;
+  };
+  std::vector<KillEvent> kill_schedule;
+  /// Failover decomposition (virtual time): watchdog detection, then
+  /// promotion + republish, before the shard accepts writes again.
+  double failover_detect_us = 30'000.0;
+  double failover_promote_us = 2'000.0;
+
+  // --- gray failure & hedging (bench_overload) ---
+  /// Degraded node: fast-path service time on this shard is multiplied
+  /// by `slow_factor` (-1 = no slow shard). The shard keeps answering —
+  /// heartbeats flow, nothing times out — it is just slower than its
+  /// peers, which the fan-out join turns into query-level tail latency.
+  int slow_shard = -1;
+  double slow_factor = 1.0;
+  /// Hedged fan-out: a fast sub-query that has not joined after the
+  /// hedge delay is re-issued as an offloaded read against one of the
+  /// shard's followers (needs num_replicas > 0); the first completion
+  /// wins and the loser is suppressed — its resources still burn, which
+  /// is exactly the duplicate-work overhead hedges_wasted measures.
+  bool hedge = false;
+  /// Fixed hedge delay; 0 = adaptive (p95 of sub-query latencies
+  /// observed so far, with an RTT-derived floor until warmed up) —
+  /// the same percentile rule the live ShardedRTreeClient applies.
+  uint64_t hedge_delay_us = 0;
 
   /// Overload model (bench_overload). The live server's admission gauge
   /// is dequeue latency; the DES approximates it with the worker pool's
@@ -120,14 +198,25 @@ struct RunResult {
   LogHistogram latency_us;         ///< all operations
   LogHistogram search_latency_us;
   LogHistogram insert_latency_us;
-  /// Per-path search latency: server-traversed (fast messaging / TCP)
+  /// Per-path sub-query latency: server-traversed (fast messaging / TCP)
   /// vs client-traversed (offloaded) — what Fig 10/12's adaptive story
   /// is about, split so the JSON export can show both distributions.
+  /// On one shard a sub-query is the whole search.
   LogHistogram fast_latency_us;
   LogHistogram offload_latency_us;
-  double server_cpu_util = 0.0;    ///< mean worker utilization over run
-  double server_tx_gbps = 0.0;
+  /// Latency of individual per-shard sub-queries (a query of width w
+  /// contributes w samples here and one to search_latency_us).
+  LogHistogram subquery_latency_us;
+  /// Shards touched per search.
+  LogHistogram fanout_width;
+  double mean_fanout = 0.0;
+  /// search p99 / sub-query p99 — the fan-out join's tail cost.
+  double tail_amplification = 0.0;
+  double server_cpu_util = 0.0;    ///< mean worker utilization, per shard
+  double server_tx_gbps = 0.0;     ///< summed over the primaries' links
   double server_rx_gbps = 0.0;
+  uint64_t searches = 0;
+  /// Sub-queries by path (TCP sub-queries count in neither).
   uint64_t fast_searches = 0;
   uint64_t offloaded_searches = 0;
   uint64_t inserts = 0;
@@ -139,7 +228,7 @@ struct RunResult {
   /// unchanged — the invariant the fig08 bench asserts.
   uint64_t doorbells = 0;
   uint64_t polls = 0;
-  /// Summed over every client's AdaptiveController (Catfish scheme only).
+  /// Summed over every AdaptiveController (Catfish scheme only).
   uint64_t mode_switches = 0;
   uint64_t adaptive_escalations = 0;
   /// Overload accounting: completions inside the deadline (== completed
@@ -152,6 +241,26 @@ struct RunResult {
   uint64_t deadline_misses = 0;
   uint64_t breaker_opens = 0;
   uint64_t breaker_waits = 0;
+  uint64_t oracle_checks = 0;
+  uint64_t oracle_mismatches = 0;
+  /// Replication: writes that waited on the semi-sync gate, offloaded
+  /// sub-queries a follower served, primaries failed over, and writes
+  /// parked while their shard's primary was dead.
+  uint64_t replicated_writes = 0;
+  uint64_t follower_reads = 0;
+  uint64_t failovers = 0;
+  uint64_t stalled_writes = 0;
+  /// Hedging: stragglers re-issued against followers, hedges that
+  /// answered first, hedges the primary beat (pure duplicate work).
+  uint64_t hedges_issued = 0;
+  uint64_t hedges_won = 0;
+  uint64_t hedges_wasted = 0;
+  /// Added write latency from the semi-sync gate (local durability →
+  /// quorum follower ack).
+  LogHistogram repl_ack_us;
+  /// Park time of writes caught by a dead primary (detection +
+  /// promotion remainder at arrival).
+  LogHistogram write_stall_us;
   /// Sampled search traces (virtual-clock timestamps), oldest first;
   /// see ClusterConfig::trace_sample_every.
   std::vector<std::shared_ptr<telemetry::Trace>> traces;
@@ -159,87 +268,184 @@ struct RunResult {
 
 class ClusterSim {
  public:
-  /// `tree` is mutated by insert workloads; snapshot/rebuild it between
-  /// runs that must start from the same dataset.
+  /// The paper's testbed: one server over `tree`, which insert
+  /// workloads mutate (snapshot/rebuild it between runs that must start
+  /// from the same dataset). `cfg.num_shards` is ignored.
   ClusterSim(rtree::RStarTree& tree, ClusterConfig cfg);
+  /// A sharded deployment: builds the shard map over `items`, partitions
+  /// them by center ownership, and bulk-loads one R-tree per shard.
+  ClusterSim(std::span<const rtree::Entry> items, ClusterConfig cfg);
+  ~ClusterSim();
 
   /// Runs every client to completion and returns aggregate results.
   RunResult Run();
 
  private:
+  /// One machine's message plane: its NIC engine and its two links. A
+  /// one-sided READ contends on nothing else, so an offloaded round
+  /// takes the plane it reads from — the primary's or a follower's.
+  struct Plane {
+    std::unique_ptr<des::CpuPool> nic;
+    std::unique_ptr<des::Link> up;    ///< machine → clients
+    std::unique_ptr<des::Link> down;  ///< clients → machine
+  };
+
+  /// One follower replica machine: a read plane plus the single applier
+  /// core shipped records contend on. No worker pool — followers never
+  /// serve two-sided requests.
+  struct Replica {
+    Plane plane;
+    std::unique_ptr<des::CpuPool> applier;
+  };
+
+  /// One shard server = one simulated machine's contended resources.
+  struct Shard {
+    /// Set for item-built shards; the testbed's tree is the caller's.
+    std::unique_ptr<rtree::NodeArena> arena;
+    std::unique_ptr<rtree::RStarTree> owned_tree;
+    rtree::RStarTree* tree = nullptr;
+    Plane primary;
+    std::unique_ptr<des::CpuPool> cpu;     ///< worker cores
+    std::unique_ptr<des::CpuPool> writer;  ///< the tree writer lock
+    double insert_service_cum_us = 0.0;
+    des::UtilizationWindow hb_window;
+    /// Promotion consumes a follower: `live_replicas` shrinks but the
+    /// Replica objects stay alive so in-flight chains on them stay valid.
+    std::vector<std::unique_ptr<Replica>> replicas;
+    uint32_t live_replicas = 0;
+    bool primary_down = false;
+    double primary_up_at = 0.0;  ///< when writes flow again after a kill
+    uint32_t read_rr = 0;        ///< follower read round-robin cursor
+  };
+
   struct Client {
     size_t index = 0;
     workload::RequestGen gen;
-    AdaptiveController ctrl;
     Xoshiro256 rng;
-    uint64_t remaining = 0;
+    /// One controller per shard connection (as in ShardedRTreeClient).
+    std::vector<AdaptiveController> ctrl;
     /// Production breaker state machine on virtual time (overload model).
     CircuitBreaker breaker;
+    uint64_t remaining = 0;
 
-    Client(size_t i, const workload::RequestGen::Config& wcfg,
-           const AdaptiveConfig& acfg, const BreakerConfig& bcfg,
-           uint64_t seed)
-        : index(i), gen(wcfg, seed), ctrl(acfg, seed ^ 0x9e3779b9u, i),
-          rng(seed + 0x51ed2701u), breaker(bcfg, seed ^ (i << 1)) {}
+    Client(size_t i, const ClusterConfig& cfg, uint64_t seed);
+  };
+
+  /// One client request: an insert, or a search's fan-out join.
+  struct Query {
+    Client* client = nullptr;
+    workload::OpType op = workload::OpType::kSearch;
+    double t0 = 0.0;
+    uint32_t remaining = 1;  ///< sub-queries still to join
+    /// A sub-query (or the insert) was shed, or dropped as expired.
+    bool refused = false;
+    bool expired = false;
+    /// Set when this search is trace-sampled.
+    std::shared_ptr<telemetry::Trace> trace;
+  };
+
+  /// One search's sub-query on one shard. The sim is single-threaded on
+  /// virtual time, so plain mutation is safe.
+  struct Leg {
+    std::shared_ptr<Query> query;
+    uint32_t shard = 0;
+    bool offloaded = false;
+    /// Joined. A hedge's slower twin keeps burning resources but its
+    /// completion and trace stages no-op.
+    bool done = false;
+    bool hedged = false;
+    double hedge_delay_us = 0.0;
+    /// The subquery span (the root on the testbed) and its open stage.
+    telemetry::SpanId span = telemetry::kInvalidSpan;
+    telemetry::SpanId open = telemetry::kInvalidSpan;
   };
 
   bool IsTcp() const noexcept {
     return cfg_.scheme == Scheme::kTcp1G || cfg_.scheme == Scheme::kTcp40G;
   }
 
-  /// Per-request trace state: the root span plus the currently open
-  /// stage child (the sim is single-threaded on virtual time, so plain
-  /// mutation is safe). Null end-to-end when the request is unsampled.
-  struct SubTrace {
-    std::shared_ptr<telemetry::Trace> trace;
-    telemetry::SpanId span = telemetry::kInvalidSpan;
-    telemetry::SpanId open = telemetry::kInvalidSpan;
-  };
+  Plane MakePlane();
+  void AddShard(rtree::RStarTree* tree);
+  void AddClients();
 
   void StartNextRequest(Client& c);
-  /// Fast-messaging / TCP request through the server worker pool.
-  void ExecViaServer(Client& c, const workload::Request& req, double t0,
-                     std::shared_ptr<SubTrace> st);
-  /// One-sided READ traversal on the client.
-  void ExecOffloaded(Client& c, const geo::Rect& rect, double t0,
-                     std::shared_ptr<SubTrace> st);
-  void OffloadRound(Client& c, std::shared_ptr<rtree::TraversalTrace> trace,
-                    size_t level, double t0, std::shared_ptr<SubTrace> st);
-  void CompleteRequest(Client& c, workload::OpType op, double t0,
-                       bool offloaded = false,
-                       const std::shared_ptr<SubTrace>& st = nullptr);
-  /// A shed/expired request was refused by the server: feed the
-  /// client's breaker and move on (a shed is never a completion).
-  void CompleteShed(Client& c, bool expired,
-                    const std::shared_ptr<SubTrace>& st);
-  /// Ends the open stage child (if any) and starts `next` (unless null)
-  /// under the root span, at the current virtual time.
-  void TraceStage(const std::shared_ptr<SubTrace>& st, const char* next);
+  void StartSearch(Client& c, std::shared_ptr<Query> q,
+                   const geo::Rect& rect);
+  /// Fast-messaging / TCP sub-query through the shard's worker pool,
+  /// leaving the client `issue_delay` after the query started.
+  void SubqueryFast(Client& c, std::shared_ptr<Leg> leg,
+                    const geo::Rect& rect, double issue_delay);
+  /// One-sided READ traversal on the client, against the primary or a
+  /// follower; its first round posts `issue_delay` after the query.
+  void SubqueryOffloaded(Client& c, std::shared_ptr<Leg> leg,
+                         const geo::Rect& rect, double issue_delay);
+  /// One traversal level of READs against `plane`. A hedge chain
+  /// (`hedge`) records no trace stages and joins as the hedge leg.
+  void OffloadRound(Client& c, Shard& s, Plane& plane,
+                    std::shared_ptr<rtree::TraversalTrace> trace,
+                    size_t level, std::shared_ptr<Leg> leg, bool hedge);
+  void ExecInsert(Client& c, std::shared_ptr<Query> q,
+                  const workload::Request& req);
+  /// A two-sided request through shard `s`'s worker pool — a fast
+  /// sub-query (`leg` set, for its trace stages) or an insert — of an op
+  /// started at `t0`, leaving the client `issue_delay` from now. Once a
+  /// worker picks it up, `serve` runs and calls `respond` when the reply
+  /// is ready; `done` runs when the reply lands at the client, or
+  /// `refused(expired)` when admission control turned the request away.
+  void ExecViaServer(Shard& s, double t0, double issue_delay,
+                     size_t req_bytes, size_t resp_bytes,
+                     const std::shared_ptr<Leg>& leg,
+                     std::function<void(std::function<void()>)> serve,
+                     std::function<void()> done,
+                     std::function<void(bool)> refused);
+  /// Admission control at arrival (overload model; RDMA schemes only —
+  /// the TCP baselines predate the admission layer). Returns false when
+  /// the request is admitted. Otherwise the refusal is turned around at
+  /// the NIC with a small reply, never touching a worker core, and
+  /// `refused(expired)` runs when that reply lands.
+  bool Refuse(Shard& s, double t0, std::function<void(bool)> refused);
+  /// Ships one committed record to every live follower and runs `done`
+  /// once `ack_followers` of them have durably applied it (immediately
+  /// when the quorum is 0).
+  void ReplicateWrite(Shard& s, const std::function<void()>& done);
+  /// First result wins: the leg's completion — or its shed reply —
+  /// closes its trace span and joins its query; later ones no-op.
+  void LegDone(const std::shared_ptr<Leg>& leg, bool from_hedge);
+  void LegRefused(const std::shared_ptr<Leg>& leg, bool expired);
+  void FinishLeg(Leg& leg);
+  /// Counts one joined sub-query (or insert) toward `q`; the last one
+  /// completes the request and starts the client's next.
+  void Join(const std::shared_ptr<Query>& q);
+  /// Ends the leg's open stage child (if any) and starts `next` (unless
+  /// null) under its span, at the current virtual time. No-op for a null
+  /// or unsampled leg.
+  void TraceStage(Leg* leg, const char* next);
+  /// Diffs `rect` over the shards in fanout_scratch_ against a scan.
+  void OracleCheck(const geo::Rect& rect);
   void ScheduleHeartbeat();
   void ScheduleSample();
   double PollingPickupUs() const noexcept;
   /// Modeled probability that one offloaded node read hits a concurrent
   /// write and retries (paper §III-B / Fig 12 degradation).
-  double ReadRetryProbability() const noexcept;
+  double ReadRetryProbability(const Shard& s) const noexcept;
+  /// Current hedge delay: the fixed knob, or the adaptive percentile.
+  double HedgeDelayUs() const noexcept;
 
-  rtree::RStarTree* tree_;
   ClusterConfig cfg_;
   rdma::FabricProfile fabric_;
-
   des::Scheduler sched_;
-  std::unique_ptr<des::CpuPool> cpu_;      ///< server worker cores
-  std::unique_ptr<des::CpuPool> writer_;   ///< the tree writer lock
-  std::unique_ptr<des::CpuPool> nic_;      ///< server NIC message engine
-  std::unique_ptr<des::Link> up_;          ///< server → clients
-  std::unique_ptr<des::Link> down_;        ///< clients → server
-
+  /// Routing for item-built deployments; null on the testbed.
+  std::unique_ptr<shard::ShardMap> map_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<Client>> clients_;
+  /// Everything currently stored, for the brute-force oracle (kept only
+  /// when it is on: the initial items + inserts applied so far).
+  std::vector<rtree::Entry> oracle_items_;
   RunResult result_;
   uint64_t outstanding_ = 0;
-  uint64_t searches_started_ = 0;
   uint64_t next_trace_id_ = 1;
-  double insert_service_cum_us_ = 0.0;
-  des::UtilizationWindow hb_window_;
+  /// Shards the current search touches ({0} on the testbed).
+  std::vector<uint32_t> fanout_scratch_;
 };
 
 }  // namespace catfish::model

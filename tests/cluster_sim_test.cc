@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 
 #include "rtree/bulk_load.h"
 #include "workload/generators.h"
@@ -212,6 +213,33 @@ TEST(ClusterSimTest, HybridOffloadingSeesVersionRetries) {
   ClusterSim sim(*tb.tree, cfg);
   const auto r = sim.Run();
   EXPECT_GT(r.version_retries, 0u);
+}
+
+TEST(ClusterSimTest, OneShardMatchesSingleServer) {
+  // A deployment built from items with one shard is the paper's testbed:
+  // the same tree, resources and post schedule, so every number must
+  // match the single-server sim's — including offloaded searches, whose
+  // first round posts as soon as the query starts.
+  const auto items = workload::UniformDataset(50'000, 1e-4, 99);
+  rtree::NodeArena arena(rtree::kChunkSize, ArenaChunksFor(items.size()));
+  rtree::RStarTree tree = rtree::BulkLoad(arena, items);
+  auto cfg = BaseConfig(Scheme::kCatfish, 128, 1e-5, 120);
+  cfg.num_shards = 1;
+  cfg.oracle_every = 64;
+  const auto single = ClusterSim(tree, cfg).Run();
+  const auto sharded =
+      ClusterSim(std::span<const rtree::Entry>(items), cfg).Run();
+  ASSERT_GT(single.offloaded_searches, 0u);
+  EXPECT_EQ(sharded.completed, single.completed);
+  EXPECT_DOUBLE_EQ(sharded.duration_us, single.duration_us);
+  EXPECT_EQ(sharded.rdma_reads, single.rdma_reads);
+  EXPECT_EQ(sharded.offloaded_searches, single.offloaded_searches);
+  EXPECT_DOUBLE_EQ(sharded.latency_us.p50(), single.latency_us.p50());
+  EXPECT_DOUBLE_EQ(sharded.latency_us.p99(), single.latency_us.p99());
+  EXPECT_GT(single.oracle_checks, 0u);
+  EXPECT_EQ(sharded.oracle_checks, single.oracle_checks);
+  EXPECT_EQ(single.oracle_mismatches, 0u);
+  EXPECT_EQ(sharded.oracle_mismatches, 0u);
 }
 
 TEST(ClusterSimTest, MoreClientsMoreThroughputUntilSaturation) {

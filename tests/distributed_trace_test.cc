@@ -17,7 +17,6 @@
 
 #include "json_util.h"
 #include "model/cluster_sim.h"
-#include "model/shard_sim.h"
 #include "rtree/bulk_load.h"
 #include "shard/client.h"
 #include "shard/host.h"
@@ -256,7 +255,7 @@ TEST_F(DistributedTraceTest, ContextFreeLegacyClientInteroperates) {
 
 TEST(DesTraces, ShardedSimEmitsSampledDistributedTraces) {
   const auto items = MakeItems(20'000, 1e-4, 71);
-  model::ShardedClusterConfig cfg;
+  model::ClusterConfig cfg;
   cfg.scheme = model::Scheme::kCatfish;
   cfg.num_shards = 4;
   cfg.num_clients = 64;
@@ -265,10 +264,9 @@ TEST(DesTraces, ShardedSimEmitsSampledDistributedTraces) {
   cfg.workload.pl_hi = 0.3;
   cfg.workload.insert_ratio = 0.1;
   cfg.seed = 20260808;
-  cfg.arena_chunks = 1 << 13;
   cfg.trace_sample_every = 16;
   cfg.trace_retain = 32;
-  model::ShardedClusterSim sim(items, cfg);
+  model::ClusterSim sim(items, cfg);
   const auto r = sim.Run();
   ASSERT_FALSE(r.traces.empty());
   EXPECT_LE(r.traces.size(), cfg.trace_retain);

@@ -12,7 +12,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "model/shard_sim.h"
+#include "model/cluster_sim.h"
 #include "shard/client.h"
 #include "shard/host.h"
 #include "test_util.h"
@@ -316,9 +316,9 @@ TEST_F(ShardStackTest, NearestNeighborsMergeAcrossShards) {
 // DES acceptance: 4 shards, 256 simulated clients, built-in oracle.
 // ---------------------------------------------------------------------------
 
-model::ShardedClusterConfig DesConfig(uint32_t shards, size_t clients,
-                                      uint64_t requests) {
-  model::ShardedClusterConfig cfg;
+model::ClusterConfig DesConfig(uint32_t shards, size_t clients,
+                               uint64_t requests) {
+  model::ClusterConfig cfg;
   cfg.scheme = model::Scheme::kCatfish;
   cfg.num_shards = shards;
   cfg.num_clients = clients;
@@ -327,7 +327,6 @@ model::ShardedClusterConfig DesConfig(uint32_t shards, size_t clients,
   cfg.workload.pl_hi = 0.3;  // heavy tail crosses shard boundaries
   cfg.workload.insert_ratio = 0.1;
   cfg.seed = 20260705;
-  cfg.arena_chunks = 1 << 13;
   return cfg;
 }
 
@@ -335,21 +334,21 @@ TEST(ShardDes, FourShards256ClientsMatchOracle) {
   const auto items = MakeItems(50'000, 1e-4, 47);
   auto cfg = DesConfig(4, 256, 40);
   cfg.oracle_every = 16;  // diff every 16th search against brute force
-  model::ShardedClusterSim sim(items, cfg);
+  model::ClusterSim sim(items, cfg);
   const auto r = sim.Run();
   EXPECT_EQ(r.completed, 256u * 40u);
   EXPECT_GT(r.oracle_checks, 50u);
   EXPECT_EQ(r.oracle_mismatches, 0u);
   EXPECT_GT(r.inserts, 0u);
   EXPECT_GE(r.mean_fanout, 1.0);
-  EXPECT_GT(r.fast_subqueries + r.offload_subqueries, r.searches);
+  EXPECT_GT(r.fast_searches + r.offloaded_searches, r.searches);
 }
 
 TEST(ShardDes, ThroughputScalesWithShardCount) {
   const auto items = MakeItems(50'000, 1e-4, 53);
   std::vector<double> kops;
   for (const uint32_t shards : {1u, 4u}) {
-    model::ShardedClusterSim sim(items, DesConfig(shards, 128, 40));
+    model::ClusterSim sim(items, DesConfig(shards, 128, 40));
     kops.push_back(sim.Run().throughput_kops);
   }
   // 4 shards must beat 1 shard decisively (acceptance: aggregate search

@@ -13,7 +13,9 @@ Usage (from a build directory):
     python3 ../tools/compare_baseline.py ../BENCH_baseline.json fig10.jsonl
 
 Cells are matched on (figure, scheme, variant, workload, insert_ratio,
-clients). Fresh cells with no baseline counterpart (new variants, new
+clients). Two cells with the same key in either input are an error
+(exit 1): a dict would silently keep only the last one, so the other
+would never be compared. Fresh cells with no baseline counterpart (new variants, new
 figures) are reported and skipped, as are fresh lines without the
 compared fields (e.g. shard-scaling rows, which report
 search_latency_us rather than latency_us); baseline cells the fresh run
@@ -52,11 +54,12 @@ def key(cell):
     )
 
 
-def load_fresh(paths):
+def load_fresh(paths, duplicates):
     """Returns (cells, skipped): comparable cells keyed by `key`, plus
     human-readable notes for lines that could not be compared (missing
     match keys or missing compared fields) rather than crashing on
-    them — bench JSONL schemas are allowed to grow."""
+    them — bench JSONL schemas are allowed to grow. Keys seen twice are
+    appended to `duplicates`."""
     cells = {}
     skipped = []
     for path in paths:
@@ -71,6 +74,8 @@ def load_fresh(paths):
                 except (KeyError, TypeError, ValueError) as e:
                     skipped.append(f"{path}:{n}: unkeyable cell ({e})")
                     continue
+                if k in cells:
+                    duplicates.append(f"{path}:{n}: {fmt_key(k)}")
                 try:
                     cells[k] = {
                         "throughput_kops": d["throughput_kops"],
@@ -147,8 +152,18 @@ def main(argv):
 
     with open(args.baseline) as f:
         doc = json.load(f)
-    base = {key(c): c for c in doc["cells"]}
-    fresh, skipped = load_fresh(args.jsonl)
+    duplicates = []
+    base = {}
+    for c in doc["cells"]:
+        k = key(c)
+        if k in base:
+            duplicates.append(f"{args.baseline}: {fmt_key(k)}")
+        base[k] = c
+    fresh, skipped = load_fresh(args.jsonl, duplicates)
+    if duplicates:
+        for d in duplicates:
+            print(f"error: duplicate cell key {d}", file=sys.stderr)
+        return 1
     fresh_figures = {k[0] for k in fresh}
     patterns = load_patterns(args.strict_cells) if args.strict_cells else []
 
