@@ -407,64 +407,51 @@ void RTreeClient::AwaitTraceFrame(uint64_t req_id) {
   }
 }
 
-void RTreeClient::PumpPending() {
-  while (auto m = response_rx_->TryReceive()) {
-    if (static_cast<msg::MsgType>(m->type) == msg::MsgType::kHeartbeat) {
-      if (const auto hb = msg::DecodeHeartbeat(m->payload)) {
+bool RTreeClient::NextFrame(uint64_t req_id) {
+  while (response_rx_->TryReceive(rx_msg_)) {
+    const auto type = static_cast<msg::MsgType>(rx_msg_.type);
+    if (type == msg::MsgType::kHeartbeat) {
+      if (const auto hb = msg::DecodeHeartbeat(rx_msg_.payload)) {
         OnHeartbeatMessage(*hb);
       }
       continue;
     }
-    if (static_cast<msg::MsgType>(m->type) == msg::MsgType::kTraceResp) {
-      OnTraceFrame(*m);
+    if (type == msg::MsgType::kTraceResp) {
+      // Never surfaced as a response, even on a req_id match: a write
+      // retry reuses its req_id and the original's late trace frame
+      // must not be handed to AwaitWriteAck.
+      OnTraceFrame(rx_msg_);
       continue;
     }
-    // No request is in flight, so this answers a req_id we gave up on —
-    // typically the original ack of a write that was then retried (and
-    // deduped server-side). Dropping it here is what makes retries safe.
-    PayloadReqId(m->payload);  // malformed payloads still throw
-    ++stats_.stale_responses;
-    CATFISH_COUNT("catfish.client.stale_responses");
+    // A response to a req_id we gave up on — typically the original ack
+    // of a write that was then retried (and deduped server-side), or
+    // the tail of an abandoned split search. Dropping it here is what
+    // makes retries safe. Malformed payloads still throw.
+    if (PayloadReqId(rx_msg_.payload) != req_id || req_id == 0) {
+      ++stats_.stale_responses;
+      CATFISH_COUNT("catfish.client.stale_responses");
+      continue;
+    }
+    if (type == msg::MsgType::kOverloaded) {
+      // Admission control shed this request. Surface it as a typed
+      // error and feed the breaker; the retry-after hint steers both
+      // the breaker's open window and the write retry backoff.
+      const auto ov = msg::DecodeOverloadReply(rx_msg_.payload);
+      last_retry_after_us_ = ov ? ov->retry_after_us : 0;
+      ++stats_.overloaded;
+      CATFISH_COUNT("overload.client.shed_replies");
+      NoteFastFailure(NowMicros(), last_retry_after_us_);
+      throw ClientError(ClientStatus::kOverloaded,
+                        "catfish client: request shed by server");
+    }
+    return true;
   }
+  return false;
 }
 
-msg::Message RTreeClient::AwaitMessage(uint64_t expected_req_id) {
+const msg::Message& RTreeClient::AwaitMessage(uint64_t expected_req_id) {
   const uint64_t deadline = WaitDeadline(NowMicros());
-  for (;;) {
-    if (auto m = response_rx_->TryReceive()) {
-      if (static_cast<msg::MsgType>(m->type) == msg::MsgType::kHeartbeat) {
-        if (const auto hb = msg::DecodeHeartbeat(m->payload)) {
-          OnHeartbeatMessage(*hb);
-        }
-        continue;
-      }
-      if (static_cast<msg::MsgType>(m->type) == msg::MsgType::kTraceResp) {
-        // Never surfaced as a response, even on a req_id match: a write
-        // retry reuses its req_id and the original's late trace frame
-        // must not be handed to AwaitWriteAck.
-        OnTraceFrame(*m);
-        continue;
-      }
-      if (PayloadReqId(m->payload) != expected_req_id) {
-        // A response to a superseded request (see PumpPending).
-        ++stats_.stale_responses;
-        CATFISH_COUNT("catfish.client.stale_responses");
-        continue;
-      }
-      if (static_cast<msg::MsgType>(m->type) == msg::MsgType::kOverloaded) {
-        // Admission control shed this request. Surface it as a typed
-        // error and feed the breaker; the retry-after hint steers both
-        // the breaker's open window and the write retry backoff.
-        const auto ov = msg::DecodeOverloadReply(m->payload);
-        last_retry_after_us_ = ov ? ov->retry_after_us : 0;
-        ++stats_.overloaded;
-        CATFISH_COUNT("overload.client.shed_replies");
-        NoteFastFailure(NowMicros(), last_retry_after_us_);
-        throw ClientError(ClientStatus::kOverloaded,
-                          "catfish client: request shed by server");
-      }
-      return std::move(*m);
-    }
+  while (!NextFrame(expected_req_id)) {
     const uint64_t now = NowMicros();
     WatchdogTick(now);
     if (conn_state_ == ConnState::kDisconnected) {
@@ -482,6 +469,7 @@ msg::Message RTreeClient::AwaitMessage(uint64_t expected_req_id) {
     }
     std::this_thread::yield();
   }
+  return rx_msg_;
 }
 
 std::vector<rtree::Entry> RTreeClient::SearchFast(const geo::Rect& rect) {
@@ -495,66 +483,25 @@ std::vector<rtree::Entry> RTreeClient::SearchFastArmed(const geo::Rect& rect) {
   AdmitFastOrThrow();
   CATFISH_SCOPED_TIMER_US("catfish.client.search_fast_us");
   const bool own_trace = BeginTrace("search.fast");
-  const uint64_t req_id = ++next_req_id_;
-  if (trace_) trace_->SetAttr(trace_root_, "req_id", req_id);
-
-  // Wire context: a staged one (the sharded fan-out caller) wins;
-  // otherwise an active local trace stamps itself so even a single-node
-  // traced search gets the server's span tree grafted in.
-  msg::TraceContext ctx = TakeStagedContext();
-  const bool self_stamped = !ctx.present() && trace_ != nullptr;
-  if (self_stamped) {
-    ctx.trace_id = trace_->id();
-    ctx.parent_span = trace_root_;
-    ctx.sampled = 1;
-  }
-
-  auto write_span = telemetry::kInvalidSpan;
-  if (trace_) {
-    write_span = trace_->StartSpan(trace_root_, "ring_write",
-                                   cfg_.tracer->now_us());
-  }
-  msg::SearchRequest sreq{req_id, rect, {}};
-  sreq.trace = ctx;
-  sreq.deadline_us = cur_deadline_us_;
-  SendRequest(msg::MsgType::kSearchReq, msg::Encode(sreq));
+  // A staged context (the sharded fan-out caller) wins; otherwise an
+  // active local trace stamps itself, and the server's tree is grafted.
+  const bool self_stamped = trace_ != nullptr && !staged_ctx_.present();
+  const uint64_t req_id = SendSearch(rect);
   auto collect_span = telemetry::kInvalidSpan;
   if (trace_) {
-    trace_->EndSpan(write_span, cfg_.tracer->now_us());
     collect_span = trace_->StartSpan(trace_root_, "collect_response",
                                      cfg_.tracer->now_us());
   }
-
-  std::vector<rtree::Entry> results;
-  uint64_t segments = 0;
-  for (;;) {
-    const msg::Message m = AwaitMessage(req_id);
-    if (static_cast<msg::MsgType>(m.type) != msg::MsgType::kSearchResp) {
-      throw std::logic_error("catfish client: expected search response");
-    }
-    const auto seg = msg::DecodeSearchResponseSegment(m.payload);
-    if (!seg || seg->req_id != req_id) {
-      throw std::logic_error("catfish client: response id mismatch");
-    }
-    ++segments;
-    results.insert(results.end(), seg->entries.begin(), seg->entries.end());
-    if (m.flags & msg::kFlagEnd) break;
-  }
-  if (ctx.present() && ctx.sampled) {
-    AwaitTraceFrame(req_id);
-    if (self_stamped) {
-      if (const auto remote = TakeRemoteTree(req_id)) {
-        trace_->Graft(trace_root_, *remote,
-                      {{"shard", static_cast<int64_t>(boot_.shard_id)}});
-      }
+  std::vector<rtree::Entry> results = SearchFastCollect(req_id);
+  if (self_stamped) {
+    if (const auto remote = TakeRemoteTree(req_id)) {
+      trace_->Graft(trace_root_, *remote,
+                    {{"shard", static_cast<int64_t>(boot_.shard_id)}});
     }
   }
-  ++stats_.fast_searches;
-  CATFISH_COUNT("catfish.client.search.fast");
-  breaker_.OnSuccess();
   if (trace_) {
     trace_->SetAttr(collect_span, "segments",
-                    static_cast<int64_t>(segments));
+                    static_cast<int64_t>(fast_segments_));
     trace_->SetAttr(collect_span, "results",
                     static_cast<int64_t>(results.size()));
     trace_->EndSpan(collect_span, cfg_.tracer->now_us());
@@ -565,48 +512,86 @@ std::vector<rtree::Entry> RTreeClient::SearchFastArmed(const geo::Rect& rect) {
   return results;
 }
 
+uint64_t RTreeClient::SendSearch(const geo::Rect& rect) {
+  const uint64_t req_id = ++next_req_id_;
+  msg::TraceContext ctx = TakeStagedContext();
+  auto write_span = telemetry::kInvalidSpan;
+  if (trace_) {
+    trace_->SetAttr(trace_root_, "req_id", req_id);
+    if (!ctx.present()) ctx = {trace_->id(), trace_root_, 1};
+    write_span = trace_->StartSpan(trace_root_, "ring_write",
+                                   cfg_.tracer->now_us());
+  }
+  SendRequest(msg::MsgType::kSearchReq,
+              msg::Encode(msg::SearchRequest{req_id, rect, ctx,
+                                             cur_deadline_us_}));
+  if (trace_) trace_->EndSpan(write_span, cfg_.tracer->now_us());
+  StartFast(req_id, ctx.present() && ctx.sampled != 0);
+  return req_id;
+}
+
+void RTreeClient::StartFast(uint64_t req_id, bool sampled) {
+  poll_req_id_ = req_id;
+  poll_results_.clear();
+  begun_sampled_ = sampled;
+  fast_segments_ = 0;
+}
+
+void RTreeClient::ResetFast() noexcept {
+  poll_req_id_ = 0;
+  poll_results_.clear();
+  begun_sampled_ = false;
+}
+
+bool RTreeClient::CollectFast(uint64_t req_id, msg::MsgType type, bool block,
+                              std::vector<rtree::Entry>& out) {
+  try {
+    for (;;) {
+      if (block) {
+        AwaitMessage(req_id);
+      } else if (!NextFrame(req_id)) {
+        // Nothing ready; keep the watchdog honest so a dead server
+        // surfaces as kDisconnected instead of an infinite poll loop.
+        WatchdogTick(NowMicros());
+        if (conn_state_ == ConnState::kDisconnected) {
+          throw ClientError(
+              ClientStatus::kDisconnected,
+              "catfish client: server lost while polling response");
+        }
+        return false;
+      }
+      ++fast_segments_;
+      if (msg::AppendResponseSegment(rx_msg_, type, req_id, poll_results_)) {
+        break;
+      }
+    }
+  } catch (...) {
+    ResetFast();
+    throw;
+  }
+  out = std::move(poll_results_);
+  const bool sampled = begun_sampled_;
+  ResetFast();
+  if (sampled) AwaitTraceFrame(req_id);  // tree claimed via TakeRemoteTree
+  ++stats_.fast_searches;
+  CATFISH_COUNT("catfish.client.search.fast");
+  breaker_.OnSuccess();
+  return true;
+}
+
 uint64_t RTreeClient::SearchFastBegin(const geo::Rect& rect) {
   PumpPending();
   EnsureUsable(/*fast_path=*/true);
   ArmOpDeadline();
   AdmitFastOrThrow();
-  const uint64_t req_id = ++next_req_id_;
-  const msg::TraceContext ctx = TakeStagedContext();
-  begun_sampled_ = ctx.present() && ctx.sampled != 0;
-  msg::SearchRequest sreq{req_id, rect, {}};
-  sreq.trace = ctx;
-  sreq.deadline_us = cur_deadline_us_;
-  SendRequest(msg::MsgType::kSearchReq, msg::Encode(sreq));
-  poll_req_id_ = req_id;
-  poll_results_.clear();
-  return req_id;
+  return SendSearch(rect);
 }
 
 std::vector<rtree::Entry> RTreeClient::SearchFastCollect(uint64_t req_id) {
-  // Adopt whatever a prior Poll already accumulated for this request.
+  // Adopts whatever a prior Poll already accumulated for this request.
+  if (poll_req_id_ != req_id) StartFast(req_id, false);
   std::vector<rtree::Entry> results;
-  if (poll_req_id_ == req_id) results = std::move(poll_results_);
-  for (;;) {
-    const msg::Message m = AwaitMessage(req_id);
-    if (static_cast<msg::MsgType>(m.type) != msg::MsgType::kSearchResp) {
-      throw std::logic_error("catfish client: expected search response");
-    }
-    const auto seg = msg::DecodeSearchResponseSegment(m.payload);
-    if (!seg || seg->req_id != req_id) {
-      throw std::logic_error("catfish client: response id mismatch");
-    }
-    results.insert(results.end(), seg->entries.begin(), seg->entries.end());
-    if (m.flags & msg::kFlagEnd) break;
-  }
-  poll_req_id_ = 0;
-  poll_results_.clear();
-  if (begun_sampled_) {
-    begun_sampled_ = false;
-    AwaitTraceFrame(req_id);  // tree claimed by the caller (TakeRemoteTree)
-  }
-  ++stats_.fast_searches;
-  CATFISH_COUNT("catfish.client.search.fast");
-  breaker_.OnSuccess();
+  CollectFast(req_id, msg::MsgType::kSearchResp, /*block=*/true, results);
   return results;
 }
 
@@ -615,76 +600,13 @@ bool RTreeClient::SearchFastPoll(uint64_t req_id,
   if (poll_req_id_ != req_id) {
     throw std::logic_error("catfish client: poll without a matching begin");
   }
-  while (auto m = response_rx_->TryReceive()) {
-    const auto type = static_cast<msg::MsgType>(m->type);
-    if (type == msg::MsgType::kHeartbeat) {
-      if (const auto hb = msg::DecodeHeartbeat(m->payload)) {
-        OnHeartbeatMessage(*hb);
-      }
-      continue;
-    }
-    if (type == msg::MsgType::kTraceResp) {
-      OnTraceFrame(*m);
-      continue;
-    }
-    if (PayloadReqId(m->payload) != req_id) {
-      ++stats_.stale_responses;
-      CATFISH_COUNT("catfish.client.stale_responses");
-      continue;
-    }
-    if (type == msg::MsgType::kOverloaded) {
-      const auto ov = msg::DecodeOverloadReply(m->payload);
-      last_retry_after_us_ = ov ? ov->retry_after_us : 0;
-      ++stats_.overloaded;
-      CATFISH_COUNT("overload.client.shed_replies");
-      NoteFastFailure(NowMicros(), last_retry_after_us_);
-      poll_req_id_ = 0;
-      poll_results_.clear();
-      throw ClientError(ClientStatus::kOverloaded,
-                        "catfish client: request shed by server");
-    }
-    if (type != msg::MsgType::kSearchResp) {
-      throw std::logic_error("catfish client: expected search response");
-    }
-    const auto seg = msg::DecodeSearchResponseSegment(m->payload);
-    if (!seg || seg->req_id != req_id) {
-      throw std::logic_error("catfish client: response id mismatch");
-    }
-    poll_results_.insert(poll_results_.end(), seg->entries.begin(),
-                         seg->entries.end());
-    if (m->flags & msg::kFlagEnd) {
-      out = std::move(poll_results_);
-      poll_req_id_ = 0;
-      poll_results_.clear();
-      if (begun_sampled_) {
-        begun_sampled_ = false;
-        AwaitTraceFrame(req_id);
-      }
-      ++stats_.fast_searches;
-      CATFISH_COUNT("catfish.client.search.fast");
-      breaker_.OnSuccess();
-      return true;
-    }
-  }
-  // Nothing ready; keep the watchdog honest so a dead server surfaces
-  // as kDisconnected instead of an infinite poll loop.
-  WatchdogTick(NowMicros());
-  if (conn_state_ == ConnState::kDisconnected) {
-    poll_req_id_ = 0;
-    poll_results_.clear();
-    throw ClientError(ClientStatus::kDisconnected,
-                      "catfish client: server lost while polling response");
-  }
-  return false;
+  return CollectFast(req_id, msg::MsgType::kSearchResp, /*block=*/false, out);
 }
 
 void RTreeClient::SearchFastAbandon(uint64_t req_id) {
   if (poll_req_id_ != req_id) return;  // already finished or abandoned
-  poll_req_id_ = 0;
-  poll_results_.clear();
-  begun_sampled_ = false;
-  // Late frames for this req_id now fall through the normal stale-
-  // response filter in PumpPending/AwaitMessage.
+  // Late frames for this req_id now fall through the stale filter.
+  ResetFast();
 }
 
 std::vector<rtree::Entry> RTreeClient::NearestNeighbors(
@@ -693,25 +615,13 @@ std::vector<rtree::Entry> RTreeClient::NearestNeighbors(
   EnsureUsable(/*fast_path=*/true);
   ArmOpDeadline();
   AdmitFastOrThrow();
+  CATFISH_SCOPED_TIMER_US("catfish.client.search_fast_us");
   const uint64_t req_id = ++next_req_id_;
   SendRequest(msg::MsgType::kKnnReq,
               msg::Encode(msg::KnnRequest{req_id, point, k}));
-
+  StartFast(req_id, false);
   std::vector<rtree::Entry> results;
-  for (;;) {
-    const msg::Message m = AwaitMessage(req_id);
-    if (static_cast<msg::MsgType>(m.type) != msg::MsgType::kKnnResp) {
-      throw std::logic_error("catfish client: expected knn response");
-    }
-    const auto seg = msg::DecodeSearchResponseSegment(m.payload);
-    if (!seg || seg->req_id != req_id) {
-      throw std::logic_error("catfish client: response id mismatch");
-    }
-    results.insert(results.end(), seg->entries.begin(), seg->entries.end());
-    if (m.flags & msg::kFlagEnd) break;
-  }
-  ++stats_.fast_searches;
-  breaker_.OnSuccess();
+  CollectFast(req_id, msg::MsgType::kKnnResp, /*block=*/true, results);
   return results;
 }
 
@@ -1066,7 +976,6 @@ std::vector<rtree::Entry> RTreeClient::Search(const geo::Rect& rect) {
   // alternative path (writes, forced SearchFast).
   if (mode == AccessMode::kFastMessaging &&
       breaker_.WouldReject(NowMicros())) {
-    ++stats_.breaker_fast_fails;
     CATFISH_COUNT("breaker.search_brownouts");
     mode = AccessMode::kRdmaOffloading;
   }
@@ -1092,7 +1001,7 @@ std::vector<rtree::Entry> RTreeClient::Search(const geo::Rect& rect) {
 }
 
 bool RTreeClient::AwaitWriteAck(uint64_t req_id) {
-  const msg::Message m = AwaitMessage(req_id);
+  const msg::Message& m = AwaitMessage(req_id);
   const auto t = static_cast<msg::MsgType>(m.type);
   if (t != msg::MsgType::kInsertAck && t != msg::MsgType::kDeleteAck) {
     throw std::logic_error("catfish client: expected write ack");
@@ -1104,9 +1013,22 @@ bool RTreeClient::AwaitWriteAck(uint64_t req_id) {
   return ack->ok != 0;
 }
 
-bool RTreeClient::ExecuteWrite(msg::MsgType type,
-                               const std::vector<std::byte>& payload,
-                               uint64_t req_id) {
+bool RTreeClient::ExecuteWrite(msg::MsgType type, const geo::Rect& rect,
+                               uint64_t id) {
+  PumpPending();
+  EnsureUsable(/*fast_path=*/true);
+  ArmOpDeadline();
+  const uint64_t req_id = ++next_req_id_;
+  if (type == msg::MsgType::kInsertReq) {
+    ++stats_.inserts;
+    CATFISH_COUNT("catfish.client.insert");
+  } else {
+    ++stats_.deletes;
+    CATFISH_COUNT("catfish.client.delete");
+  }
+  const msg::WriteRequest req{req_id, client_gen_, rect, id,
+                              TakeStagedContext(), cur_deadline_us_};
+  const std::vector<std::byte> payload = msg::Encode(req);
   // The request carries (client_gen_, req_id), so resending the same
   // bytes is idempotent: the server's durable dedup table re-acks an
   // already-applied write instead of applying it twice. Retries that
@@ -1123,6 +1045,9 @@ bool RTreeClient::ExecuteWrite(msg::MsgType type,
       SendRequest(type, payload);
       const bool ok = AwaitWriteAck(req_id);
       breaker_.OnSuccess();
+      // The retry path resends identical bytes, so a retried sampled
+      // write still yields (at least) one trace frame for this req_id.
+      if (req.trace.present() && req.trace.sampled) AwaitTraceFrame(req_id);
       return ok;
     } catch (const ClientError& e) {
       // A shed write is retryable only while the server hands out a
@@ -1161,37 +1086,11 @@ bool RTreeClient::ExecuteWrite(msg::MsgType type,
 }
 
 bool RTreeClient::Insert(const geo::Rect& rect, uint64_t id) {
-  PumpPending();
-  EnsureUsable(/*fast_path=*/true);
-  ArmOpDeadline();
-  const uint64_t req_id = ++next_req_id_;
-  ++stats_.inserts;
-  CATFISH_COUNT("catfish.client.insert");
-  msg::InsertRequest req{req_id, client_gen_, rect, id, {}};
-  req.trace = TakeStagedContext();
-  req.deadline_us = cur_deadline_us_;
-  const bool ok =
-      ExecuteWrite(msg::MsgType::kInsertReq, msg::Encode(req), req_id);
-  // The retry path resends identical bytes, so a retried sampled write
-  // still yields (at least) one trace frame for this req_id.
-  if (req.trace.present() && req.trace.sampled) AwaitTraceFrame(req_id);
-  return ok;
+  return ExecuteWrite(msg::MsgType::kInsertReq, rect, id);
 }
 
 bool RTreeClient::Delete(const geo::Rect& rect, uint64_t id) {
-  PumpPending();
-  EnsureUsable(/*fast_path=*/true);
-  ArmOpDeadline();
-  const uint64_t req_id = ++next_req_id_;
-  ++stats_.deletes;
-  CATFISH_COUNT("catfish.client.delete");
-  msg::DeleteRequest req{req_id, client_gen_, rect, id, {}};
-  req.trace = TakeStagedContext();
-  req.deadline_us = cur_deadline_us_;
-  const bool ok =
-      ExecuteWrite(msg::MsgType::kDeleteReq, msg::Encode(req), req_id);
-  if (req.trace.present() && req.trace.sampled) AwaitTraceFrame(req_id);
-  return ok;
+  return ExecuteWrite(msg::MsgType::kDeleteReq, rect, id);
 }
 
 }  // namespace catfish

@@ -221,7 +221,9 @@ class RTreeClient {
   /// this across shards to spot stragglers instead of blocking on each
   /// sub-query in turn. Same contract as Collect otherwise: one
   /// in-flight Begin per client, finished by exactly one successful
-  /// Poll(=true)/Collect or an Abandon.
+  /// Poll(=true)/Collect or an Abandon. A Poll or Collect that throws
+  /// (shed, timeout, disconnect) finishes it too: its late frames drain
+  /// as stale, and a further Poll of its req_id is a logic_error.
   bool SearchFastPoll(uint64_t req_id, std::vector<rtree::Entry>& out);
 
   /// Gives up on an in-flight Begin (a hedge won the race): partial
@@ -409,6 +411,23 @@ class RTreeClient {
   /// SearchFast under the already armed op deadline; SearchOffloaded's
   /// fallback uses it so the fallback cannot extend the op's budget.
   std::vector<rtree::Entry> SearchFastArmed(const geo::Rect& rect);
+  /// The one SearchRequest sender: stamps the staged wire context (or
+  /// the active local trace's own), writes the request into the ring
+  /// under a ring_write span and opens the split-request state.
+  uint64_t SendSearch(const geo::Rect& rect);
+  /// Opens / clears the split-request state (poll_req_id_,
+  /// poll_results_, begun_sampled_).
+  void StartFast(uint64_t req_id, bool sampled);
+  void ResetFast() noexcept;
+  /// The one segment collector, for searches and kNN alike: appends
+  /// `req_id`'s `type` segments to poll_results_, waiting for END when
+  /// `block`, else taking only what is ready (false = not yet). On END
+  /// it moves the result into `out` and completes the request: waits
+  /// for a sampled request's trace frame, counts the fast search and
+  /// closes the breaker's success edge. Every exit but "not yet",
+  /// throwing or not, clears the split-request state.
+  bool CollectFast(uint64_t req_id, msg::MsgType type, bool block,
+                   std::vector<rtree::Entry>& out);
   /// The wait bound for one blocking stretch: request_timeout_us capped
   /// by the armed op deadline.
   uint64_t WaitDeadline(uint64_t now) const noexcept;
@@ -422,15 +441,20 @@ class RTreeClient {
   void NoteFastFailure(uint64_t now_us, uint32_t server_hint_us);
 
   void SendRequest(msg::MsgType type, std::span<const std::byte> payload);
-  /// Drains ready responses between requests; heartbeats feed the
-  /// controller, anything else is a stale response to a superseded
-  /// req_id (e.g. the original ack of a write that was retried) and is
-  /// dropped.
-  void PumpPending();
-  /// Waits for the response to `expected_req_id`. Every response type
-  /// leads with its req_id, so responses to older requests are
-  /// recognized and dropped uniformly here.
-  msg::Message AwaitMessage(uint64_t expected_req_id);
+  /// The one frame dispatcher: reads ready frames into rx_msg_ until one
+  /// answers `req_id` (true) or the ring is empty (false). Heartbeats
+  /// feed the controller and watchdog, trace frames are stashed, frames
+  /// of any other req_id are dropped as stale (every response type
+  /// leads with its req_id), and a shed reply to `req_id` throws
+  /// kOverloaded. Never blocks.
+  bool NextFrame(uint64_t req_id);
+  /// Drains ready frames between requests: with no request in flight
+  /// (req_id 0), every response is stale.
+  void PumpPending() { NextFrame(0); }
+  /// Blocks until NextFrame finds `expected_req_id`'s next frame, under
+  /// the watchdog and the wait deadline. The frame stays valid until the
+  /// next dispatch.
+  const msg::Message& AwaitMessage(uint64_t expected_req_id);
   /// Consumes a kTraceResp frame wherever the pump encounters one:
   /// records its arrival under its req_id and stashes the decoded
   /// server span tree (an empty blob still records arrival, so waiters
@@ -449,9 +473,9 @@ class RTreeClient {
     return ctx;
   }
   bool AwaitWriteAck(uint64_t req_id);
-  /// Send + await-ack with exactly-once retries (cfg_.write_attempts).
-  bool ExecuteWrite(msg::MsgType type, const std::vector<std::byte>& payload,
-                    uint64_t req_id);
+  /// Insert and Delete: one write request of `type`, sent and acked
+  /// with exactly-once retries (cfg_.write_attempts).
+  bool ExecuteWrite(msg::MsgType type, const geo::Rect& rect, uint64_t id);
 
   /// Validates+decodes a fetched chunk image (the engine's validate
   /// callback); false → the engine re-fetches within its retry bounds.
@@ -523,6 +547,9 @@ class RTreeClient {
   alignas(8) std::array<std::byte, 8> request_ack_cell_{};
   std::unique_ptr<msg::RingSender> request_tx_;
   std::unique_ptr<msg::RingReceiver> response_rx_;
+  /// The frame NextFrame reads into, reused across frames so its payload
+  /// buffer stays allocated.
+  msg::Message rx_msg_;
 
   /// Failover state (see WatchdogConfig).
   HandshakeFn reconnect_shake_;
@@ -582,17 +609,19 @@ class RTreeClient {
   uint64_t op_deadline_override_us_ = 0;
   uint32_t last_retry_after_us_ = 0;
 
-  /// SearchFastPoll accumulator: segments of the in-flight split
-  /// request collected so far (valid while poll_req_id_ != 0).
+  /// Split-request state: the fast request in flight (0 = none) and
+  /// the entries of its segments collected so far. fast_segments_
+  /// counts the segments of the latest fast request (a trace attribute).
   uint64_t poll_req_id_ = 0;
   std::vector<rtree::Entry> poll_results_;
+  uint32_t fast_segments_ = 0;
 
   msg::TraceContext staged_ctx_{};
   uint64_t trace_frame_req_ = 0;
   std::shared_ptr<telemetry::Trace> last_remote_tree_;
   uint64_t last_remote_tree_req_ = 0;
-  /// SearchFastBegin→Collect carry-over: whether the in-flight split
-  /// request was stamped with a sampled context.
+  /// Split-request state too: whether the in-flight request was stamped
+  /// with a sampled context, so its completion awaits the trace frame.
   bool begun_sampled_ = false;
 
   /// Starts a trace for a top-level call when none is active; returns

@@ -235,124 +235,101 @@ void RTreeServer::HandleMessage(Connection& conn, const msg::Message& m,
     if (d != 0) std::this_thread::sleep_for(std::chrono::microseconds(d));
   };
 
-  switch (static_cast<msg::MsgType>(m.type)) {
-    case msg::MsgType::kSearchReq: {
-      const auto req = msg::DecodeSearchRequest(m.payload);
-      if (!req) break;
-      if (ShedIfNeeded(conn, req->req_id, picked_up_us, req->deadline_us)) {
-        break;
-      }
-      start_trace(req->trace, req->req_id);
-      std::vector<rtree::Entry> results;
-      const auto traverse = span_begin("traverse");
-      maybe_delay();
-      tree_->Search(req->rect, results);
-      span_end(traverse);
-      searches_.fetch_add(1, std::memory_order_relaxed);
-      CATFISH_COUNT("catfish.server.search");
-      msg::EncodeSearchResponseInto(req->req_id, results,
-                                    conn.response_tx->MaxPayload(),
-                                    conn.seg_scratch);
-      const auto& segments = conn.seg_scratch;
-      CATFISH_COUNT_ADD("catfish.server.segments", segments.size());
-      set_attr("results", static_cast<int64_t>(results.size()));
-      set_attr("segments", static_cast<int64_t>(segments.size()));
-      const auto respond = span_begin("respond");
-      for (size_t i = 0; i < segments.size(); ++i) {
-        const uint16_t flags =
-            i + 1 < segments.size() ? msg::kFlagCont : msg::kFlagEnd;
-        SendResponse(conn, msg::MsgType::kSearchResp, flags, segments[i]);
-      }
-      span_end(respond);
-      break;
+  // The one query body: search and kNN differ only in the tree call
+  // (`run`) and the response type.
+  const auto query = [&](uint64_t req_id, const msg::TraceContext& c,
+                         uint64_t deadline_us, msg::MsgType resp_type,
+                         const auto& run) {
+    if (ShedIfNeeded(conn, req_id, picked_up_us, deadline_us)) return;
+    start_trace(c, req_id);
+    std::vector<rtree::Entry> results;
+    const auto traverse = span_begin("traverse");
+    maybe_delay();
+    run(results);
+    span_end(traverse);
+    searches_.fetch_add(1, std::memory_order_relaxed);
+    CATFISH_COUNT("catfish.server.search");
+    msg::EncodeSearchResponseInto(req_id, results,
+                                  conn.response_tx->MaxPayload(),
+                                  conn.seg_scratch);
+    const auto& segments = conn.seg_scratch;
+    CATFISH_COUNT_ADD("catfish.server.segments", segments.size());
+    set_attr("results", static_cast<int64_t>(results.size()));
+    set_attr("segments", static_cast<int64_t>(segments.size()));
+    const auto respond = span_begin("respond");
+    for (size_t i = 0; i < segments.size(); ++i) {
+      const uint16_t flags =
+          i + 1 < segments.size() ? msg::kFlagCont : msg::kFlagEnd;
+      SendResponse(conn, resp_type, flags, segments[i]);
     }
-    case msg::MsgType::kKnnReq: {
-      const auto req = msg::DecodeKnnRequest(m.payload);
-      if (!req) break;
-      if (ShedIfNeeded(conn, req->req_id, picked_up_us, 0)) break;
-      start_trace({}, req->req_id);
-      std::vector<rtree::Entry> results;
-      const auto traverse = span_begin("traverse");
-      maybe_delay();
-      tree_->NearestNeighbors(req->point, req->k, results);
-      span_end(traverse);
-      searches_.fetch_add(1, std::memory_order_relaxed);
-      CATFISH_COUNT("catfish.server.search");
-      msg::EncodeSearchResponseInto(req->req_id, results,
-                                    conn.response_tx->MaxPayload(),
-                                    conn.seg_scratch);
-      const auto& segments = conn.seg_scratch;
-      CATFISH_COUNT_ADD("catfish.server.segments", segments.size());
-      set_attr("results", static_cast<int64_t>(results.size()));
-      set_attr("segments", static_cast<int64_t>(segments.size()));
-      const auto respond = span_begin("respond");
-      for (size_t i = 0; i < segments.size(); ++i) {
-        const uint16_t flags =
-            i + 1 < segments.size() ? msg::kFlagCont : msg::kFlagEnd;
-        SendResponse(conn, msg::MsgType::kKnnResp, flags, segments[i]);
-      }
-      span_end(respond);
-      break;
+    span_end(respond);
+  };
+  // The one write body: insert and delete share the request layout and
+  // differ only in the tree (or durable) call and the ack type.
+  const auto write = [&](const msg::WriteRequest& req, bool insert) {
+    if (ShedIfNeeded(conn, req.req_id, picked_up_us, req.deadline_us)) {
+      return;
     }
-    case msg::MsgType::kInsertReq: {
-      const auto req = msg::DecodeInsertRequest(m.payload);
-      if (!req) break;
-      if (ShedIfNeeded(conn, req->req_id, picked_up_us, req->deadline_us)) {
-        break;
-      }
-      start_trace(req->trace, req->req_id);
-      const auto traverse = span_begin("traverse");
-      maybe_delay();
-      uint8_t ok = 1;
-      if (cfg_.durability) {
-        const auto res = cfg_.durability->ExecuteInsert(
-            *tree_, req->client_gen, req->req_id, req->rect, req->rect_id,
-            trace.get(), traverse);
-        ok = res.ok ? 1 : 0;
-        set_attr("duplicate", res.duplicate ? 1 : 0);
-      } else {
-        tree_->Insert(req->rect, req->rect_id);
-      }
-      span_end(traverse);
+    start_trace(req.trace, req.req_id);
+    const auto traverse = span_begin("traverse");
+    maybe_delay();
+    bool ok = true;
+    if (cfg_.durability) {
+      const auto res =
+          insert ? cfg_.durability->ExecuteInsert(
+                       *tree_, req.client_gen, req.req_id, req.rect,
+                       req.rect_id, trace.get(), traverse)
+                 : cfg_.durability->ExecuteDelete(
+                       *tree_, req.client_gen, req.req_id, req.rect,
+                       req.rect_id, trace.get(), traverse);
+      ok = res.ok;
+      set_attr("duplicate", res.duplicate ? 1 : 0);
+    } else if (insert) {
+      tree_->Insert(req.rect, req.rect_id);
+    } else {
+      ok = tree_->Delete(req.rect, req.rect_id);
+    }
+    span_end(traverse);
+    if (insert) {
       inserts_.fetch_add(1, std::memory_order_relaxed);
       CATFISH_COUNT("catfish.server.insert");
-      msg::EncodeInto(msg::WriteAck{req->req_id, ok}, conn.ack_scratch);
-      const auto respond = span_begin("respond");
-      SendResponse(conn, msg::MsgType::kInsertAck, msg::kFlagEnd,
-                   conn.ack_scratch);
-      span_end(respond);
-      break;
-    }
-    case msg::MsgType::kDeleteReq: {
-      const auto req = msg::DecodeDeleteRequest(m.payload);
-      if (!req) break;
-      if (ShedIfNeeded(conn, req->req_id, picked_up_us, req->deadline_us)) {
-        break;
-      }
-      start_trace(req->trace, req->req_id);
-      const auto traverse = span_begin("traverse");
-      maybe_delay();
-      bool ok;
-      if (cfg_.durability) {
-        const auto res = cfg_.durability->ExecuteDelete(
-            *tree_, req->client_gen, req->req_id, req->rect, req->rect_id,
-            trace.get(), traverse);
-        ok = res.ok;
-        set_attr("duplicate", res.duplicate ? 1 : 0);
-      } else {
-        ok = tree_->Delete(req->rect, req->rect_id);
-      }
-      span_end(traverse);
+    } else {
       deletes_.fetch_add(1, std::memory_order_relaxed);
       CATFISH_COUNT("catfish.server.delete");
-      msg::EncodeInto(msg::WriteAck{req->req_id, ok ? uint8_t{1} : uint8_t{0}},
-                      conn.ack_scratch);
-      const auto respond = span_begin("respond");
-      SendResponse(conn, msg::MsgType::kDeleteAck, msg::kFlagEnd,
-                   conn.ack_scratch);
-      span_end(respond);
-      break;
     }
+    msg::EncodeInto(msg::WriteAck{req.req_id, ok ? uint8_t{1} : uint8_t{0}},
+                    conn.ack_scratch);
+    const auto respond = span_begin("respond");
+    SendResponse(conn,
+                 insert ? msg::MsgType::kInsertAck : msg::MsgType::kDeleteAck,
+                 msg::kFlagEnd, conn.ack_scratch);
+    span_end(respond);
+  };
+
+  const auto type = static_cast<msg::MsgType>(m.type);
+  switch (type) {
+    case msg::MsgType::kSearchReq:
+      if (const auto req = msg::DecodeSearchRequest(m.payload)) {
+        query(req->req_id, req->trace, req->deadline_us,
+              msg::MsgType::kSearchResp, [&](std::vector<rtree::Entry>& out) {
+                tree_->Search(req->rect, out);
+              });
+      }
+      break;
+    case msg::MsgType::kKnnReq:
+      if (const auto req = msg::DecodeKnnRequest(m.payload)) {
+        query(req->req_id, {}, 0, msg::MsgType::kKnnResp,
+              [&](std::vector<rtree::Entry>& out) {
+                tree_->NearestNeighbors(req->point, req->k, out);
+              });
+      }
+      break;
+    case msg::MsgType::kInsertReq:
+    case msg::MsgType::kDeleteReq:
+      if (const auto req = msg::DecodeWriteRequest(m.payload)) {
+        write(*req, type == msg::MsgType::kInsertReq);
+      }
+      break;
     default:
       break;  // unknown/unexpected types are dropped
   }

@@ -113,7 +113,6 @@ void ClusterSim::AddShard(rtree::RStarTree* tree) {
     r->applier = std::make_unique<des::CpuPool>(sched_, 1);
     s->replicas.push_back(std::move(r));
   }
-  s->live_replicas = cfg_.num_replicas;
   shards_.push_back(std::move(s));
 }
 
@@ -293,7 +292,7 @@ void ClusterSim::StartNextRequest(Client& c) {
   q->op = req.op;
   q->t0 = sched_.now();
   if (req.op == workload::OpType::kInsert) {
-    ExecInsert(c, std::move(q), req);
+    ExecInsert(std::move(q), req);
   } else {
     StartSearch(c, std::move(q), req.rect);
   }
@@ -356,19 +355,12 @@ void ClusterSim::StartSearch(Client& c, std::shared_ptr<Query> q,
       IsTcp() ? cfg_.costs.tcp_kernel_us : cfg_.costs.verbs_post_us;
   double post_delay = 0.0;
   for (const uint32_t sh : fanout_scratch_) {
-    const Shard& s = *shards_[sh];
     AccessMode mode = AccessMode::kFastMessaging;
     if (cfg_.scheme == Scheme::kRdmaOffloading) {
       mode = AccessMode::kRdmaOffloading;
     } else if (cfg_.scheme == Scheme::kCatfish) {
       // Algorithm 1 decides per sub-query.
       mode = c.ctrl[sh].NextMode(static_cast<uint64_t>(sched_.now()));
-    }
-    // A dead primary cannot serve the two-sided fast path; its
-    // followers' arenas still answer one-sided reads — the live client
-    // makes the same call (follower routing + primary fallback).
-    if (s.primary_down && s.live_replicas > 0) {
-      mode = AccessMode::kRdmaOffloading;
     }
     auto leg = std::make_shared<Leg>();
     leg->query = q;
@@ -443,16 +435,15 @@ void ClusterSim::SubqueryFast(Client& c, std::shared_ptr<Leg> leg,
 
   // Arm the hedge: if the primary has not joined after the delay,
   // re-issue as an offloaded read against a follower (round-robin).
-  if (cfg_.hedge && s.live_replicas > 0) {
+  if (cfg_.hedge && !s.replicas.empty()) {
     leg->hedge_delay_us = HedgeDelayUs();
     sched_.After(issue_delay + leg->hedge_delay_us,
                  [this, &c, &s, rect, leg]() {
       if (leg->done) return;  // primary answered in time; no hedge
-      if (s.live_replicas == 0) return;  // promotion consumed them all
       leg->hedged = true;
       ++result_.hedges_issued;
       CATFISH_COUNT("shard.client.hedges_issued");
-      Plane& plane = s.replicas[s.read_rr++ % s.live_replicas]->plane;
+      Plane& plane = s.replicas[s.read_rr++ % s.replicas.size()]->plane;
       auto trace = std::make_shared<rtree::TraversalTrace>();
       std::vector<rtree::Entry> hout;
       s.tree->SearchTraced(rect, hout, nullptr, trace.get());
@@ -544,14 +535,12 @@ void ClusterSim::SubqueryOffloaded(Client& c, std::shared_ptr<Leg> leg,
   std::vector<rtree::Entry> out;
   s.tree->SearchTraced(rect, out, nullptr, trace.get());
   // Follower read routing: spread the configured fraction of offloaded
-  // sub-queries round-robin over the live followers (they hold the same
-  // tree, shipped record by record); a dead primary forces it.
+  // sub-queries round-robin over the followers (they hold the same
+  // tree, shipped record by record).
   Plane* plane = &s.primary;
-  if (s.live_replicas > 0 &&
-      (s.primary_down ||
-       (cfg_.follower_read_fraction > 0.0 &&
-        c.rng.NextDouble() < cfg_.follower_read_fraction))) {
-    plane = &s.replicas[s.read_rr++ % s.live_replicas]->plane;
+  if (!s.replicas.empty() && cfg_.follower_read_fraction > 0.0 &&
+      c.rng.NextDouble() < cfg_.follower_read_fraction) {
+    plane = &s.replicas[s.read_rr++ % s.replicas.size()]->plane;
     ++result_.follower_reads;
     CATFISH_COUNT("shard.client.follower_reads");
     if (leg->query->trace) leg->query->trace->SetAttr(leg->span, "follower", 1);
@@ -733,8 +722,8 @@ void ClusterSim::OffloadRound(Client& c, Shard& s, Plane& plane,
 }
 
 void ClusterSim::ReplicateWrite(Shard& s, const std::function<void()>& done) {
-  const uint32_t live = s.live_replicas;
-  const uint32_t quorum = std::min(cfg_.ack_followers, live);
+  const uint32_t quorum = std::min(
+      cfg_.ack_followers, static_cast<uint32_t>(s.replicas.size()));
   const double t0 = sched_.now();
   if (quorum > 0) {
     ++result_.replicated_writes;
@@ -757,8 +746,8 @@ void ClusterSim::ReplicateWrite(Shard& s, const std::function<void()>& done) {
   };
   // One shipped record per live follower: primary NIC → follower link →
   // follower WAL/tree apply → ack back over the follower's uplink.
-  for (uint32_t j = 0; j < live && j < s.replicas.size(); ++j) {
-    Replica& r = *s.replicas[j];
+  for (const auto& replica : s.replicas) {
+    Replica& r = *replica;
     s.primary.nic->Submit(cfg_.costs.nic_write_op_us, [this, &r, on_ack]() {
       r.plane.down->Transfer(cfg_.costs.repl_record_bytes, [this, &r,
                                                             on_ack]() {
@@ -774,21 +763,9 @@ void ClusterSim::ReplicateWrite(Shard& s, const std::function<void()>& done) {
   }
 }
 
-void ClusterSim::ExecInsert(Client& c, std::shared_ptr<Query> q,
+void ClusterSim::ExecInsert(std::shared_ptr<Query> q,
                             const workload::Request& req) {
   Shard& s = *shards_[map_ ? map_->OwnerOf(req.rect) : 0];
-  if (s.primary_down) {
-    // The primary is dead and promotion hasn't finished: the live
-    // client's watchdog would park this write and re-route after the
-    // re-bootstrap. Model the park as a retry once the shard is
-    // writable again; the park counts toward the write's latency.
-    ++result_.stalled_writes;
-    result_.write_stall_us.Add(s.primary_up_at - sched_.now());
-    CATFISH_COUNT("shard.sim.stalled_writes");
-    sched_.At(s.primary_up_at,
-              [this, &c, q, req]() { ExecInsert(c, q, req); });
-    return;
-  }
   const bool tcp = IsTcp();
   CATFISH_COUNT("catfish.client.insert");
   ExecViaServer(
@@ -806,7 +783,7 @@ void ClusterSim::ExecInsert(Client& c, std::shared_ptr<Query> q,
               oracle_items_.push_back({req.rect, req.id});
             }
             s.insert_service_cum_us += cfg_.costs.per_insert_us;
-            if (s.live_replicas > 0) {
+            if (!s.replicas.empty()) {
               ReplicateWrite(s, respond);  // semi-sync gate
             } else {
               respond();
@@ -872,25 +849,6 @@ RunResult ClusterSim::Run() {
   for (auto& c : clients_) {
     sched_.After(static_cast<double>(c->index) * 0.11,
                  [this, &c = *c]() { StartNextRequest(c); });
-  }
-  // Kill schedule: each event crashes a primary at a virtual instant.
-  // Writes park for detection + promotion; promotion consumes one
-  // follower (it *becomes* the primary), shrinking the read pool.
-  for (const auto& ev : cfg_.kill_schedule) {
-    if (ev.shard >= shards_.size()) continue;
-    sched_.At(ev.at_us, [this, shard = ev.shard]() {
-      Shard& s = *shards_[shard];
-      if (s.primary_down || s.live_replicas == 0) return;
-      s.primary_down = true;
-      s.primary_up_at =
-          sched_.now() + cfg_.failover_detect_us + cfg_.failover_promote_us;
-      ++result_.failovers;
-      CATFISH_COUNT("shard.sim.failovers");
-      sched_.At(s.primary_up_at, [&s]() {
-        s.primary_down = false;
-        --s.live_replicas;  // the promoted follower is the new primary
-      });
-    });
   }
   if (cfg_.scheme == Scheme::kCatfish) ScheduleHeartbeat();
   if (cfg_.sampler != nullptr) {

@@ -133,19 +133,6 @@ struct ClusterConfig {
   /// shard has replicas (round-robin over them); the rest stay on the
   /// primary. 1.0 = all reads offloaded to followers.
   double follower_read_fraction = 1.0;
-  /// Virtual-time kill schedule: at `at_us` the primary of `shard`
-  /// dies. Writes to it park until detection + promotion elapse;
-  /// offloaded reads keep flowing against the surviving followers.
-  struct KillEvent {
-    double at_us = 0.0;
-    uint32_t shard = 0;
-  };
-  std::vector<KillEvent> kill_schedule;
-  /// Failover decomposition (virtual time): watchdog detection, then
-  /// promotion + republish, before the shard accepts writes again.
-  double failover_detect_us = 30'000.0;
-  double failover_promote_us = 2'000.0;
-
   // --- gray failure & hedging (bench_overload) ---
   /// Degraded node: fast-path service time on this shard is multiplied
   /// by `slow_factor` (-1 = no slow shard). The shard keeps answering —
@@ -243,13 +230,10 @@ struct RunResult {
   uint64_t breaker_waits = 0;
   uint64_t oracle_checks = 0;
   uint64_t oracle_mismatches = 0;
-  /// Replication: writes that waited on the semi-sync gate, offloaded
-  /// sub-queries a follower served, primaries failed over, and writes
-  /// parked while their shard's primary was dead.
+  /// Replication: writes that waited on the semi-sync gate and
+  /// offloaded sub-queries a follower served.
   uint64_t replicated_writes = 0;
   uint64_t follower_reads = 0;
-  uint64_t failovers = 0;
-  uint64_t stalled_writes = 0;
   /// Hedging: stragglers re-issued against followers, hedges that
   /// answered first, hedges the primary beat (pure duplicate work).
   uint64_t hedges_issued = 0;
@@ -258,9 +242,6 @@ struct RunResult {
   /// Added write latency from the semi-sync gate (local durability →
   /// quorum follower ack).
   LogHistogram repl_ack_us;
-  /// Park time of writes caught by a dead primary (detection +
-  /// promotion remainder at arrival).
-  LogHistogram write_stall_us;
   /// Sampled search traces (virtual-clock timestamps), oldest first;
   /// see ClusterConfig::trace_sample_every.
   std::vector<std::shared_ptr<telemetry::Trace>> traces;
@@ -309,12 +290,7 @@ class ClusterSim {
     std::unique_ptr<des::CpuPool> writer;  ///< the tree writer lock
     double insert_service_cum_us = 0.0;
     des::UtilizationWindow hb_window;
-    /// Promotion consumes a follower: `live_replicas` shrinks but the
-    /// Replica objects stay alive so in-flight chains on them stay valid.
     std::vector<std::unique_ptr<Replica>> replicas;
-    uint32_t live_replicas = 0;
-    bool primary_down = false;
-    double primary_up_at = 0.0;  ///< when writes flow again after a kill
     uint32_t read_rr = 0;        ///< follower read round-robin cursor
   };
 
@@ -384,8 +360,7 @@ class ClusterSim {
   void OffloadRound(Client& c, Shard& s, Plane& plane,
                     std::shared_ptr<rtree::TraversalTrace> trace,
                     size_t level, std::shared_ptr<Leg> leg, bool hedge);
-  void ExecInsert(Client& c, std::shared_ptr<Query> q,
-                  const workload::Request& req);
+  void ExecInsert(std::shared_ptr<Query> q, const workload::Request& req);
   /// A two-sided request through shard `s`'s worker pool — a fast
   /// sub-query (`leg` set, for its trace stages) or an insert — of an op
   /// started at `t0`, leaving the client `issue_delay` from now. Once a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/bytes.h"
 
@@ -102,7 +103,7 @@ std::optional<SearchRequest> DecodeSearchRequest(
   return v;
 }
 
-std::vector<std::byte> Encode(const InsertRequest& v) {
+std::vector<std::byte> Encode(const WriteRequest& v) {
   ByteWriter w(24 + kRectBytes + TailBytes(v.trace, v.deadline_us));
   w.Append(v.req_id);
   w.Append(v.client_gen);
@@ -113,40 +114,12 @@ std::vector<std::byte> Encode(const InsertRequest& v) {
   return w.Take();
 }
 
-std::optional<InsertRequest> DecodeInsertRequest(
+std::optional<WriteRequest> DecodeWriteRequest(
     std::span<const std::byte> payload) {
   constexpr size_t kBase = 24 + kRectBytes;
   if (!SizeWithOptionalTail(payload.size(), kBase)) return std::nullopt;
   ByteReader r(payload);
-  InsertRequest v;
-  v.req_id = r.Read<uint64_t>();
-  v.client_gen = r.Read<uint64_t>();
-  v.rect = ReadRect(r);
-  v.rect_id = r.Read<uint64_t>();
-  if (HasTraceTail(payload.size(), kBase)) v.trace = ReadTraceTail(r);
-  if (HasDeadlineTail(payload.size(), kBase)) {
-    v.deadline_us = r.Read<uint64_t>();
-  }
-  return v;
-}
-
-std::vector<std::byte> Encode(const DeleteRequest& v) {
-  ByteWriter w(24 + kRectBytes + TailBytes(v.trace, v.deadline_us));
-  w.Append(v.req_id);
-  w.Append(v.client_gen);
-  AppendRect(w, v.rect);
-  w.Append(v.rect_id);
-  AppendTraceTail(w, v.trace);
-  AppendDeadlineTail(w, v.deadline_us);
-  return w.Take();
-}
-
-std::optional<DeleteRequest> DecodeDeleteRequest(
-    std::span<const std::byte> payload) {
-  constexpr size_t kBase = 24 + kRectBytes;
-  if (!SizeWithOptionalTail(payload.size(), kBase)) return std::nullopt;
-  ByteReader r(payload);
-  DeleteRequest v;
+  WriteRequest v;
   v.req_id = r.Read<uint64_t>();
   v.client_gen = r.Read<uint64_t>();
   v.rect = ReadRect(r);
@@ -327,32 +300,32 @@ void EncodeSearchResponseInto(uint64_t req_id,
   segments.resize(used);
 }
 
-std::vector<std::vector<std::byte>> EncodeSearchResponse(
-    uint64_t req_id, std::span<const rtree::Entry> entries,
-    size_t max_payload) {
-  std::vector<std::vector<std::byte>> segments;
-  EncodeSearchResponseInto(req_id, entries, max_payload, segments);
-  return segments;
-}
-
-std::optional<SearchResponseSegment> DecodeSearchResponseSegment(
-    std::span<const std::byte> payload) {
+std::optional<uint64_t> DecodeSearchResponseInto(
+    std::span<const std::byte> payload, std::vector<rtree::Entry>& out) {
   if (payload.size() < 12) return std::nullopt;
   ByteReader r(payload);
-  SearchResponseSegment seg;
-  seg.req_id = r.Read<uint64_t>();
+  const uint64_t req_id = r.Read<uint64_t>();
   const uint32_t n = r.Read<uint32_t>();
   if (payload.size() != 12 + static_cast<size_t>(n) * kWireEntryBytes) {
     return std::nullopt;
   }
-  seg.entries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    rtree::Entry e;
+    rtree::Entry& e = out.emplace_back();
     e.mbr = ReadRect(r);
     e.id = r.Read<uint64_t>();
-    seg.entries.push_back(e);
   }
-  return seg;
+  return req_id;
+}
+
+bool AppendResponseSegment(const Message& m, MsgType type, uint64_t req_id,
+                           std::vector<rtree::Entry>& out) {
+  if (static_cast<MsgType>(m.type) != type) {
+    throw std::logic_error("response segment: unexpected message type");
+  }
+  if (DecodeSearchResponseInto(m.payload, out) != req_id) {
+    throw std::logic_error("response segment: req_id mismatch");
+  }
+  return (m.flags & kFlagEnd) != 0;
 }
 
 }  // namespace catfish::msg

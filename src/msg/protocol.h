@@ -71,12 +71,13 @@ struct SearchRequest {
   uint64_t deadline_us = 0;  ///< absolute; 0 = no deadline (legacy)
 };
 
-/// Write requests carry an exactly-once identity: `client_gen` names one
-/// client write session for its whole life (it survives reconnects) and
-/// `req_id` increases monotonically within it. The server dedups on the
-/// pair, so a request resent after a reconnect is acked from the WAL's
-/// recorded outcome instead of being applied twice.
-struct InsertRequest {
+/// Insert and delete requests share one layout; the frame type tells
+/// them apart. Each carries an exactly-once identity: `client_gen` names
+/// one client write session for its whole life (it survives reconnects)
+/// and `req_id` increases monotonically within it. The server dedups on
+/// the pair, so a request resent after a reconnect is acked from the
+/// WAL's recorded outcome instead of being applied twice.
+struct WriteRequest {
   uint64_t req_id = 0;
   uint64_t client_gen = 0;
   geo::Rect rect;
@@ -84,15 +85,8 @@ struct InsertRequest {
   TraceContext trace;
   uint64_t deadline_us = 0;  ///< absolute; 0 = no deadline (legacy)
 };
-
-struct DeleteRequest {
-  uint64_t req_id = 0;
-  uint64_t client_gen = 0;
-  geo::Rect rect;
-  uint64_t rect_id = 0;
-  TraceContext trace;
-  uint64_t deadline_us = 0;  ///< absolute; 0 = no deadline (legacy)
-};
+using InsertRequest = WriteRequest;
+using DeleteRequest = WriteRequest;
 
 /// k-nearest-neighbor query. Served on the server only: best-first kNN
 /// has a sequential frontier, so there is nothing to multi-issue and
@@ -159,13 +153,6 @@ enum class ReplRole : uint8_t {
   kFollower = 2,
 };
 
-/// One segment of a search response; a full response is one or more
-/// segments sharing req_id, all but the last flagged CONT.
-struct SearchResponseSegment {
-  uint64_t req_id = 0;
-  std::vector<rtree::Entry> entries;
-};
-
 /// Server→client: the completed server-side span tree for a sampled
 /// request, sent right after the response's END segment (or write ack)
 /// on the same FIFO ring. `blob` is a telemetry/trace_wire.h encoding;
@@ -180,8 +167,7 @@ struct TraceResponse {
 // --- codecs; each Decode returns nullopt on malformed payloads ---
 
 std::vector<std::byte> Encode(const SearchRequest& v);
-std::vector<std::byte> Encode(const InsertRequest& v);
-std::vector<std::byte> Encode(const DeleteRequest& v);
+std::vector<std::byte> Encode(const WriteRequest& v);
 std::vector<std::byte> Encode(const WriteAck& v);
 std::vector<std::byte> Encode(const OverloadReply& v);
 std::vector<std::byte> Encode(const Heartbeat& v);
@@ -190,10 +176,16 @@ std::vector<std::byte> Encode(const TraceResponse& v);
 
 std::optional<SearchRequest> DecodeSearchRequest(
     std::span<const std::byte> payload);
-std::optional<InsertRequest> DecodeInsertRequest(
+std::optional<WriteRequest> DecodeWriteRequest(
     std::span<const std::byte> payload);
-std::optional<DeleteRequest> DecodeDeleteRequest(
-    std::span<const std::byte> payload);
+inline std::optional<InsertRequest> DecodeInsertRequest(
+    std::span<const std::byte> payload) {
+  return DecodeWriteRequest(payload);
+}
+inline std::optional<DeleteRequest> DecodeDeleteRequest(
+    std::span<const std::byte> payload) {
+  return DecodeWriteRequest(payload);
+}
 std::optional<WriteAck> DecodeWriteAck(std::span<const std::byte> payload);
 std::optional<OverloadReply> DecodeOverloadReply(
     std::span<const std::byte> payload);
@@ -202,15 +194,25 @@ std::optional<KnnRequest> DecodeKnnRequest(std::span<const std::byte> payload);
 std::optional<TraceResponse> DecodeTraceResponse(
     std::span<const std::byte> payload);
 
-/// Splits `entries` into response segments whose encoded payloads each
-/// fit `max_payload` bytes. Always yields at least one segment (possibly
-/// empty, for a zero-result search).
-std::vector<std::vector<std::byte>> EncodeSearchResponse(
-    uint64_t req_id, std::span<const rtree::Entry> entries,
-    size_t max_payload);
+// --- search (and kNN) responses ---
+//
+// A response is one or more segments sharing the request's req_id, all
+// but the last flagged CONT (paper Fig. 5). Each segment is req_id,
+// entry count, then the entries.
 
-std::optional<SearchResponseSegment> DecodeSearchResponseSegment(
-    std::span<const std::byte> payload);
+/// Appends the entries of one response segment to `out`, reusing its
+/// capacity. Returns the segment's req_id, or nullopt for a malformed
+/// payload (`out` is then unchanged).
+std::optional<uint64_t> DecodeSearchResponseInto(
+    std::span<const std::byte> payload, std::vector<rtree::Entry>& out);
+
+/// The collect step every ring and socket client shares: checks that
+/// frame `m` is a `type` segment answering `req_id`, appends its entries
+/// to `out` and returns whether it was the END segment. Any other frame
+/// throws std::logic_error — on a FIFO per-connection channel it is a
+/// protocol violation, not a race.
+bool AppendResponseSegment(const Message& m, MsgType type, uint64_t req_id,
+                           std::vector<rtree::Entry>& out);
 
 // --- allocation-free reply codecs (fast-messaging hot path) ---
 //
@@ -225,8 +227,10 @@ void EncodeInto(const WriteAck& v, std::vector<std::byte>& out);
 /// allocate, or shedding would be slower than serving.
 void EncodeInto(const OverloadReply& v, std::vector<std::byte>& out);
 
-/// EncodeSearchResponse into reusable segment buffers: `segments` is
-/// resized to the segment count, each inner vector's capacity reused.
+/// Splits `entries` into response segments whose encoded payloads each
+/// fit `max_payload` bytes, always at least one (possibly empty, for a
+/// zero-result search). `segments` is resized to the segment count, each
+/// inner vector's capacity reused.
 void EncodeSearchResponseInto(uint64_t req_id,
                               std::span<const rtree::Entry> entries,
                               size_t max_payload,

@@ -42,26 +42,30 @@ std::shared_ptr<Stream> TcpRTreeServer::Connect() {
 
 void TcpRTreeServer::WorkerLoop(std::shared_ptr<Stream> endpoint) {
   FramedConnection conn(std::move(endpoint));
+  // Reply segments reuse this worker's buffers across requests.
+  std::vector<std::vector<std::byte>> segments;
   while (!stop_.load(std::memory_order_relaxed)) {
     auto m = conn.RecvFrame(1ms);
     if (!m) {
       if (conn.closed()) return;
       continue;
     }
-    Handle(conn, *m);
+    Handle(conn, *m, segments);
   }
 }
 
-void TcpRTreeServer::Handle(FramedConnection& conn, const msg::Message& m) {
-  switch (static_cast<msg::MsgType>(m.type)) {
+void TcpRTreeServer::Handle(FramedConnection& conn, const msg::Message& m,
+                            std::vector<std::vector<std::byte>>& segments) {
+  const auto type = static_cast<msg::MsgType>(m.type);
+  switch (type) {
     case msg::MsgType::kSearchReq: {
       const auto req = msg::DecodeSearchRequest(m.payload);
       if (!req) return;
       std::vector<rtree::Entry> results;
       tree_->Search(req->rect, results);
       searches_.fetch_add(1, std::memory_order_relaxed);
-      const auto segments = msg::EncodeSearchResponse(
-          req->req_id, results, cfg_.max_segment_payload);
+      msg::EncodeSearchResponseInto(req->req_id, results,
+                                    cfg_.max_segment_payload, segments);
       for (size_t i = 0; i < segments.size(); ++i) {
         const uint16_t flags =
             i + 1 < segments.size() ? msg::kFlagCont : msg::kFlagEnd;
@@ -70,22 +74,23 @@ void TcpRTreeServer::Handle(FramedConnection& conn, const msg::Message& m) {
       }
       return;
     }
-    case msg::MsgType::kInsertReq: {
-      const auto req = msg::DecodeInsertRequest(m.payload);
-      if (!req) return;
-      tree_->Insert(req->rect, req->rect_id);
-      inserts_.fetch_add(1, std::memory_order_relaxed);
-      conn.SendFrame(static_cast<uint16_t>(msg::MsgType::kInsertAck),
-                     msg::kFlagEnd, msg::Encode(msg::WriteAck{req->req_id, 1}));
-      return;
-    }
+    case msg::MsgType::kInsertReq:
     case msg::MsgType::kDeleteReq: {
-      const auto req = msg::DecodeDeleteRequest(m.payload);
+      const auto req = msg::DecodeWriteRequest(m.payload);
       if (!req) return;
-      const bool ok = tree_->Delete(req->rect, req->rect_id);
-      deletes_.fetch_add(1, std::memory_order_relaxed);
+      const bool insert = type == msg::MsgType::kInsertReq;
+      bool ok = true;
+      if (insert) {
+        tree_->Insert(req->rect, req->rect_id);
+        inserts_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        ok = tree_->Delete(req->rect, req->rect_id);
+        deletes_.fetch_add(1, std::memory_order_relaxed);
+      }
+      const auto ack =
+          insert ? msg::MsgType::kInsertAck : msg::MsgType::kDeleteAck;
       conn.SendFrame(
-          static_cast<uint16_t>(msg::MsgType::kDeleteAck), msg::kFlagEnd,
+          static_cast<uint16_t>(ack), msg::kFlagEnd,
           msg::Encode(msg::WriteAck{req->req_id, ok ? uint8_t{1} : uint8_t{0}}));
       return;
     }
@@ -113,39 +118,26 @@ std::vector<rtree::Entry> TcpRTreeClient::Search(const geo::Rect& rect) {
                   msg::kFlagEnd,
                   msg::Encode(msg::SearchRequest{req_id, rect, {}}));
   std::vector<rtree::Entry> results;
-  for (;;) {
-    const msg::Message m = Await();
-    if (static_cast<msg::MsgType>(m.type) != msg::MsgType::kSearchResp) {
-      throw std::logic_error("tcp client: expected search response");
-    }
-    const auto seg = msg::DecodeSearchResponseSegment(m.payload);
-    if (!seg || seg->req_id != req_id) {
-      throw std::logic_error("tcp client: response id mismatch");
-    }
-    results.insert(results.end(), seg->entries.begin(), seg->entries.end());
-    if (m.flags & msg::kFlagEnd) break;
+  while (!msg::AppendResponseSegment(Await(), msg::MsgType::kSearchResp,
+                                     req_id, results)) {
   }
   return results;
 }
 
 bool TcpRTreeClient::Insert(const geo::Rect& rect, uint64_t id) {
-  const uint64_t req_id = ++next_req_id_;
-  conn_.SendFrame(
-      static_cast<uint16_t>(msg::MsgType::kInsertReq), msg::kFlagEnd,
-      msg::Encode(msg::InsertRequest{req_id, client_gen_, rect, id, {}}));
-  const msg::Message m = Await();
-  const auto ack = msg::DecodeWriteAck(m.payload);
-  if (!ack || ack->req_id != req_id) {
-    throw std::logic_error("tcp client: ack mismatch");
-  }
-  return ack->ok != 0;
+  return Write(msg::MsgType::kInsertReq, rect, id);
 }
 
 bool TcpRTreeClient::Delete(const geo::Rect& rect, uint64_t id) {
+  return Write(msg::MsgType::kDeleteReq, rect, id);
+}
+
+bool TcpRTreeClient::Write(msg::MsgType type, const geo::Rect& rect,
+                           uint64_t id) {
   const uint64_t req_id = ++next_req_id_;
   conn_.SendFrame(
-      static_cast<uint16_t>(msg::MsgType::kDeleteReq), msg::kFlagEnd,
-      msg::Encode(msg::DeleteRequest{req_id, client_gen_, rect, id, {}}));
+      static_cast<uint16_t>(type), msg::kFlagEnd,
+      msg::Encode(msg::WriteRequest{req_id, client_gen_, rect, id, {}}));
   const msg::Message m = Await();
   const auto ack = msg::DecodeWriteAck(m.payload);
   if (!ack || ack->req_id != req_id) {

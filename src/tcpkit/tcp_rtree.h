@@ -42,7 +42,8 @@ class TcpRTreeServer {
 
  private:
   void WorkerLoop(std::shared_ptr<Stream> endpoint);
-  void Handle(FramedConnection& conn, const msg::Message& m);
+  void Handle(FramedConnection& conn, const msg::Message& m,
+              std::vector<std::vector<std::byte>>& segments);
 
   rtree::RStarTree* tree_;
   TcpServerConfig cfg_;
@@ -65,6 +66,7 @@ class TcpRTreeClient {
 
  private:
   msg::Message Await();
+  bool Write(msg::MsgType type, const geo::Rect& rect, uint64_t id);
 
   FramedConnection conn_;
   uint64_t next_req_id_ = 0;

@@ -151,6 +151,35 @@ TEST(AllocTest, ServerReplyCodecsReuseScratch) {
   EXPECT_EQ(allocs, 0u) << "reply codecs hit the allocator";
 }
 
+TEST(AllocTest, ResponseDecoderAppendsIntoCapacity) {
+  // The client's collect step: a segment's entries land straight in the
+  // caller's vector, so a vector with room for them costs no allocation.
+  std::vector<rtree::Entry> entries;
+  for (uint64_t i = 0; i < 100; ++i) {
+    const double x = static_cast<double>(i) / 100.0;
+    entries.push_back({geo::Rect{x, x, x + 0.001, x + 0.001}, i});
+  }
+  std::vector<std::vector<std::byte>> segments;
+  EncodeSearchResponseInto(7, entries, 1 << 16, segments);
+  ASSERT_EQ(segments.size(), 1u);
+  std::vector<rtree::Entry> out;
+  out.reserve(entries.size());
+
+  size_t allocs = 0;
+  bool decoded = true;
+  {
+    const AllocCounter counter;
+    for (int i = 0; i < 256; ++i) {
+      out.clear();
+      decoded = decoded && DecodeSearchResponseInto(segments[0], out) == 7u;
+    }
+    allocs = counter.count();
+  }
+  EXPECT_TRUE(decoded);
+  EXPECT_EQ(out.size(), entries.size());
+  EXPECT_EQ(allocs, 0u) << "segment decoding hit the allocator";
+}
+
 TEST(AllocTest, TraceWireEncoderReusesCapacity) {
   telemetry::Trace t("server.request", 11, 100);
   const auto dq = t.StartSpan(t.root(), "dequeue", 100);

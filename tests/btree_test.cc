@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "rdmasim/rdma.h"
 #include "remote/transport.h"
+#include "test_util.h"
 
 namespace catfish::btree {
 namespace {
@@ -295,6 +296,7 @@ TEST(RemoteBTreeTest, ConsistentUnderConcurrentWriter) {
       ++k;
     }
   });
+  const testutil::StopAndJoin stop_writer(stop, writer);
 
   RemoteBTreeReader reader(rig.transport.get());
   Xoshiro256 rng(5);

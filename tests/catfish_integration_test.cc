@@ -40,7 +40,8 @@ class CatfishIntegrationTest : public ::testing::Test {
 
   void SetUpServer(NotifyMode mode = NotifyMode::kEventDriven,
                    uint64_t heartbeat_us = 10'000,
-                   rtree::BulkLoadConfig load = {}) {
+                   rtree::BulkLoadConfig load = {},
+                   AdmissionConfig admission = {}) {
     fabric_ = std::make_unique<rdma::Fabric>(
         rdma::FabricProfile::InfiniBand100G());
     server_node_ = fabric_->CreateNode("server");
@@ -59,6 +60,7 @@ class CatfishIntegrationTest : public ::testing::Test {
     ServerConfig cfg;
     cfg.mode = mode;
     cfg.heartbeat_interval_us = heartbeat_us;
+    cfg.admission = admission;
     server_ = std::make_unique<RTreeServer>(server_node_, *tree_, cfg);
   }
 
@@ -452,6 +454,88 @@ TEST_F(CatfishIntegrationTest, KnnServedByServer) {
                 geo::MinDist2(direct[i].mbr, p), 1e-12);
   }
   EXPECT_EQ(server_->stats().searches, 1u);
+}
+
+TEST_F(CatfishIntegrationTest, SplitFastSearchContract) {
+  // Admission sheds every frame while the utilization override reads
+  // 1.0, and none while it reads 0.0.
+  AdmissionConfig admission;
+  admission.enabled = true;
+  admission.max_queue_delay_us = 0;
+  admission.min_utilization = 0.5;
+  SetUpServer(NotifyMode::kEventDriven, 10'000, {}, admission);
+  server_->OverrideUtilization(0.0);
+  auto client = MakeClient();
+  Xoshiro256 rng(41);
+  std::vector<rtree::Entry> out;
+
+  // Begin → Poll: "not yet" while the server sleeps in the traversal,
+  // then the whole result, the same one SearchFast returns.
+  const auto q = RandomRect(rng, 0.05);
+  server_->SetServiceDelayForTest(20'000);
+  const uint64_t id = client->SearchFastBegin(q);
+  EXPECT_FALSE(client->SearchFastPoll(id, out));
+  ASSERT_TRUE(WaitUntil([&] { return client->SearchFastPoll(id, out); }));
+  server_->SetServiceDelayForTest(0);
+  EXPECT_EQ(Ids(out), oracle_.Search(q));
+  EXPECT_EQ(Ids(client->SearchFast(q)), Ids(out));
+
+  // Collect adopts what a Poll already took of a many-segment result.
+  // A jittery link makes the Poll stop partway: it drains only the
+  // segments that landed before its ring acks did.
+  {
+    ClientConfig small;
+    small.ring_capacity = 8 * 1024;  // ≈ 100 entries per segment
+    RTreeClient segmented(fabric_->CreateNode("segmented"), *server_, small);
+    fabric_->faults().SetLinkLatency("server", "segmented", 200, 800);
+    const geo::Rect all{0, 0, 1, 1};
+    const uint64_t big = segmented.SearchFastBegin(all);
+    std::this_thread::sleep_for(10ms);  // the ring fills, the server waits
+    std::vector<rtree::Entry> got;
+    EXPECT_FALSE(segmented.SearchFastPoll(big, got));
+    got = segmented.SearchFastCollect(big);
+    fabric_->faults().ClearLink("server", "segmented");
+    EXPECT_EQ(Ids(got), oracle_.Search(all));
+  }
+
+  // Abandon: the late frames drain as stale, the connection stays good.
+  server_->SetServiceDelayForTest(20'000);
+  const uint64_t stale_before = client->stats().stale_responses;
+  const uint64_t abandoned = client->SearchFastBegin(q);
+  client->SearchFastAbandon(abandoned);
+  EXPECT_THROW(client->SearchFastPoll(abandoned, out), std::logic_error);
+  const auto q2 = RandomRect(rng, 0.05);
+  EXPECT_EQ(Ids(client->SearchFast(q2)), oracle_.Search(q2));
+  EXPECT_EQ(client->stats().stale_responses, stale_before + 1);
+  server_->SetServiceDelayForTest(0);
+
+  // A shed reply seen by Poll ends the request and leaves the client
+  // usable; a further Poll of the old req_id is a contract violation.
+  server_->OverrideUtilization(1.0);
+  const uint64_t shed_polled = client->SearchFastBegin(q);
+  bool overloaded = false;
+  ASSERT_TRUE(WaitUntil([&] {
+    try {
+      return client->SearchFastPoll(shed_polled, out);
+    } catch (const ClientError& e) {
+      overloaded = e.status() == ClientStatus::kOverloaded;
+      return true;
+    }
+  }));
+  EXPECT_TRUE(overloaded);
+  EXPECT_THROW(client->SearchFastPoll(shed_polled, out), std::logic_error);
+
+  // Same through Collect.
+  const uint64_t shed_collected = client->SearchFastBegin(q);
+  try {
+    (void)client->SearchFastCollect(shed_collected);
+    ADD_FAILURE() << "expected kOverloaded";
+  } catch (const ClientError& e) {
+    EXPECT_EQ(e.status(), ClientStatus::kOverloaded);
+  }
+  server_->OverrideUtilization(0.0);
+  EXPECT_EQ(Ids(client->SearchFast(q2)), oracle_.Search(q2));
+  EXPECT_EQ(client->stats().overloaded, 2u);
 }
 
 TEST_F(CatfishIntegrationTest, NodeCacheCutsReads) {

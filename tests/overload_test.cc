@@ -14,6 +14,7 @@
 #include "catfish/server.h"
 #include "common/clock.h"
 #include "rtree/bulk_load.h"
+#include "telemetry/metrics.h"
 #include "test_util.h"
 
 namespace catfish {
@@ -21,6 +22,13 @@ namespace {
 
 using namespace std::chrono_literals;
 using testutil::RandomRect;
+
+/// Adaptive searches the breaker browned out to offloading, as the
+/// registry counts them.
+uint64_t BrownoutCount() {
+  return telemetry::Registry::Global().TakeSnapshot().counter(
+      "breaker.search_brownouts");
+}
 
 // --------------------------------------------------------------------
 // CircuitBreaker unit tests (pure state machine, explicit clock).
@@ -229,6 +237,9 @@ TEST_F(OverloadTest, BreakerOpensOnShedsAndRecloses) {
   cfg.breaker.open_initial_us = 20'000;
   cfg.breaker.open_max_us = 40'000;
   cfg.breaker.half_open_probes = 1;
+  // Search always picks fast messaging, so the brownout below is
+  // deterministic.
+  cfg.mode = ClientMode::kFastOnly;
   auto client = MakeClient(cfg);
   Xoshiro256 rng(4);
 
@@ -254,6 +265,17 @@ TEST_F(OverloadTest, BreakerOpensOnShedsAndRecloses) {
   }
   EXPECT_EQ(server_->stats().sheds, sheds_at_trip);
   EXPECT_GE(client->stats().breaker_fast_fails, 1u);
+
+  // A Search has the offload path to fall back on: it browns out
+  // instead of failing, and that is no rejection.
+  const uint64_t fast_fails = client->stats().breaker_fast_fails;
+  [[maybe_unused]] const uint64_t brownouts = BrownoutCount();
+  EXPECT_NO_THROW(client->Search(RandomRect(rng, 0.05)));
+  EXPECT_EQ(client->last_mode(), AccessMode::kRdmaOffloading);
+  EXPECT_EQ(client->stats().breaker_fast_fails, fast_fails);
+#if CATFISH_TELEMETRY_ENABLED
+  EXPECT_EQ(BrownoutCount(), brownouts + 1);
+#endif
 
   // Server recovers; after the open window the half-open probe goes
   // through, succeeds, and the breaker re-closes.

@@ -137,16 +137,19 @@ TEST(ProtocolTest, DecodersRejectWrongSizes) {
   EXPECT_FALSE(DecodeDeleteRequest(junk).has_value());
   EXPECT_FALSE(DecodeWriteAck(junk).has_value());
   EXPECT_FALSE(DecodeHeartbeat(junk).has_value());
-  EXPECT_FALSE(DecodeSearchResponseSegment(junk).has_value());
+  std::vector<rtree::Entry> out;
+  EXPECT_FALSE(DecodeSearchResponseInto(junk, out).has_value());
 }
 
 TEST(ProtocolTest, EmptySearchResponseStillOneSegment) {
-  const auto segments = EncodeSearchResponse(9, {}, 1 << 16);
+  std::vector<std::vector<std::byte>> segments;
+  EncodeSearchResponseInto(9, {}, 1 << 16, segments);
   ASSERT_EQ(segments.size(), 1u);
-  const auto seg = DecodeSearchResponseSegment(segments[0]);
-  ASSERT_TRUE(seg.has_value());
-  EXPECT_EQ(seg->req_id, 9u);
-  EXPECT_TRUE(seg->entries.empty());
+  std::vector<rtree::Entry> entries;
+  const auto req_id = DecodeSearchResponseInto(segments[0], entries);
+  ASSERT_TRUE(req_id.has_value());
+  EXPECT_EQ(*req_id, 9u);
+  EXPECT_TRUE(entries.empty());
 }
 
 TEST(ProtocolTest, ResponseSegmentationSplitsAndPreservesOrder) {
@@ -157,16 +160,18 @@ TEST(ProtocolTest, ResponseSegmentationSplitsAndPreservesOrder) {
   }
   // Max payload fits 100 entries per segment.
   const size_t max_payload = 12 + 100 * kWireEntryBytes;
-  const auto segments = EncodeSearchResponse(77, entries, max_payload);
+  std::vector<std::vector<std::byte>> segments;
+  EncodeSearchResponseInto(77, entries, max_payload, segments);
   EXPECT_EQ(segments.size(), 10u);
 
   uint64_t next_id = 0;
   for (const auto& raw : segments) {
     ASSERT_LE(raw.size(), max_payload);
-    const auto seg = DecodeSearchResponseSegment(raw);
-    ASSERT_TRUE(seg.has_value());
-    EXPECT_EQ(seg->req_id, 77u);
-    for (const auto& e : seg->entries) {
+    std::vector<rtree::Entry> seg;
+    const auto req_id = DecodeSearchResponseInto(raw, seg);
+    ASSERT_TRUE(req_id.has_value());
+    EXPECT_EQ(*req_id, 77u);
+    for (const auto& e : seg) {
       EXPECT_EQ(e.id, next_id);
       EXPECT_EQ(e.mbr, entries[next_id].mbr);
       ++next_id;
@@ -178,11 +183,12 @@ TEST(ProtocolTest, ResponseSegmentationSplitsAndPreservesOrder) {
 TEST(ProtocolTest, SegmentationHandlesNonDivisibleCounts) {
   std::vector<rtree::Entry> entries(7);
   const size_t max_payload = 12 + 3 * kWireEntryBytes;
-  const auto segments = EncodeSearchResponse(1, entries, max_payload);
+  std::vector<std::vector<std::byte>> segments;
+  EncodeSearchResponseInto(1, entries, max_payload, segments);
   EXPECT_EQ(segments.size(), 3u);  // 3 + 3 + 1
-  const auto last = DecodeSearchResponseSegment(segments.back());
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->entries.size(), 1u);
+  std::vector<rtree::Entry> last;
+  ASSERT_TRUE(DecodeSearchResponseInto(segments.back(), last).has_value());
+  EXPECT_EQ(last.size(), 1u);
 }
 
 TEST(ProtocolTest, TraceContextTailRoundTripsOnAllRequestTypes) {

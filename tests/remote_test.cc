@@ -18,6 +18,7 @@
 #include "rtree/layout.h"
 #include "rtree/node.h"
 #include "telemetry/metrics.h"
+#include "test_util.h"
 
 namespace catfish::remote {
 namespace {
@@ -316,6 +317,7 @@ TEST(RemoteEngineTest, TornReadHammer) {
       v = v == 250 ? 1 : static_cast<uint8_t>(v + 1);
     }
   });
+  const testutil::StopAndJoin stop_writer(stop, writer);
 
   LocalMemoryTransport transport(region.mem, kChunk);
   VersionedFetchEngine engine(&transport, "test");

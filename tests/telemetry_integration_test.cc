@@ -182,9 +182,14 @@ TEST_F(TelemetryIntegrationTest, GlobalCountersTrackClientStats) {
   auto client = MakeClient();
   Xoshiro256 rng(4);
   constexpr int kFast = 5;
+  constexpr int kKnn = 1;
   constexpr int kOffload = 3;
   for (int i = 0; i < kFast; ++i) {
     (void)client->SearchFast(RandomRect(rng, 0.03));
+  }
+  // A kNN is served on the fast path and counts as a fast search.
+  for (int i = 0; i < kKnn; ++i) {
+    (void)client->NearestNeighbors(geo::Point{0.5, 0.5}, 4);
   }
   for (int i = 0; i < kOffload; ++i) {
     (void)client->SearchOffloaded(RandomRect(rng, 0.03));
@@ -192,7 +197,7 @@ TEST_F(TelemetryIntegrationTest, GlobalCountersTrackClientStats) {
   ASSERT_TRUE(client->Insert(RandomRect(rng, 0.01), 999'999));
 
   const ClientStats st = client->stats();
-  EXPECT_EQ(st.fast_searches, static_cast<uint64_t>(kFast));
+  EXPECT_EQ(st.fast_searches, static_cast<uint64_t>(kFast + kKnn));
   EXPECT_EQ(st.offloaded_searches, static_cast<uint64_t>(kOffload));
 
   const auto snap = telemetry::Registry::Global().TakeSnapshot();

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -44,6 +45,26 @@ inline bool WaitUntil(
     std::this_thread::sleep_for(poll_every);
   }
 }
+
+/// Sets `stop` and joins `thread` when the scope ends, on every exit. A
+/// gtest ASSERT returns from the test body early; a std::thread still
+/// joinable then calls std::terminate, which aborts the whole binary and
+/// hides every other test's result. Declare it right after the thread.
+class StopAndJoin {
+ public:
+  StopAndJoin(std::atomic<bool>& stop, std::thread& thread)
+      : stop_(stop), thread_(thread) {}
+  ~StopAndJoin() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+  StopAndJoin(const StopAndJoin&) = delete;
+  StopAndJoin& operator=(const StopAndJoin&) = delete;
+
+ private:
+  std::atomic<bool>& stop_;
+  std::thread& thread_;
+};
 
 /// Random rectangle in the unit square with edges uniform in (0, max_edge].
 inline geo::Rect RandomRect(Xoshiro256& rng, double max_edge) {
