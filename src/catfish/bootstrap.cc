@@ -51,14 +51,8 @@ std::optional<WireClientHello> DecodeClientHello(
   return v;
 }
 
-namespace {
-/// The fixed prefix every server hello starts with; the shard tail
-/// (shard_id + length-prefixed extension) is optional behind it.
-inline constexpr size_t kServerHelloBaseBytes = 4 + 8 + 4 + 8 + 4 + 4 + 8 + 4 + 8;
-}  // namespace
-
 std::vector<std::byte> Encode(const WireServerHello& v) {
-  ByteWriter w(kServerHelloBaseBytes + v.extension.size() + 8);
+  ByteWriter w(kServerHelloFixedBytes + v.extension.size());
   w.Append(v.arena_rkey);
   w.Append(v.arena_length);
   w.Append(v.request_ring_rkey);
@@ -68,25 +62,17 @@ std::vector<std::byte> Encode(const WireServerHello& v) {
   w.Append(v.chunk_size);
   w.Append(v.tree_height);
   w.Append(v.generation);
-  // Emit tails only when they carry information, so a single-node hello
-  // stays identical to the legacy format on the wire. The repl tail
-  // rides behind the shard tail and forces it to appear (possibly
-  // empty), keeping the tail order unambiguous.
-  if (v.shard_id != 0 || !v.extension.empty() || v.repl_role != 0) {
-    w.Append(v.shard_id);
-    w.Append(static_cast<uint32_t>(v.extension.size()));
-    w.AppendBytes(v.extension);
-    if (v.repl_role != 0) {
-      w.Append(v.repl_role);
-      w.Append(v.repl_epoch);
-    }
-  }
+  w.Append(v.shard_id);
+  w.Append(static_cast<uint32_t>(v.extension.size()));
+  w.AppendBytes(v.extension);
+  w.Append(v.repl_role);
+  w.Append(v.repl_epoch);
   return w.Take();
 }
 
 std::optional<WireServerHello> DecodeServerHello(
     std::span<const std::byte> payload) {
-  if (payload.size() < kServerHelloBaseBytes) return std::nullopt;
+  if (payload.size() < kServerHelloFixedBytes) return std::nullopt;
   ByteReader r(payload);
   WireServerHello v;
   v.arena_rkey = r.Read<uint32_t>();
@@ -98,24 +84,19 @@ std::optional<WireServerHello> DecodeServerHello(
   v.chunk_size = r.Read<uint64_t>();
   v.tree_height = r.Read<uint32_t>();
   v.generation = r.Read<uint64_t>();
-  if (r.AtEnd()) return v;  // legacy hello, no shard tail
-  if (r.remaining() < 8) return std::nullopt;
   v.shard_id = r.Read<uint32_t>();
   const uint32_t ext_len = r.Read<uint32_t>();
-  if (ext_len > kMaxHelloExtensionBytes) return std::nullopt;
-  // Behind the extension rides the optional repl tail (role + epoch);
-  // anything else is a torn frame.
-  constexpr size_t kReplTailBytes = 1 + 8;
-  if (r.remaining() != ext_len && r.remaining() != ext_len + kReplTailBytes) {
+  if (ext_len > kMaxHelloExtensionBytes ||
+      payload.size() != kServerHelloFixedBytes + ext_len) {
     return std::nullopt;
   }
   const auto ext = r.ReadBytes(ext_len);
   v.extension.assign(ext.begin(), ext.end());
-  if (!r.AtEnd()) {
-    v.repl_role = r.Read<uint8_t>();
-    if (v.repl_role == 0 || v.repl_role > 2) return std::nullopt;
-    v.repl_epoch = r.Read<uint64_t>();
+  v.repl_role = r.Read<uint8_t>();
+  if (v.repl_role > static_cast<uint8_t>(msg::ReplRole::kFollower)) {
+    return std::nullopt;
   }
+  v.repl_epoch = r.Read<uint64_t>();
   return v;
 }
 

@@ -48,22 +48,23 @@ struct WireServerHello {
   /// Server incarnation (bumped by a restart); lets a recovering client
   /// tell a fresh server from the one it lost.
   uint64_t generation = 0;
-  /// Optional tail (sharded deployments): which shard this endpoint
-  /// serves, plus an opaque extension blob — the encoded routing table
-  /// (shard::ShardMap) in the sharded stack. A legacy hello (no tail on
-  /// the wire) decodes to shard_id 0 and an empty extension, so
-  /// single-node deployments are unchanged byte-for-byte.
+  /// Which shard this endpoint serves, plus an opaque length-prefixed
+  /// extension blob — the encoded routing table (shard::ShardMap) in the
+  /// sharded stack. 0 and empty on a single node.
   uint32_t shard_id = 0;
   std::vector<std::byte> extension;
-  /// Second optional tail (replicated deployments): the endpoint's
-  /// replication role (msg::ReplRole value) and the epoch it serves
-  /// under. Emitted only when role != 0; when present the shard tail is
-  /// always emitted too (even empty) so tail order stays unambiguous. A
-  /// client that bootstraps onto a follower learns it immediately and
-  /// routes writes elsewhere.
+  /// The endpoint's replication role (msg::ReplRole value) and the epoch
+  /// it serves under; 0 on an unreplicated node. A client that
+  /// bootstraps onto a follower learns it immediately and routes writes
+  /// elsewhere.
   uint8_t repl_role = 0;
   uint64_t repl_epoch = 0;
 };
+
+/// A server hello's size without its extension blob; the whole hello is
+/// exactly this plus the extension's length.
+inline constexpr size_t kServerHelloFixedBytes =
+    4 + 8 + 4 + 8 + 4 + 4 + 8 + 4 + 8 + 4 + 4 + 1 + 8;
 
 std::vector<std::byte> Encode(const WireClientHello& v);
 std::vector<std::byte> Encode(const WireServerHello& v);

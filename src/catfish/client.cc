@@ -68,12 +68,12 @@ const char* ToString(ClientStatus s) noexcept {
   return "unknown";
 }
 
-bool RTreeClient::BeginTrace(const char* name) {
-  if (!cfg_.tracer || trace_) return false;
+RTreeClient::TraceGuard RTreeClient::BeginTrace(const char* name) {
+  if (!cfg_.tracer || trace_) return TraceGuard(nullptr);
   trace_ = cfg_.tracer->StartTrace(name);
-  if (!trace_) return false;
+  if (!trace_) return TraceGuard(nullptr);
   trace_root_ = trace_->root();
-  return true;
+  return TraceGuard(this);
 }
 
 void RTreeClient::FinishTrace() {
@@ -312,13 +312,14 @@ RTreeClient::~RTreeClient() {
   for (const auto& mr : owned_mrs_) node_->Deregister(mr);
 }
 
-void RTreeClient::SendRequest(msg::MsgType type,
-                              std::span<const std::byte> payload) {
+template <typename Req>
+void RTreeClient::SendRequest(msg::MsgType type, const Req& req) {
+  msg::EncodeInto(req, tx_scratch_);
   const uint64_t deadline = WaitDeadline(NowMicros());
   // Requests always use WRITE-with-IMM so the event-driven server wakes;
   // a polling server simply never looks at its recv CQ.
   while (!request_tx_->TrySend(static_cast<uint16_t>(type), msg::kFlagEnd,
-                               payload, static_cast<uint32_t>(type))) {
+                               tx_scratch_, static_cast<uint32_t>(type))) {
     const uint64_t now = NowMicros();
     WatchdogTick(now);
     if (conn_state_ == ConnState::kDisconnected) {
@@ -344,19 +345,16 @@ void RTreeClient::OnHeartbeatMessage(const msg::Heartbeat& hb) {
   controller_.OnHeartbeat(hb.cpu_util);
   ++stats_.heartbeats_received;
   last_heartbeat_us_ = NowMicros();
-  if (hb.map_version != 0 &&
-      hb.map_version > advertised_map_version_.load(std::memory_order_relaxed)) {
-    advertised_map_version_.store(hb.map_version, std::memory_order_relaxed);
-  }
-  if (hb.role != 0) {
-    if (hb.epoch > advertised_repl_epoch_.load(std::memory_order_relaxed)) {
-      advertised_repl_epoch_.store(hb.epoch, std::memory_order_relaxed);
+  // Every field is on the wire; an unsharded, unreplicated server sends
+  // zeros, which never advance these.
+  const auto raise = [](std::atomic<uint64_t>& cell, uint64_t v) {
+    if (v > cell.load(std::memory_order_relaxed)) {
+      cell.store(v, std::memory_order_relaxed);
     }
-    if (hb.durable_lsn >
-        advertised_durable_lsn_.load(std::memory_order_relaxed)) {
-      advertised_durable_lsn_.store(hb.durable_lsn, std::memory_order_relaxed);
-    }
-  }
+  };
+  raise(advertised_map_version_, hb.map_version);
+  raise(advertised_repl_epoch_, hb.epoch);
+  raise(advertised_durable_lsn_, hb.durable_lsn);
   if (conn_state_ != ConnState::kConnected) {
     // Liveness proof: the link recovered without a re-bootstrap (e.g. a
     // healed partition — same QP, same rings, same server generation).
@@ -482,7 +480,7 @@ std::vector<rtree::Entry> RTreeClient::SearchFast(const geo::Rect& rect) {
 std::vector<rtree::Entry> RTreeClient::SearchFastArmed(const geo::Rect& rect) {
   AdmitFastOrThrow();
   CATFISH_SCOPED_TIMER_US("catfish.client.search_fast_us");
-  const bool own_trace = BeginTrace("search.fast");
+  const TraceGuard own_trace = BeginTrace("search.fast");
   // A staged context (the sharded fan-out caller) wins; otherwise an
   // active local trace stamps itself, and the server's tree is grafted.
   const bool self_stamped = trace_ != nullptr && !staged_ctx_.present();
@@ -507,7 +505,6 @@ std::vector<rtree::Entry> RTreeClient::SearchFastArmed(const geo::Rect& rect) {
     trace_->EndSpan(collect_span, cfg_.tracer->now_us());
     trace_->SetAttr(trace_root_, "results",
                     static_cast<int64_t>(results.size()));
-    if (own_trace) FinishTrace();
   }
   return results;
 }
@@ -523,8 +520,7 @@ uint64_t RTreeClient::SendSearch(const geo::Rect& rect) {
                                    cfg_.tracer->now_us());
   }
   SendRequest(msg::MsgType::kSearchReq,
-              msg::Encode(msg::SearchRequest{req_id, rect, ctx,
-                                             cur_deadline_us_}));
+              msg::SearchRequest{req_id, rect, ctx, cur_deadline_us_});
   if (trace_) trace_->EndSpan(write_span, cfg_.tracer->now_us());
   StartFast(req_id, ctx.present() && ctx.sampled != 0);
   return req_id;
@@ -617,9 +613,10 @@ std::vector<rtree::Entry> RTreeClient::NearestNeighbors(
   AdmitFastOrThrow();
   CATFISH_SCOPED_TIMER_US("catfish.client.search_fast_us");
   const uint64_t req_id = ++next_req_id_;
+  const msg::TraceContext ctx = TakeStagedContext();
   SendRequest(msg::MsgType::kKnnReq,
-              msg::Encode(msg::KnnRequest{req_id, point, k}));
-  StartFast(req_id, false);
+              msg::KnnRequest{req_id, point, k, ctx, cur_deadline_us_});
+  StartFast(req_id, ctx.present() && ctx.sampled != 0);
   std::vector<rtree::Entry> results;
   CollectFast(req_id, msg::MsgType::kKnnResp, /*block=*/true, results);
   return results;
@@ -882,7 +879,7 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
   EnsureUsable(/*fast_path=*/false);
   ArmOpDeadline();
   CATFISH_SCOPED_TIMER_US("catfish.client.search_offload_us");
-  const bool own_trace = BeginTrace("search.offload");
+  const TraceGuard own_trace = BeginTrace("search.offload");
   const ClientStats before = stats_;
 
   std::vector<rtree::Entry> results;
@@ -936,7 +933,6 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
                     delta(&ClientStats::offload_fallbacks));
     trace_->SetAttr(trace_root_, "results",
                     static_cast<int64_t>(results.size()));
-    if (own_trace) FinishTrace();
   }
   return results;
 }
@@ -944,7 +940,7 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
 std::vector<rtree::Entry> RTreeClient::Search(const geo::Rect& rect) {
   PumpPending();
   EnsureUsable(/*fast_path=*/false);
-  const bool own_trace = BeginTrace("search");
+  const TraceGuard own_trace = BeginTrace("search");
   auto decide_span = telemetry::kInvalidSpan;
   if (own_trace) {
     decide_span =
@@ -993,11 +989,8 @@ std::vector<rtree::Entry> RTreeClient::Search(const geo::Rect& rect) {
     trace_->SetAttr(trace_root_, "mode",
                     mode == AccessMode::kRdmaOffloading ? 1 : 0);
   }
-  std::vector<rtree::Entry> results = mode == AccessMode::kFastMessaging
-                                          ? SearchFast(rect)
-                                          : SearchOffloaded(rect);
-  if (own_trace) FinishTrace();
-  return results;
+  return mode == AccessMode::kFastMessaging ? SearchFast(rect)
+                                             : SearchOffloaded(rect);
 }
 
 bool RTreeClient::AwaitWriteAck(uint64_t req_id) {
@@ -1028,7 +1021,6 @@ bool RTreeClient::ExecuteWrite(msg::MsgType type, const geo::Rect& rect,
   }
   const msg::WriteRequest req{req_id, client_gen_, rect, id,
                               TakeStagedContext(), cur_deadline_us_};
-  const std::vector<std::byte> payload = msg::Encode(req);
   // The request carries (client_gen_, req_id), so resending the same
   // bytes is idempotent: the server's durable dedup table re-acks an
   // already-applied write instead of applying it twice. Retries that
@@ -1042,7 +1034,7 @@ bool RTreeClient::ExecuteWrite(msg::MsgType type, const geo::Rect& rect,
       // coming up — retried below like any transient failure).
       EnsureUsable(/*fast_path=*/true);
       AdmitFastOrThrow();
-      SendRequest(type, payload);
+      SendRequest(type, req);
       const bool ok = AwaitWriteAck(req_id);
       breaker_.OnSuccess();
       // The retry path resends identical bytes, so a retried sampled

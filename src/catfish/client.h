@@ -440,7 +440,10 @@ class RTreeClient {
   /// to the breaker; records the kBreakerOpen event on a trip.
   void NoteFastFailure(uint64_t now_us, uint32_t server_hint_us);
 
-  void SendRequest(msg::MsgType type, std::span<const std::byte> payload);
+  /// Encodes `req` into tx_scratch_ and writes it into the request
+  /// ring, under the watchdog and the wait deadline.
+  template <typename Req>
+  void SendRequest(msg::MsgType type, const Req& req);
   /// The one frame dispatcher: reads ready frames into rx_msg_ until one
   /// answers `req_id` (true) or the ring is empty (false). Heartbeats
   /// feed the controller and watchdog, trace frames are stashed, frames
@@ -615,6 +618,9 @@ class RTreeClient {
   uint64_t poll_req_id_ = 0;
   std::vector<rtree::Entry> poll_results_;
   uint32_t fast_segments_ = 0;
+  /// Request encode scratch: its capacity is reused, so steady-state
+  /// sends do not allocate.
+  std::vector<std::byte> tx_scratch_;
 
   msg::TraceContext staged_ctx_{};
   uint64_t trace_frame_req_ = 0;
@@ -624,9 +630,24 @@ class RTreeClient {
   /// with a sampled context, so its completion awaits the trace frame.
   bool begun_sampled_ = false;
 
-  /// Starts a trace for a top-level call when none is active; returns
-  /// true when this frame owns (and must finish) the trace.
-  bool BeginTrace(const char* name);
+  /// Owns the trace a top-level call started and finishes it on every
+  /// exit path, throwing ones included; empty (false) when the call
+  /// started none.
+  class [[nodiscard]] TraceGuard {
+   public:
+    explicit TraceGuard(RTreeClient* owner) noexcept : owner_(owner) {}
+    TraceGuard(const TraceGuard&) = delete;
+    TraceGuard& operator=(const TraceGuard&) = delete;
+    ~TraceGuard() {
+      if (owner_ != nullptr) owner_->FinishTrace();
+    }
+    explicit operator bool() const noexcept { return owner_ != nullptr; }
+
+   private:
+    RTreeClient* owner_;
+  };
+  /// Starts a trace for a top-level call when none is active.
+  TraceGuard BeginTrace(const char* name);
   void FinishTrace();
 
   void OnHeartbeatMessage(const msg::Heartbeat& hb);

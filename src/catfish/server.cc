@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 
-#include "common/bytes.h"
 #include "common/clock.h"
 #include "durable/manager.h"
 #include "telemetry/events.h"
@@ -31,6 +30,12 @@ constexpr uint64_t kPollBudgetNs = 15'000;
 // the request path stays off the allocator, and at least once per this
 // many requests served.
 constexpr size_t kCqDrainChunk = 32;
+
+// The value of an optional shared counter (ServerConfig's map version
+// and replication cells); 0 when it is not wired.
+uint64_t LoadOrZero(const std::atomic<uint64_t>* cell) noexcept {
+  return cell ? cell->load(std::memory_order_relaxed) : 0;
+}
 
 }  // namespace
 
@@ -109,9 +114,7 @@ ServerBootstrap RTreeServer::AcceptConnection(const ClientBootstrap& client) {
   boot.tree_height = tree_->height();
   boot.generation = node_->generation();
   boot.repl_role = cfg_.repl_role;
-  boot.repl_epoch = cfg_.repl_epoch
-                        ? cfg_.repl_epoch->load(std::memory_order_relaxed)
-                        : 0;
+  boot.repl_epoch = LoadOrZero(cfg_.repl_epoch);
 
   Connection* raw = conn.get();
   {
@@ -156,9 +159,9 @@ bool RTreeServer::ShedIfNeeded(Connection& conn, uint64_t req_id,
     deadline_drops_.fetch_add(1, std::memory_order_relaxed);
     CATFISH_COUNT("overload.server.deadline_drops");
     CATFISH_EVENT(kShed, now, req_id, 0.0, 0.0);
-    msg::EncodeInto(msg::OverloadReply{req_id, 0}, conn.ack_scratch);
+    msg::EncodeInto(msg::OverloadReply{req_id, 0}, conn.reply_scratch);
     SendResponse(conn, msg::MsgType::kOverloaded, msg::kFlagEnd,
-                 conn.ack_scratch);
+                 conn.reply_scratch);
     return true;
   }
   if (!cfg_.admission.enabled) return false;
@@ -182,9 +185,9 @@ bool RTreeServer::ShedIfNeeded(Connection& conn, uint64_t req_id,
   CATFISH_EVENT(kShed, now, req_id, static_cast<double>(queued_us),
                 static_cast<double>(hint));
   msg::EncodeInto(msg::OverloadReply{req_id, static_cast<uint32_t>(hint)},
-                  conn.ack_scratch);
+                  conn.reply_scratch);
   SendResponse(conn, msg::MsgType::kOverloaded, msg::kFlagEnd,
-               conn.ack_scratch);
+               conn.reply_scratch);
   return true;
 }
 
@@ -298,11 +301,11 @@ void RTreeServer::HandleMessage(Connection& conn, const msg::Message& m,
       CATFISH_COUNT("catfish.server.delete");
     }
     msg::EncodeInto(msg::WriteAck{req.req_id, ok ? uint8_t{1} : uint8_t{0}},
-                    conn.ack_scratch);
+                    conn.reply_scratch);
     const auto respond = span_begin("respond");
     SendResponse(conn,
                  insert ? msg::MsgType::kInsertAck : msg::MsgType::kDeleteAck,
-                 msg::kFlagEnd, conn.ack_scratch);
+                 msg::kFlagEnd, conn.reply_scratch);
     span_end(respond);
   };
 
@@ -318,7 +321,8 @@ void RTreeServer::HandleMessage(Connection& conn, const msg::Message& m,
       break;
     case msg::MsgType::kKnnReq:
       if (const auto req = msg::DecodeKnnRequest(m.payload)) {
-        query(req->req_id, {}, 0, msg::MsgType::kKnnResp,
+        query(req->req_id, req->trace, req->deadline_us,
+              msg::MsgType::kKnnResp,
               [&](std::vector<rtree::Entry>& out) {
                 tree_->NearestNeighbors(req->point, req->k, out);
               });
@@ -338,12 +342,13 @@ void RTreeServer::HandleMessage(Connection& conn, const msg::Message& m,
     // Always reply — even with an empty tree when this server has no
     // tracer (or telemetry is compiled out) — so the client's wait for
     // the trace frame on the FIFO ring is deterministic.
-    auto& buf = conn.trace_scratch;
-    buf.clear();
-    buf.resize(sizeof(uint64_t));
-    StorePod(std::span<std::byte>(buf), 0, ctx_req_id);
-    if (trace) telemetry::EncodeTrace(*trace, buf);
-    SendResponse(conn, msg::MsgType::kTraceResp, msg::kFlagEnd, buf);
+    msg::TraceResponse& reply = conn.trace_reply;
+    reply.req_id = ctx_req_id;
+    reply.blob.clear();
+    if (trace) telemetry::EncodeTrace(*trace, reply.blob);
+    msg::EncodeInto(reply, conn.reply_scratch);
+    SendResponse(conn, msg::MsgType::kTraceResp, msg::kFlagEnd,
+                 conn.reply_scratch);
   }
 }
 
@@ -492,22 +497,10 @@ void RTreeServer::MonitorLoop() {
     const double advertised = overridden >= 0.0 ? overridden : util;
     CATFISH_EVENT(kUtilization, NowMicros(), hb_seq + 1, util, advertised);
 
-    const uint64_t map_version =
-        cfg_.map_version ? cfg_.map_version->load(std::memory_order_relaxed)
-                         : 0;
-    msg::Heartbeat beat{++hb_seq, advertised, tree_->write_epoch(),
-                        node_->generation(), map_version};
-    if (cfg_.repl_role != 0) {
-      beat.role = cfg_.repl_role;
-      beat.epoch = cfg_.repl_epoch
-                       ? cfg_.repl_epoch->load(std::memory_order_relaxed)
-                       : 0;
-      beat.durable_lsn =
-          cfg_.repl_durable_lsn
-              ? cfg_.repl_durable_lsn->load(std::memory_order_relaxed)
-              : 0;
-    }
-    const auto hb = msg::Encode(beat);
+    const auto hb = msg::Encode(msg::Heartbeat{
+        ++hb_seq, advertised, tree_->write_epoch(), node_->generation(),
+        LoadOrZero(cfg_.map_version), cfg_.repl_role,
+        LoadOrZero(cfg_.repl_epoch), LoadOrZero(cfg_.repl_durable_lsn)});
     const std::scoped_lock lock(conns_mu_);
     for (auto& conn : conns_) {
       const std::scoped_lock send_lock(conn->send_mu);

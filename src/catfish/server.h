@@ -97,8 +97,8 @@ struct ServerConfig {
   /// (ShardHost points every shard's server at one shared counter). The
   /// monitor thread reads it on each heartbeat so clients learn about a
   /// republished map — any shard's restart — within one heartbeat
-  /// interval. Null = single-node; heartbeats carry no map version and
-  /// stay on the legacy wire size. Must outlive the server.
+  /// interval. Null = single-node; heartbeats carry map version 0. Must
+  /// outlive the server.
   const std::atomic<uint64_t>* map_version = nullptr;
   /// Replicated deployments only: the node's replication role
   /// (msg::ReplRole value) and pointers to the live epoch / durable-LSN
@@ -245,10 +245,12 @@ class RTreeServer {
     std::atomic<uint64_t> busy_ns{0};
     /// Worker-private reply scratch: the steady-state request loop
     /// encodes every response into these instead of fresh vectors, so
-    /// it never touches the allocator (tests/alloc_test.cc).
+    /// it never touches the allocator (tests/alloc_test.cc). Acks, shed
+    /// replies and trace frames share `reply_scratch`: each is sent
+    /// before the next is encoded.
     std::vector<std::vector<std::byte>> seg_scratch;
-    std::vector<std::byte> ack_scratch;
-    std::vector<std::byte> trace_scratch;
+    std::vector<std::byte> reply_scratch;
+    msg::TraceResponse trace_reply;
   };
 
   void WorkerLoop(Connection& conn);

@@ -65,7 +65,9 @@ struct CostModel {
   double poll_quantum_us = 1.0;
 
   // --- wire sizes (payload + framing) ---
-  size_t search_request_bytes = 76;   ///< 40 payload + ring framing
+  /// Paper-calibrated: the pinned figures keep the 40 B search payload
+  /// they were tuned with; the live request is 61 B (msg/protocol.h).
+  size_t search_request_bytes = 76;
   size_t response_base_bytes = 40;    ///< segment header + framing
   size_t per_result_bytes = 40;       ///< one Entry on the wire
   size_t insert_request_bytes = 84;

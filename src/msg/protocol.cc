@@ -10,11 +10,21 @@
 namespace catfish::msg {
 namespace {
 
-void AppendRect(ByteWriter& w, const geo::Rect& r) {
-  w.Append(r.min_x);
-  w.Append(r.min_y);
-  w.Append(r.max_x);
-  w.Append(r.max_y);
+// Append into a caller-owned buffer whose capacity persists across
+// messages — the hot request and reply paths must not touch the
+// allocator.
+template <TriviallyCopyable T>
+void AppendPod(std::vector<std::byte>& out, const T& value) {
+  const size_t off = out.size();
+  out.resize(off + sizeof(T));
+  std::memcpy(out.data() + off, &value, sizeof(T));
+}
+
+void AppendRect(std::vector<std::byte>& out, const geo::Rect& r) {
+  AppendPod(out, r.min_x);
+  AppendPod(out, r.min_y);
+  AppendPod(out, r.max_x);
+  AppendPod(out, r.max_y);
 }
 
 geo::Rect ReadRect(ByteReader& r) {
@@ -26,120 +36,94 @@ geo::Rect ReadRect(ByteReader& r) {
   return rect;
 }
 
-constexpr size_t kRectBytes = 4 * sizeof(double);
-
-// Trace-context tail: appended only when present, same opaque-extension
-// idiom as the heartbeat map-version tail. A request frame is either
-// exactly the legacy size or legacy + kTraceContextBytes; anything else
-// (a torn tail) is rejected by the size checks below.
-void AppendTraceTail(ByteWriter& w, const TraceContext& t) {
-  if (!t.present()) return;
-  w.Append(t.trace_id);
-  w.Append(t.parent_span);
-  w.Append(t.sampled);
+// The trailer every request ends with: trace context, then deadline.
+void AppendTrailer(std::vector<std::byte>& out, const TraceContext& t,
+                   uint64_t deadline_us) {
+  AppendPod(out, t.trace_id);
+  AppendPod(out, t.parent_span);
+  AppendPod(out, t.sampled);
+  AppendPod(out, deadline_us);
 }
 
-TraceContext ReadTraceTail(ByteReader& r) {
-  TraceContext t;
+void ReadTrailer(ByteReader& r, TraceContext& t, uint64_t& deadline_us) {
   t.trace_id = r.Read<uint64_t>();
   t.parent_span = r.Read<uint32_t>();
   t.sampled = r.Read<uint8_t>();
-  return t;
-}
-
-// Request frames carry up to two optional tails, trace first then
-// deadline, each emitted only when set. The four reachable sizes —
-// base, base+8 (deadline only), base+13 (trace only), base+21 (both) —
-// are pairwise distinct for every request type, so the size alone
-// discriminates the layout; anything else is a torn frame.
-bool SizeWithOptionalTail(size_t got, size_t base) {
-  return got == base || got == base + kDeadlineTailBytes ||
-         got == base + kTraceContextBytes ||
-         got == base + kTraceContextBytes + kDeadlineTailBytes;
-}
-
-bool HasTraceTail(size_t got, size_t base) {
-  return got == base + kTraceContextBytes ||
-         got == base + kTraceContextBytes + kDeadlineTailBytes;
-}
-
-bool HasDeadlineTail(size_t got, size_t base) {
-  return got == base + kDeadlineTailBytes ||
-         got == base + kTraceContextBytes + kDeadlineTailBytes;
-}
-
-size_t TailBytes(const TraceContext& t, uint64_t deadline_us) {
-  return (t.present() ? kTraceContextBytes : 0) +
-         (deadline_us != 0 ? kDeadlineTailBytes : 0);
-}
-
-void AppendDeadlineTail(ByteWriter& w, uint64_t deadline_us) {
-  if (deadline_us != 0) w.Append(deadline_us);
+  deadline_us = r.Read<uint64_t>();
 }
 
 }  // namespace
 
-std::vector<std::byte> Encode(const SearchRequest& v) {
-  ByteWriter w(8 + kRectBytes + TailBytes(v.trace, v.deadline_us));
-  w.Append(v.req_id);
-  AppendRect(w, v.rect);
-  AppendTraceTail(w, v.trace);
-  AppendDeadlineTail(w, v.deadline_us);
-  return w.Take();
+void EncodeInto(const SearchRequest& v, std::vector<std::byte>& out) {
+  out.clear();
+  AppendPod(out, v.req_id);
+  AppendRect(out, v.rect);
+  AppendTrailer(out, v.trace, v.deadline_us);
 }
 
 std::optional<SearchRequest> DecodeSearchRequest(
     std::span<const std::byte> payload) {
-  constexpr size_t kBase = 8 + kRectBytes;
-  if (!SizeWithOptionalTail(payload.size(), kBase)) return std::nullopt;
+  if (payload.size() != kSearchRequestBytes) return std::nullopt;
   ByteReader r(payload);
   SearchRequest v;
   v.req_id = r.Read<uint64_t>();
   v.rect = ReadRect(r);
-  if (HasTraceTail(payload.size(), kBase)) v.trace = ReadTraceTail(r);
-  if (HasDeadlineTail(payload.size(), kBase)) {
-    v.deadline_us = r.Read<uint64_t>();
-  }
+  ReadTrailer(r, v.trace, v.deadline_us);
   return v;
 }
 
-std::vector<std::byte> Encode(const WriteRequest& v) {
-  ByteWriter w(24 + kRectBytes + TailBytes(v.trace, v.deadline_us));
-  w.Append(v.req_id);
-  w.Append(v.client_gen);
-  AppendRect(w, v.rect);
-  w.Append(v.rect_id);
-  AppendTraceTail(w, v.trace);
-  AppendDeadlineTail(w, v.deadline_us);
-  return w.Take();
+void EncodeInto(const WriteRequest& v, std::vector<std::byte>& out) {
+  out.clear();
+  AppendPod(out, v.req_id);
+  AppendPod(out, v.client_gen);
+  AppendRect(out, v.rect);
+  AppendPod(out, v.rect_id);
+  AppendTrailer(out, v.trace, v.deadline_us);
 }
 
 std::optional<WriteRequest> DecodeWriteRequest(
     std::span<const std::byte> payload) {
-  constexpr size_t kBase = 24 + kRectBytes;
-  if (!SizeWithOptionalTail(payload.size(), kBase)) return std::nullopt;
+  if (payload.size() != kWriteRequestBytes) return std::nullopt;
   ByteReader r(payload);
   WriteRequest v;
   v.req_id = r.Read<uint64_t>();
   v.client_gen = r.Read<uint64_t>();
   v.rect = ReadRect(r);
   v.rect_id = r.Read<uint64_t>();
-  if (HasTraceTail(payload.size(), kBase)) v.trace = ReadTraceTail(r);
-  if (HasDeadlineTail(payload.size(), kBase)) {
-    v.deadline_us = r.Read<uint64_t>();
-  }
+  ReadTrailer(r, v.trace, v.deadline_us);
   return v;
 }
 
-std::vector<std::byte> Encode(const WriteAck& v) {
-  ByteWriter w(9);
-  w.Append(v.req_id);
-  w.Append(v.ok);
-  return w.Take();
+void EncodeInto(const KnnRequest& v, std::vector<std::byte>& out) {
+  out.clear();
+  AppendPod(out, v.req_id);
+  AppendPod(out, v.point.x);
+  AppendPod(out, v.point.y);
+  AppendPod(out, v.k);
+  AppendTrailer(out, v.trace, v.deadline_us);
+}
+
+std::optional<KnnRequest> DecodeKnnRequest(
+    std::span<const std::byte> payload) {
+  if (payload.size() != kKnnRequestBytes) return std::nullopt;
+  ByteReader r(payload);
+  KnnRequest v;
+  v.req_id = r.Read<uint64_t>();
+  v.point.x = r.Read<double>();
+  v.point.y = r.Read<double>();
+  v.k = r.Read<uint32_t>();
+  ReadTrailer(r, v.trace, v.deadline_us);
+  return v;
+}
+
+void EncodeInto(const WriteAck& v, std::vector<std::byte>& out) {
+  out.clear();
+  AppendPod(out, v.req_id);
+  AppendPod(out, v.ok);
 }
 
 std::optional<WriteAck> DecodeWriteAck(std::span<const std::byte> payload) {
-  if (payload.size() != 9) return std::nullopt;
+  if (payload.size() != kWriteAckBytes) return std::nullopt;
   ByteReader r(payload);
   WriteAck v;
   v.req_id = r.Read<uint64_t>();
@@ -147,16 +131,15 @@ std::optional<WriteAck> DecodeWriteAck(std::span<const std::byte> payload) {
   return v;
 }
 
-std::vector<std::byte> Encode(const OverloadReply& v) {
-  ByteWriter w(12);
-  w.Append(v.req_id);
-  w.Append(v.retry_after_us);
-  return w.Take();
+void EncodeInto(const OverloadReply& v, std::vector<std::byte>& out) {
+  out.clear();
+  AppendPod(out, v.req_id);
+  AppendPod(out, v.retry_after_us);
 }
 
 std::optional<OverloadReply> DecodeOverloadReply(
     std::span<const std::byte> payload) {
-  if (payload.size() != 12) return std::nullopt;
+  if (payload.size() != kOverloadReplyBytes) return std::nullopt;
   ByteReader r(payload);
   OverloadReply v;
   v.req_id = r.Read<uint64_t>();
@@ -164,77 +147,38 @@ std::optional<OverloadReply> DecodeOverloadReply(
   return v;
 }
 
-std::vector<std::byte> Encode(const Heartbeat& v) {
-  // Tails are emitted only when set, so single-node heartbeats remain
-  // byte-identical to the pre-sharding frame (32B), sharded ones to the
-  // pre-replication frame (40B). A replicated node (role != 0) encodes
-  // the map-version tail unconditionally so the three sizes (32/40/57)
-  // discriminate the layouts.
-  const bool repl = v.role != 0;
-  const bool map = repl || v.map_version != 0;
-  ByteWriter w(repl ? 57 : (map ? 40 : 32));
-  w.Append(v.seq);
-  w.Append(v.cpu_util);
-  w.Append(v.tree_epoch);
-  w.Append(v.server_generation);
-  if (map) w.Append(v.map_version);
-  if (repl) {
-    w.Append(v.role);
-    w.Append(v.epoch);
-    w.Append(v.durable_lsn);
-  }
-  return w.Take();
+void EncodeInto(const Heartbeat& v, std::vector<std::byte>& out) {
+  out.clear();
+  AppendPod(out, v.seq);
+  AppendPod(out, v.cpu_util);
+  AppendPod(out, v.tree_epoch);
+  AppendPod(out, v.server_generation);
+  AppendPod(out, v.map_version);
+  AppendPod(out, v.role);
+  AppendPod(out, v.epoch);
+  AppendPod(out, v.durable_lsn);
 }
 
 std::optional<Heartbeat> DecodeHeartbeat(std::span<const std::byte> payload) {
-  if (payload.size() != 32 && payload.size() != 40 && payload.size() != 57) {
-    return std::nullopt;
-  }
+  if (payload.size() != kHeartbeatBytes) return std::nullopt;
   ByteReader r(payload);
   Heartbeat v;
   v.seq = r.Read<uint64_t>();
   v.cpu_util = r.Read<double>();
   v.tree_epoch = r.Read<uint64_t>();
   v.server_generation = r.Read<uint64_t>();
-  if (payload.size() >= 40) v.map_version = r.Read<uint64_t>();
-  if (payload.size() == 57) {
-    v.role = r.Read<uint8_t>();
-    if (v.role == 0 ||
-        v.role > static_cast<uint8_t>(ReplRole::kFollower)) {
-      return std::nullopt;  // repl tail without a valid role is torn
-    }
-    v.epoch = r.Read<uint64_t>();
-    v.durable_lsn = r.Read<uint64_t>();
-  }
+  v.map_version = r.Read<uint64_t>();
+  v.role = r.Read<uint8_t>();
+  if (v.role > static_cast<uint8_t>(ReplRole::kFollower)) return std::nullopt;
+  v.epoch = r.Read<uint64_t>();
+  v.durable_lsn = r.Read<uint64_t>();
   return v;
 }
 
-std::vector<std::byte> Encode(const KnnRequest& v) {
-  ByteWriter w(28);
-  w.Append(v.req_id);
-  w.Append(v.point.x);
-  w.Append(v.point.y);
-  w.Append(v.k);
-  return w.Take();
-}
-
-std::optional<KnnRequest> DecodeKnnRequest(
-    std::span<const std::byte> payload) {
-  if (payload.size() != 28) return std::nullopt;
-  ByteReader r(payload);
-  KnnRequest v;
-  v.req_id = r.Read<uint64_t>();
-  v.point.x = r.Read<double>();
-  v.point.y = r.Read<double>();
-  v.k = r.Read<uint32_t>();
-  return v;
-}
-
-std::vector<std::byte> Encode(const TraceResponse& v) {
-  ByteWriter w(8 + v.blob.size());
-  w.Append(v.req_id);
-  w.AppendBytes(v.blob);
-  return w.Take();
+void EncodeInto(const TraceResponse& v, std::vector<std::byte>& out) {
+  out.clear();
+  AppendPod(out, v.req_id);
+  out.insert(out.end(), v.blob.begin(), v.blob.end());
 }
 
 std::optional<TraceResponse> DecodeTraceResponse(
@@ -245,31 +189,6 @@ std::optional<TraceResponse> DecodeTraceResponse(
   const auto blob = payload.subspan(8);
   v.blob.assign(blob.begin(), blob.end());
   return v;
-}
-
-namespace {
-
-// Append into a caller-owned buffer whose capacity persists across
-// messages — the hot reply path must not touch the allocator.
-template <TriviallyCopyable T>
-void AppendPod(std::vector<std::byte>& out, const T& value) {
-  const size_t off = out.size();
-  out.resize(off + sizeof(T));
-  std::memcpy(out.data() + off, &value, sizeof(T));
-}
-
-}  // namespace
-
-void EncodeInto(const WriteAck& v, std::vector<std::byte>& out) {
-  out.clear();
-  AppendPod(out, v.req_id);
-  AppendPod(out, v.ok);
-}
-
-void EncodeInto(const OverloadReply& v, std::vector<std::byte>& out) {
-  out.clear();
-  AppendPod(out, v.req_id);
-  AppendPod(out, v.retry_after_us);
 }
 
 void EncodeSearchResponseInto(uint64_t req_id,

@@ -34,41 +34,42 @@ enum class MsgType : uint16_t {
   kOverloaded = 13,  ///< server→client: request shed by admission control
 };
 
-/// Distributed-tracing context carried on Search/Insert/Delete requests
-/// as an optional 13-byte tail (trace_id, parent span, sampled bit) —
-/// the same opaque-extension idiom as the heartbeat's map-version tail:
-/// emitted only when trace_id != 0, so context-free frames stay
-/// byte-identical to the legacy wire format and legacy peers
-/// interoperate unchanged. A server that sees sampled=1 opens a span
-/// tree for the request and ships it back in a kTraceResp frame.
+/// Distributed-tracing context carried by every request. A server that
+/// sees sampled=1 opens a span tree for the request and ships it back in
+/// a kTraceResp frame.
 struct TraceContext {
-  uint64_t trace_id = 0;  ///< 0 = no context (legacy frame)
+  uint64_t trace_id = 0;  ///< 0 = untraced request
   uint32_t parent_span = 0;
   uint8_t sampled = 0;
 
   bool present() const noexcept { return trace_id != 0; }
 };
 
-inline constexpr size_t kTraceContextBytes = 8 + 4 + 1;
+// Every message type has exactly one fixed layout, and every request
+// ends with the same 21-byte trailer: the trace context (trace_id u64,
+// parent_span u32, sampled u8), then the absolute deadline (u64). The
+// deadline is on the shared in-process steady clock (common/clock.h
+// NowMicros — valid because client and server share one process in the
+// simulation; a real deployment would carry a relative budget and
+// re-anchor it); 0 means no deadline. A server that sees an
+// already-expired deadline drops the request before touching the tree
+// and replies kOverloaded instead of burning CPU on dead work.
+inline constexpr size_t kRequestTrailerBytes = 8 + 4 + 1 + 8;
 
-/// Deadline-budget tail carried on Search/Insert/Delete requests: the
-/// absolute expiry time of the client's per-op budget on the shared
-/// in-process steady clock (common/clock.h NowMicros — valid because
-/// client and server share one process in the simulation; a real
-/// deployment would carry a relative budget and re-anchor it). Encoded
-/// as an optional 8-byte tail AFTER the trace tail, emitted only when
-/// non-zero, so the four frame sizes (base, base+8, base+13, base+21)
-/// discriminate the layouts and legacy frames stay byte-identical. A
-/// server that sees an already-expired deadline drops the request
-/// before touching the tree and replies kOverloaded instead of burning
-/// CPU on dead work.
-inline constexpr size_t kDeadlineTailBytes = 8;
+// The wire size of each fixed-layout message; its decoder accepts
+// exactly this size.
+inline constexpr size_t kSearchRequestBytes = 8 + 32 + kRequestTrailerBytes;
+inline constexpr size_t kWriteRequestBytes = 24 + 32 + kRequestTrailerBytes;
+inline constexpr size_t kKnnRequestBytes = 8 + 16 + 4 + kRequestTrailerBytes;
+inline constexpr size_t kWriteAckBytes = 8 + 1;
+inline constexpr size_t kOverloadReplyBytes = 8 + 4;
+inline constexpr size_t kHeartbeatBytes = 5 * 8 + 1 + 2 * 8;
 
 struct SearchRequest {
   uint64_t req_id = 0;
   geo::Rect rect;
   TraceContext trace;
-  uint64_t deadline_us = 0;  ///< absolute; 0 = no deadline (legacy)
+  uint64_t deadline_us = 0;  ///< absolute; 0 = no deadline
 };
 
 /// Insert and delete requests share one layout; the frame type tells
@@ -83,7 +84,7 @@ struct WriteRequest {
   geo::Rect rect;
   uint64_t rect_id = 0;
   TraceContext trace;
-  uint64_t deadline_us = 0;  ///< absolute; 0 = no deadline (legacy)
+  uint64_t deadline_us = 0;  ///< absolute; 0 = no deadline
 };
 using InsertRequest = WriteRequest;
 using DeleteRequest = WriteRequest;
@@ -95,6 +96,8 @@ struct KnnRequest {
   uint64_t req_id = 0;
   geo::Point point;
   uint32_t k = 0;
+  TraceContext trace;
+  uint64_t deadline_us = 0;  ///< absolute; 0 = no deadline
 };
 
 /// Ack for insert/delete. `ok` is 1 on success (a delete of a missing
@@ -109,9 +112,7 @@ struct WriteAck {
 /// budget had already expired on arrival). `retry_after_us` is the
 /// server's backlog-scaled hint for when a retry is likely to get in;
 /// 0 means "do not retry this request" (its deadline had expired — the
-/// answer can no longer be useful). Never sent to legacy clients
-/// unprompted: only requests are answered with it, so a peer that
-/// never sends requests never has to understand it.
+/// answer can no longer be useful). Only requests are answered with it.
 struct OverloadReply {
   uint64_t req_id = 0;
   uint32_t retry_after_us = 0;
@@ -127,20 +128,15 @@ struct Heartbeat {
   /// also carried in the bootstrap hello). A client that sees it change
   /// knows its cached tree state came from a dead server.
   uint64_t server_generation = 0;
-  /// Sharded deployments only: the host's current routing-table version
-  /// (ShardMap::version). A client holding an older map learns the
-  /// cluster republished — e.g. another shard restarted — within one
-  /// heartbeat interval, instead of on its next failed op. Encoded as an
-  /// optional tail only when non-zero, so single-node heartbeats stay
-  /// byte-identical to the pre-sharding wire format.
+  /// The host's current routing-table version (ShardMap::version); 0 on
+  /// a single node. A client holding an older map learns the cluster
+  /// republished — e.g. another shard restarted — within one heartbeat
+  /// interval, instead of on its next failed op.
   uint64_t map_version = 0;
-  /// Replicated deployments only (second optional tail, emitted when
-  /// role != kReplRoleNone): the node's replication role, the epoch it
-  /// serves under, and its durable WAL LSN. Clients use role+epoch to
-  /// detect promotions between map republishes, and durable_lsn to bound
-  /// follower read lag. When this tail is present the map-version tail
-  /// is always encoded too (even if 0) so the frame size stays
-  /// unambiguous.
+  /// The node's replication role, the epoch it serves under, and its
+  /// durable WAL LSN; all 0 on an unreplicated node. Clients use
+  /// role+epoch to detect promotions between map republishes, and
+  /// durable_lsn to bound follower read lag.
   uint8_t role = 0;  ///< msg::ReplRole value; 0 = unreplicated
   uint64_t epoch = 0;
   uint64_t durable_lsn = 0;
@@ -148,7 +144,7 @@ struct Heartbeat {
 
 /// Replication role a node advertises in heartbeats and hellos.
 enum class ReplRole : uint8_t {
-  kNone = 0,      ///< unreplicated single node (legacy frames)
+  kNone = 0,      ///< unreplicated node
   kPrimary = 1,
   kFollower = 2,
 };
@@ -164,15 +160,28 @@ struct TraceResponse {
   std::vector<std::byte> blob;
 };
 
-// --- codecs; each Decode returns nullopt on malformed payloads ---
+// --- codecs ---
+//
+// Each EncodeInto clears `out` and writes the message into it, reusing
+// its capacity, so the hot request and reply paths never allocate. Each
+// Decode accepts exactly its type's layout and returns nullopt for
+// anything else.
 
-std::vector<std::byte> Encode(const SearchRequest& v);
-std::vector<std::byte> Encode(const WriteRequest& v);
-std::vector<std::byte> Encode(const WriteAck& v);
-std::vector<std::byte> Encode(const OverloadReply& v);
-std::vector<std::byte> Encode(const Heartbeat& v);
-std::vector<std::byte> Encode(const KnnRequest& v);
-std::vector<std::byte> Encode(const TraceResponse& v);
+void EncodeInto(const SearchRequest& v, std::vector<std::byte>& out);
+void EncodeInto(const WriteRequest& v, std::vector<std::byte>& out);
+void EncodeInto(const KnnRequest& v, std::vector<std::byte>& out);
+void EncodeInto(const WriteAck& v, std::vector<std::byte>& out);
+void EncodeInto(const OverloadReply& v, std::vector<std::byte>& out);
+void EncodeInto(const Heartbeat& v, std::vector<std::byte>& out);
+void EncodeInto(const TraceResponse& v, std::vector<std::byte>& out);
+
+/// Allocating convenience over EncodeInto.
+template <typename T>
+std::vector<std::byte> Encode(const T& v) {
+  std::vector<std::byte> out;
+  EncodeInto(v, out);
+  return out;
+}
 
 std::optional<SearchRequest> DecodeSearchRequest(
     std::span<const std::byte> payload);
@@ -213,19 +222,6 @@ std::optional<uint64_t> DecodeSearchResponseInto(
 /// protocol violation, not a race.
 bool AppendResponseSegment(const Message& m, MsgType type, uint64_t req_id,
                            std::vector<rtree::Entry>& out);
-
-// --- allocation-free reply codecs (fast-messaging hot path) ---
-//
-// The server encodes every reply through these, reusing per-connection
-// scratch so the steady-state request loop performs zero heap
-// allocations (see tests/alloc_test.cc for the regression harness).
-
-/// Encodes `v` into `out` (cleared first; capacity reused).
-void EncodeInto(const WriteAck& v, std::vector<std::byte>& out);
-
-/// Same for shed replies: the overloaded path above all must not
-/// allocate, or shedding would be slower than serving.
-void EncodeInto(const OverloadReply& v, std::vector<std::byte>& out);
 
 /// Splits `entries` into response segments whose encoded payloads each
 /// fit `max_payload` bytes, always at least one (possibly empty, for a

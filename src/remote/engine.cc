@@ -32,17 +32,6 @@ void Bump(telemetry::Counter* c, uint64_t n = 1) noexcept {
 // MultiIssueBatcher
 // ---------------------------------------------------------------------------
 
-bool MultiIssueBatcher::Post(uint64_t token, ChunkId id,
-                             std::span<std::byte> dst) {
-  Stage(token, id, dst);
-  rejected_idx_.clear();
-  transport_->PostFetchBatch(staged_, rejected_idx_);
-  const bool ok = rejected_idx_.empty();
-  outstanding_ += staged_.size() - rejected_idx_.size();
-  staged_.clear();
-  return ok;
-}
-
 void MultiIssueBatcher::Stage(uint64_t token, ChunkId id,
                               std::span<std::byte> dst) {
   staged_.push_back(FetchRequest{token, id, dst});

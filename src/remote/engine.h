@@ -68,15 +68,11 @@ struct EngineStats {
 ///
 /// Issue follows a doorbell model: Stage() queues work requests locally
 /// at zero wire cost, Flush() hands the whole round to the transport in
-/// one batched post. Post() keeps the legacy one-shot shape (a staged
-/// round of one, flushed immediately).
+/// one batched post.
 class MultiIssueBatcher {
  public:
   explicit MultiIssueBatcher(FetchTransport* transport)
       : transport_(transport) {}
-
-  /// Posts a fetch tagged `token`. False when the transport rejects it.
-  bool Post(uint64_t token, ChunkId id, std::span<std::byte> dst);
 
   /// Queues a fetch for the next Flush. Nothing touches the wire yet.
   void Stage(uint64_t token, ChunkId id, std::span<std::byte> dst);

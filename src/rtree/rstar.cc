@@ -199,24 +199,31 @@ size_t RStarTree::Search(const geo::Rect& query, std::vector<Entry>& out) const 
   return SearchTraced(query, out, nullptr, nullptr);
 }
 
-size_t RStarTree::SearchTraced(const geo::Rect& query, std::vector<Entry>& out,
-                               SearchStats* stats,
-                               TraversalTrace* trace) const {
-  // Per-node versions cannot see an entry move between nodes, so a
-  // traversal that overlapped a structure modification is redone; after
-  // kMaxSearchRestarts of them the search waits for the writer instead.
+template <typename Attempt>
+size_t RStarTree::ReadValidated(std::vector<Entry>& out,
+                                const Attempt& attempt) const {
+  // Per-node versions cannot see an entry move between nodes, so a read
+  // that overlapped a structure modification is redone; after
+  // kMaxSearchRestarts of them the read waits for the writer instead.
   const size_t first = out.size();
-  for (int attempt = 0; attempt <= kMaxSearchRestarts; ++attempt) {
+  for (int restart = 0; restart <= kMaxSearchRestarts; ++restart) {
     const uint64_t before = smo_seq_.load(std::memory_order_acquire);
     if (before % 2 == 0) {
-      const size_t found = TraverseOnce(query, out, stats, trace);
+      const size_t found = attempt();
       if (LoadAfterReads(smo_seq_) == before) return found;
       out.resize(first);
     }
     std::this_thread::yield();
   }
   const std::scoped_lock lock(writer_mutex_);
-  return TraverseOnce(query, out, stats, trace);
+  return attempt();
+}
+
+size_t RStarTree::SearchTraced(const geo::Rect& query, std::vector<Entry>& out,
+                               SearchStats* stats,
+                               TraversalTrace* trace) const {
+  return ReadValidated(
+      out, [&] { return TraverseOnce(query, out, stats, trace); });
 }
 
 size_t RStarTree::TraverseOnce(const geo::Rect& query, std::vector<Entry>& out,
@@ -264,6 +271,11 @@ size_t RStarTree::NearestNeighbors(const geo::Point& p, size_t k,
                                    std::vector<Entry>& out,
                                    SearchStats* stats) const {
   if (k == 0) return 0;
+  return ReadValidated(out, [&] { return KnnOnce(p, k, out, stats); });
+}
+
+size_t RStarTree::KnnOnce(const geo::Point& p, size_t k,
+                          std::vector<Entry>& out, SearchStats* stats) const {
   // Best-first search over a min-heap of MINDIST lower bounds. Data
   // entries enter the same queue with their exact distance; when a data
   // entry surfaces, nothing unexplored can be closer.

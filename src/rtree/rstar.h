@@ -109,8 +109,8 @@ class RStarTree {
   /// to the lowest index.
   static size_t ChooseSubtree(const NodeData& node, const geo::Rect& rect);
 
-  /// Traversals a search may redo because they overlapped a structure
-  /// modification, before it searches under the writer lock.
+  /// Traversals a search or kNN query may redo because they overlapped
+  /// a structure modification, before it runs under the writer lock.
   static constexpr int kMaxSearchRestarts = 4;
 
   /// Appends all entries intersecting `query` to `out`; returns the
@@ -125,7 +125,8 @@ class RStarTree {
 
   /// k nearest neighbors of `p` by MINDIST best-first search (Hjaltason
   /// & Samet). Results are appended in increasing distance order. Safe
-  /// to call concurrently with writers (optimistic reads). Note: the
+  /// to call concurrently with writers, validated like Search: never
+  /// omits an entry present for the whole query. Note: the
   /// best-first frontier is inherently sequential, which is why Catfish
   /// serves kNN on the server (fast messaging) rather than offloading —
   /// there is no independent frontier to multi-issue.
@@ -171,9 +172,17 @@ class RStarTree {
  private:
   RStarTree(NodeArena& arena, RStarConfig cfg);
 
+  /// Runs `attempt` — one unvalidated read appending to `out` — until
+  /// no structure modification overlapped it, restarting at most
+  /// kMaxSearchRestarts times before running it under the writer lock.
+  template <typename Attempt>
+  size_t ReadValidated(std::vector<Entry>& out, const Attempt& attempt) const;
   /// One unvalidated breadth-first traversal (SearchTraced's body).
   size_t TraverseOnce(const geo::Rect& query, std::vector<Entry>& out,
                       SearchStats* stats, TraversalTrace* trace) const;
+  /// One unvalidated best-first kNN pass (NearestNeighbors' body).
+  size_t KnnOnce(const geo::Point& p, size_t k, std::vector<Entry>& out,
+                 SearchStats* stats) const;
 
   // --- writer-side node IO (caller holds writer_mutex_) ---
   void LoadNode(ChunkId id, NodeData& out) const;

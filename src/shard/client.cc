@@ -508,6 +508,7 @@ std::vector<rtree::Entry> ShardedRTreeClient::NearestNeighbors(
       all.insert(all.end(), part.begin(), part.end());
     } catch (const ClientError& e) {
       ++stats_.shard_errors;
+      CATFISH_COUNT("shard.client.subquery_errors");
       if (!err) err = Wrap(shard, e);
     }
     RefreshIfStale(shard);
@@ -553,6 +554,7 @@ bool ShardedRTreeClient::ExecuteRoutedWrite(
     if (cfg_.assembler) {
       cfg_.assembler->Assemble(trace, {&rt, rt.tree ? size_t{1} : size_t{0}});
       ++stats_.assembled_traces;
+      CATFISH_COUNT("shard.client.assembled_traces");
     } else if (rt.tree) {
       trace->Graft(span, *rt.tree, {{"shard", rt.shard}});
     }
@@ -565,6 +567,7 @@ bool ShardedRTreeClient::ExecuteRoutedWrite(
   } catch (const ClientError& e) {
     finish(/*error=*/true);
     ++stats_.shard_errors;
+    CATFISH_COUNT("shard.client.subquery_errors");
     RefreshIfStale(owner);
     throw Wrap(owner, e);
   }

@@ -135,7 +135,6 @@ std::vector<std::byte> EncodeShardMap(const ShardMap& map) {
         std::span(s.node_name.data(), s.node_name.size())));
     w.Append(s.generation);
     w.Append(s.arena_rkey);
-    // v2 extension per shard: replication epoch + follower endpoints.
     w.Append(s.epoch);
     w.Append(static_cast<uint8_t>(s.followers.size()));
     for (const auto& f : s.followers) {
@@ -154,8 +153,7 @@ MapDecodeStatus DecodeShardMap(std::span<const std::byte> payload,
   ByteReader r(payload);
   if (r.remaining() < 8) return MapDecodeStatus::kTruncated;
   if (r.Read<uint32_t>() != kShardMapMagic) return MapDecodeStatus::kBadMagic;
-  const uint16_t fmt = r.Read<uint16_t>();
-  if (fmt != 1 && fmt != kShardMapFormatVersion) {
+  if (r.Read<uint16_t>() != kShardMapFormatVersion) {
     return MapDecodeStatus::kVersionSkew;
   }
   r.Read<uint16_t>();  // reserved
@@ -200,25 +198,22 @@ MapDecodeStatus DecodeShardMap(std::span<const std::byte> payload,
     s.node_name.assign(reinterpret_cast<const char*>(name.data()), name_len);
     s.generation = r.Read<uint64_t>();
     s.arena_rkey = r.Read<uint32_t>();
-    if (fmt >= 2) {
-      if (r.remaining() < 8 + 1) return MapDecodeStatus::kTruncated;
-      s.epoch = r.Read<uint64_t>();
-      const uint32_t nfollowers = r.Read<uint8_t>();
-      if (nfollowers > kMaxFollowers) return MapDecodeStatus::kCorrupt;
-      s.followers.resize(nfollowers);
-      for (auto& f : s.followers) {
-        if (r.remaining() < 2) return MapDecodeStatus::kTruncated;
-        const uint32_t flen = r.Read<uint16_t>();
-        if (flen == 0 || flen > kMaxShardNameLen) {
-          return MapDecodeStatus::kCorrupt;
-        }
-        if (r.remaining() < flen + 8 + 4) return MapDecodeStatus::kTruncated;
-        const auto fname = r.ReadBytes(flen);
-        f.node_name.assign(reinterpret_cast<const char*>(fname.data()),
-                           flen);
-        f.generation = r.Read<uint64_t>();
-        f.arena_rkey = r.Read<uint32_t>();
+    if (r.remaining() < 8 + 1) return MapDecodeStatus::kTruncated;
+    s.epoch = r.Read<uint64_t>();
+    const uint32_t nfollowers = r.Read<uint8_t>();
+    if (nfollowers > kMaxFollowers) return MapDecodeStatus::kCorrupt;
+    s.followers.resize(nfollowers);
+    for (auto& f : s.followers) {
+      if (r.remaining() < 2) return MapDecodeStatus::kTruncated;
+      const uint32_t flen = r.Read<uint16_t>();
+      if (flen == 0 || flen > kMaxShardNameLen) {
+        return MapDecodeStatus::kCorrupt;
       }
+      if (r.remaining() < flen + 8 + 4) return MapDecodeStatus::kTruncated;
+      const auto fname = r.ReadBytes(flen);
+      f.node_name.assign(reinterpret_cast<const char*>(fname.data()), flen);
+      f.generation = r.Read<uint64_t>();
+      f.arena_rkey = r.Read<uint32_t>();
     }
   }
   if (!r.AtEnd()) return MapDecodeStatus::kCorrupt;

@@ -49,12 +49,11 @@ struct ShardInfo {
   std::string node_name;   ///< fabric node hosting the shard *primary*
   uint64_t generation = 0; ///< SimNode incarnation at publish time
   uint32_t arena_rkey = 0; ///< the shard's registered arena (offload path)
-  /// Replication epoch of the current primary (format v2; 0 when the
-  /// shard is unreplicated or the map came from a v1 peer). Bumped by
-  /// every failover promotion, so a client can tell a promoted map from
-  /// a merely-restarted one.
+  /// Replication epoch of the current primary (0 when the shard is
+  /// unreplicated). Bumped by every failover promotion, so a client can
+  /// tell a promoted map from a merely-restarted one.
   uint64_t epoch = 0;
-  /// Follower read endpoints (format v2; empty = no replicas).
+  /// Follower read endpoints (empty = no replicas).
   std::vector<ReplicaInfo> followers;
 
   bool operator==(const ShardInfo&) const = default;
@@ -117,9 +116,7 @@ enum class MapDecodeStatus : uint8_t {
 const char* ToString(MapDecodeStatus s) noexcept;
 
 inline constexpr uint32_t kShardMapMagic = 0x50414D53;  // "SMAP"
-/// v2 adds per-shard epoch + follower list. The decoder still accepts
-/// v1 frames (epoch 0, no followers), so a replicated client
-/// interoperates with an unreplicated host mid-rollout.
+/// The one map format the decoder accepts; any other is kVersionSkew.
 inline constexpr uint16_t kShardMapFormatVersion = 2;
 /// Decoder bounds: reject maps claiming absurd geometry before
 /// allocating anything proportional to the claim.

@@ -1,7 +1,8 @@
 // Allocation regression harness for the messaging hot path: after
-// warm-up, the steady-state ring send/receive loop and the server's
-// reply codecs must not touch the global allocator (RingSender::frame_,
-// RingReceiver::scratch_, per-connection reply scratch, trace_wire's
+// warm-up, the steady-state ring send/receive loop, the client's request
+// encode and the server's reply codecs must not touch the global
+// allocator (RingSender::frame_, RingReceiver::scratch_, the client's
+// request scratch, per-connection reply scratch, trace_wire's
 // append-into-capacity encoder). Counting is done by replacing the
 // global operator new; disabled under sanitizers, whose own allocator
 // interposition this would fight.
@@ -149,6 +150,28 @@ TEST(AllocTest, ServerReplyCodecsReuseScratch) {
   }
   EXPECT_EQ(seg_scratch.size(), segs);
   EXPECT_EQ(allocs, 0u) << "reply codecs hit the allocator";
+}
+
+TEST(AllocTest, ClientRequestEncodeReusesScratch) {
+  // The client encodes every request into one scratch buffer: once it
+  // has held the largest request, no request encode allocates again.
+  const TraceContext ctx{0xfeed, 3, 1};
+  const geo::Rect rect{0.1, 0.1, 0.2, 0.2};
+  std::vector<std::byte> tx_scratch;
+  EncodeInto(WriteRequest{1, 2, rect, 3, ctx, 99}, tx_scratch);
+
+  size_t allocs = 0;
+  {
+    const AllocCounter counter;
+    for (uint64_t i = 0; i < 256; ++i) {
+      EncodeInto(SearchRequest{i, rect, ctx, 99}, tx_scratch);
+      EncodeInto(KnnRequest{i, geo::Point{0.5, 0.5}, 8, ctx, 99}, tx_scratch);
+      EncodeInto(WriteRequest{i, 2, rect, i, ctx, 99}, tx_scratch);
+    }
+    allocs = counter.count();
+  }
+  EXPECT_EQ(tx_scratch.size(), kWriteRequestBytes);
+  EXPECT_EQ(allocs, 0u) << "request encoding hit the allocator";
 }
 
 TEST(AllocTest, ResponseDecoderAppendsIntoCapacity) {

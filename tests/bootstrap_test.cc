@@ -48,6 +48,48 @@ TEST(BootstrapCodecTest, ServerHelloRoundTrip) {
   EXPECT_EQ(decoded->generation, 7u);
 }
 
+TEST(BootstrapCodecTest, ServerHelloDecodesOnlyAtItsOneSize) {
+  // Every hello carries the shard and replication fields; its size is
+  // the fixed part plus the extension. Every other length is rejected —
+  // including a sharded, replicated 74-byte hello cut to the 52 bytes
+  // before its shard fields, which must not read as a single-node hello.
+  WireServerHello single;
+  single.arena_length = 1 << 20;
+  single.generation = 2;
+  WireServerHello sharded = single;
+  sharded.shard_id = 3;
+  sharded.extension = {std::byte{1}, std::byte{2}, std::byte{3},
+                       std::byte{4}, std::byte{5}};
+  sharded.repl_role = static_cast<uint8_t>(msg::ReplRole::kFollower);
+  sharded.repl_epoch = 9;
+  for (const WireServerHello* hello : {&single, &sharded}) {
+    const auto bytes = Encode(*hello);
+    ASSERT_EQ(bytes.size(), kServerHelloFixedBytes + hello->extension.size());
+    const auto decoded = DecodeServerHello(bytes);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->shard_id, hello->shard_id);
+    EXPECT_EQ(decoded->extension, hello->extension);
+    EXPECT_EQ(decoded->repl_role, hello->repl_role);
+    EXPECT_EQ(decoded->repl_epoch, hello->repl_epoch);
+    for (size_t len = 0; len <= bytes.size() + 32; ++len) {
+      if (len == bytes.size()) continue;
+      auto cut = bytes;
+      cut.resize(len, std::byte{0x5a});
+      EXPECT_FALSE(DecodeServerHello(cut).has_value())
+          << "hello of " << bytes.size() << " B decoded at " << len << " B";
+    }
+  }
+  EXPECT_EQ(kServerHelloFixedBytes, 69u);
+}
+
+TEST(BootstrapCodecTest, ServerHelloRejectsUnknownRole) {
+  WireServerHello hello;
+  hello.repl_role = static_cast<uint8_t>(msg::ReplRole::kFollower);
+  auto bytes = Encode(hello);
+  bytes[bytes.size() - 9] = std::byte{3};  // one past kFollower
+  EXPECT_FALSE(DecodeServerHello(bytes).has_value());
+}
+
 TEST(BootstrapCodecTest, DecodersRejectJunk) {
   std::vector<std::byte> junk(10, std::byte{0xff});
   EXPECT_FALSE(DecodeClientHello(junk).has_value());

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "catfish/client.h"
@@ -33,6 +35,40 @@ std::vector<uint64_t> Ids(std::vector<rtree::Entry> entries) {
   std::sort(ids.begin(), ids.end());
   return ids;
 }
+
+/// A bare client connection: the test writes the request ring and
+/// reads the response ring itself, so it can put any frame on the wire
+/// and keep many requests in flight (an RTreeClient keeps one).
+struct RawConnection {
+  RawConnection(rdma::Fabric& fabric, RTreeServer& server)
+      : server(server),
+        node(fabric.CreateNode("raw-client")),
+        qp(node->CreateQp(node->CreateCq(), node->CreateCq())),
+        response_ring(256 * 1024) {
+    const auto ring_mr = node->RegisterMemory(response_ring);
+    const auto ack_mr = node->RegisterMemory(request_ack);
+    ClientBootstrap mine;
+    mine.qp = qp;
+    mine.response_ring = rdma::RemoteAddr{ring_mr.rkey, 0};
+    mine.response_ring_capacity = response_ring.size();
+    mine.request_ack_cell = rdma::RemoteAddr{ack_mr.rkey, 0};
+    const ServerBootstrap boot = server.AcceptConnection(mine);
+    tx.emplace(qp, boot.request_ring, boot.request_ring_capacity,
+               request_ack);
+    rx.emplace(response_ring, qp, boot.response_ack_cell);
+  }
+  // The server's monitor writes heartbeats into response_ring until the
+  // server stops: stop it before the buffers die.
+  ~RawConnection() { server.Stop(); }
+
+  RTreeServer& server;
+  std::shared_ptr<rdma::SimNode> node;
+  std::shared_ptr<rdma::QueuePair> qp;
+  std::vector<std::byte> response_ring;
+  alignas(8) std::array<std::byte, 8> request_ack{};
+  std::optional<msg::RingSender> tx;
+  std::optional<msg::RingReceiver> rx;
+};
 
 class CatfishIntegrationTest : public ::testing::Test {
  protected:
@@ -309,35 +345,14 @@ TEST_F(CatfishIntegrationTest, IdleWorkerBlocksAndWakesPerRequest) {
 
 TEST_F(CatfishIntegrationTest, BurstLeavesNoStaleCompletions) {
   SetUpServer();
-  // A bare connection: the test writes the request ring itself, so a
-  // whole burst is in flight at once (an RTreeClient keeps one request
-  // outstanding). Each request's WRITE-with-IMM leaves one completion on
-  // the worker's recv CQ; requests the worker finds by polling leave
-  // stale ones behind. Without the drain before blocking, each stale
-  // completion would wake the worker to an empty ring.
-  auto node = fabric_->CreateNode("raw-client");
-  auto send_cq = node->CreateCq();
-  auto recv_cq = node->CreateCq();
-  auto qp = node->CreateQp(send_cq, recv_cq);
-  std::vector<std::byte> response_ring(256 * 1024);
-  alignas(8) std::array<std::byte, 8> request_ack{};
-  // The server's monitor writes heartbeats into response_ring until the
-  // server stops: stop it before the buffers die, on every exit path.
-  struct StopServerFirst {
-    RTreeServer& server;
-    ~StopServerFirst() { server.Stop(); }
-  } stop_first{*server_};
-  const auto ring_mr = node->RegisterMemory(response_ring);
-  const auto ack_mr = node->RegisterMemory(request_ack);
-  ClientBootstrap mine;
-  mine.qp = qp;
-  mine.response_ring = rdma::RemoteAddr{ring_mr.rkey, 0};
-  mine.response_ring_capacity = response_ring.size();
-  mine.request_ack_cell = rdma::RemoteAddr{ack_mr.rkey, 0};
-  const ServerBootstrap boot = server_->AcceptConnection(mine);
-  msg::RingSender tx(qp, boot.request_ring, boot.request_ring_capacity,
-                     request_ack);
-  msg::RingReceiver rx(response_ring, qp, boot.response_ack_cell);
+  // A whole burst is in flight at once. Each request's WRITE-with-IMM
+  // leaves one completion on the worker's recv CQ; requests the worker
+  // finds by polling leave stale ones behind. Without the drain before
+  // blocking, each stale completion would wake the worker to an empty
+  // ring.
+  RawConnection raw(*fabric_, *server_);
+  msg::RingSender& tx = *raw.tx;
+  msg::RingReceiver& rx = *raw.rx;
 
   constexpr uint64_t kBurst = 64;
   Xoshiro256 rng(22);
@@ -370,6 +385,48 @@ TEST_F(CatfishIntegrationTest, BurstLeavesNoStaleCompletions) {
   // request's data and pushing its completion for a whole poll budget;
   // the bound leaves room for a few such stalls on a loaded host.
   EXPECT_LE(s.spurious_wakeups, kBurst / 8);
+}
+
+TEST_F(CatfishIntegrationTest, ExpiredDeadlineQueriesAreDroppedWithTypedReply) {
+  // A search and a kNN whose deadline passed before the server picked
+  // them up are both dropped before the traversal and answered with a
+  // do-not-retry kOverloaded reply. (An RTreeClient refuses to send an
+  // already-expired op, so the test writes the frames itself.)
+  SetUpServer();
+  RawConnection raw(*fabric_, *server_);
+  const uint64_t expired = 1;  // long past on the shared steady clock
+  const auto search = msg::Encode(
+      msg::SearchRequest{1, geo::Rect{0, 0, 1, 1}, {}, expired});
+  const auto knn =
+      msg::Encode(msg::KnnRequest{2, geo::Point{0.5, 0.5}, 5, {}, expired});
+  ASSERT_TRUE(raw.tx->TrySend(static_cast<uint16_t>(msg::MsgType::kSearchReq),
+                              msg::kFlagEnd, search,
+                              static_cast<uint32_t>(msg::MsgType::kSearchReq)));
+  ASSERT_TRUE(raw.tx->TrySend(static_cast<uint16_t>(msg::MsgType::kKnnReq),
+                              msg::kFlagEnd, knn,
+                              static_cast<uint32_t>(msg::MsgType::kKnnReq)));
+  std::vector<msg::OverloadReply> replies;
+  ASSERT_TRUE(WaitUntil(
+      [&] {
+        while (auto m = raw.rx->TryReceive()) {
+          if (m->type == static_cast<uint16_t>(msg::MsgType::kHeartbeat)) {
+            continue;
+          }
+          EXPECT_EQ(m->type, static_cast<uint16_t>(msg::MsgType::kOverloaded));
+          if (const auto ov = msg::DecodeOverloadReply(m->payload)) {
+            replies.push_back(*ov);
+          }
+        }
+        return replies.size() == 2;
+      },
+      5000ms, 10us));
+  EXPECT_EQ(replies[0].req_id, 1u);
+  EXPECT_EQ(replies[1].req_id, 2u);
+  EXPECT_EQ(replies[0].retry_after_us, 0u);
+  EXPECT_EQ(replies[1].retry_after_us, 0u);
+  const ServerStats s = server_->stats();
+  EXPECT_EQ(s.deadline_drops, 2u);
+  EXPECT_EQ(s.searches, 0u);
 }
 
 TEST_F(CatfishIntegrationTest, BackToBackRequestsArePickedUpByPolling) {

@@ -6,12 +6,15 @@
 //  * the assembled traces export as valid Chrome/Perfetto trace-event
 //    JSON with critical-path marks;
 //  * routed writes trace the same way (owner shard's tree grafted);
-//  * context-free legacy clients interoperate unchanged;
+//  * context-free clients interoperate unchanged;
+//  * every ShardedClientStats bump has its registry counter;
 //  * both simulators emit sampled distributed traces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "shard/host.h"
 #include "telemetry/assemble.h"
 #include "telemetry/export.h"
+#include "telemetry/metrics.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -77,10 +81,12 @@ class DistributedTraceTest : public ::testing::Test {
   }
 
   shard::ShardedRTreeClient& Connect(const std::string& name,
-                                     bool traced = true) {
+                                     bool traced = true,
+                                     uint64_t op_budget_us = 0) {
     auto node = fabric_->CreateNode(name);
     shard::ShardedClientConfig cfg;
     cfg.client.adaptive.heartbeat_interval_us = 1'000;
+    cfg.op_budget_us = op_budget_us;
     if (traced) {
       cfg.tracer = &tracer_;
       cfg.assembler = &assembler_;
@@ -233,20 +239,66 @@ TEST_F(DistributedTraceTest, RoutedWriteGraftsOwnerShardsTree) {
                           }));
 }
 
-TEST_F(DistributedTraceTest, ContextFreeLegacyClientInteroperates) {
-  // No tracer, no assembler: every request goes out context-free
-  // (byte-identical legacy frames) against servers that trace. Results
-  // stay exact and no trace machinery engages on the client.
-  auto& legacy = Connect("client-legacy", /*traced=*/false);
+TEST_F(DistributedTraceTest, ContextFreeClientInteroperates) {
+  // No tracer, no assembler: every request goes out with an empty trace
+  // context against servers that trace. Results stay exact and no trace
+  // machinery engages on the client.
+  auto& plain = Connect("client-plain", /*traced=*/false);
   Xoshiro256 rng(67);
   for (int i = 0; i < 40; ++i) {
     const auto q = RandomRect(rng, i % 3 == 0 ? 0.6 : 0.02);
-    EXPECT_EQ(Ids(legacy.Search(q)), oracle_.Search(q));
+    EXPECT_EQ(Ids(plain.Search(q)), oracle_.Search(q));
   }
-  ASSERT_TRUE(legacy.Insert(geo::Rect{0.3, 0.3, 0.302, 0.302}, 900'002));
-  ASSERT_TRUE(legacy.Delete(geo::Rect{0.3, 0.3, 0.302, 0.302}, 900'002));
-  EXPECT_EQ(legacy.stats().assembled_traces, 0u);
+  ASSERT_TRUE(plain.Insert(geo::Rect{0.3, 0.3, 0.302, 0.302}, 900'002));
+  ASSERT_TRUE(plain.Delete(geo::Rect{0.3, 0.3, 0.302, 0.302}, 900'002));
+  EXPECT_EQ(plain.stats().assembled_traces, 0u);
   EXPECT_EQ(assembler_.size(), 0u);
+}
+
+TEST_F(DistributedTraceTest, RegistryCountsMatchShardedClientStats) {
+#if !CATFISH_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out (CATFISH_TELEMETRY=OFF)";
+#endif
+  // Every ShardedClientStats bump has its registry counter: a kNN and a
+  // routed write that fail on a stalled shard, then a traced routed
+  // write that succeeds, move both by the same amounts.
+  constexpr uint32_t kStalled = 1;
+  auto& client = Connect("client-counted", /*traced=*/true,
+                         /*op_budget_us=*/30'000);
+  host_->server(kStalled).SetServiceDelayForTest(100'000);
+  std::optional<geo::Rect> stalled_rect, healthy_rect;
+  for (int i = 0; i < 100; ++i) {
+    const double x = (i % 10 + 0.5) / 10.0;
+    const double y = (i / 10 + 0.5) / 10.0;
+    const geo::Rect r{x, y, x + 0.001, y + 0.001};
+    auto& slot =
+        client.map().OwnerOf(r) == kStalled ? stalled_rect : healthy_rect;
+    if (!slot) slot = r;
+  }
+  ASSERT_TRUE(stalled_rect && healthy_rect);
+
+  const auto counters = [] {
+    const auto snap = telemetry::Registry::Global().TakeSnapshot();
+    return std::array<uint64_t, 4>{
+        snap.counter("shard.client.subquery_errors"),
+        snap.counter("shard.client.assembled_traces"),
+        snap.counter("shard.client.knn"),
+        snap.counter("shard.client.inserts")};
+  };
+  const auto before = counters();
+  const shard::ShardedClientStats st0 = client.stats();
+  EXPECT_THROW(client.NearestNeighbors({0.5, 0.5}, 5), shard::ShardError);
+  EXPECT_THROW(client.Insert(*stalled_rect, 900'003), shard::ShardError);
+  EXPECT_TRUE(client.Insert(*healthy_rect, 900'004));
+  const auto after = counters();
+  const shard::ShardedClientStats st1 = client.stats();
+
+  EXPECT_GE(st1.shard_errors - st0.shard_errors, 2u);
+  EXPECT_EQ(after[0] - before[0], st1.shard_errors - st0.shard_errors);
+  EXPECT_EQ(st1.assembled_traces - st0.assembled_traces, 2u);
+  EXPECT_EQ(after[1] - before[1], st1.assembled_traces - st0.assembled_traces);
+  EXPECT_EQ(after[2] - before[2], st1.knn_queries - st0.knn_queries);
+  EXPECT_EQ(after[3] - before[3], st1.inserts - st0.inserts);
 }
 
 // ---------------------------------------------------------------------------

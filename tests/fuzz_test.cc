@@ -622,10 +622,9 @@ TEST(ReplFuzz, CountFieldLiesAreRejectedBeforeAllocation) {
 }
 
 // ---------------------------------------------------------------------------
-// Request decoders with optional tails (trace / deadline) and the
-// overload reply: the tails are size-discriminated, so the decoders
-// must classify arbitrary lengths without over-reading, and mutated
-// valid frames must decode to in-bounds values or reject cleanly.
+// Request decoders and the fixed-size replies: each accepts exactly one
+// length, so arbitrary bytes must never over-read, and mutated valid
+// frames must decode to in-bounds values or reject cleanly.
 // ---------------------------------------------------------------------------
 
 TEST(RequestFuzz, RandomBlobsNeverCrashRequestDecoders) {
@@ -638,11 +637,13 @@ TEST(RequestFuzz, RandomBlobsNeverCrashRequestDecoders) {
     (void)msg::DecodeSearchRequest(blob);
     (void)msg::DecodeInsertRequest(blob);
     (void)msg::DecodeDeleteRequest(blob);
+    (void)msg::DecodeKnnRequest(blob);
     (void)msg::DecodeOverloadReply(blob);
+    (void)msg::DecodeHeartbeat(blob);
   }
 }
 
-TEST(RequestFuzz, MutatedDeadlineFramesDecodeOrRejectBySizeAlone) {
+TEST(RequestFuzz, MutatedRequestsDecodeOnlyAtTheirOneSize) {
   Xoshiro256 rng(802);
   for (int iter = 0; iter < 3000; ++iter) {
     msg::SearchRequest req;
@@ -669,20 +670,10 @@ TEST(RequestFuzz, MutatedDeadlineFramesDecodeOrRejectBySizeAlone) {
                    std::byte{0x5a});  // garbage tail
     }
     const auto decoded = msg::DecodeSearchRequest(bytes);
-    // Layouts are discriminated by size alone, so an unresized frame
-    // must still decode (bit flips change values, never validity), and
-    // any frame that decodes must be one of the four legal sizes.
-    if (bytes.size() == valid_size) {
-      EXPECT_TRUE(decoded.has_value());
-    }
-    if (decoded.has_value()) {
-      const size_t base = 40;
-      EXPECT_TRUE(bytes.size() == base ||
-                  bytes.size() == base + msg::kDeadlineTailBytes ||
-                  bytes.size() == base + msg::kTraceContextBytes ||
-                  bytes.size() == base + msg::kTraceContextBytes +
-                                      msg::kDeadlineTailBytes);
-    }
+    // An unresized frame still decodes (bit flips change values, never
+    // validity), and nothing of another length does.
+    EXPECT_EQ(valid_size, msg::kSearchRequestBytes);
+    EXPECT_EQ(decoded.has_value(), bytes.size() == msg::kSearchRequestBytes);
   }
 }
 

@@ -15,6 +15,7 @@
 #include "common/clock.h"
 #include "rtree/bulk_load.h"
 #include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 #include "test_util.h"
 
 namespace catfish {
@@ -283,6 +284,30 @@ TEST_F(OverloadTest, BreakerOpensOnShedsAndRecloses) {
   std::this_thread::sleep_for(120ms);  // > open_max + hint floor
   EXPECT_NO_THROW(client->SearchFast(RandomRect(rng, 0.05)));
   EXPECT_EQ(client->breaker().state(), CircuitBreaker::State::kClosed);
+}
+
+TEST_F(OverloadTest, ShedTracedSearchStillFinishesItsTrace) {
+  // A traced search that throws must not leave its trace open: the
+  // client would then never trace again and stamp later requests with
+  // a dead context.
+  SetUpServer(ForcedShedding());
+  server_->OverrideUtilization(1.0);
+  telemetry::Tracer tracer;  // samples every trace
+  ClientConfig cfg;
+  cfg.tracer = &tracer;
+  auto client = MakeClient(cfg);
+  Xoshiro256 rng(5);
+  EXPECT_THROW(client->SearchFast(RandomRect(rng, 0.05)), ClientError);
+
+  server_->OverrideUtilization(0.0);
+  constexpr uint64_t kSearches = 8;
+  for (uint64_t i = 0; i < kSearches; ++i) {
+    client->SearchFast(RandomRect(rng, 0.05));
+  }
+  EXPECT_EQ(tracer.started(), tracer.finished());
+#if CATFISH_TELEMETRY_ENABLED
+  EXPECT_EQ(tracer.finished(), 1 + kSearches);
+#endif
 }
 
 TEST_F(OverloadTest, WatchdogSilenceFloorMasksSlowHeartbeats) {

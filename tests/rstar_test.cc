@@ -620,5 +620,63 @@ TEST(RStarTreeConcurrencyTest, LocalSearchesNeverMissPreloadedEntries) {
   tree.CheckInvariants();
 }
 
+TEST(RStarTreeConcurrencyTest, KnnNeverOmitsCloserPreloadedEntries) {
+  // kNN against a split-heavy writer: every pre-loaded entry closer to
+  // the query point than the k-th result must be among the results.
+  NodeArena arena(kChunkSize, 1 << 14);
+  RStarTree tree = RStarTree::Create(arena);
+  std::vector<Entry> preloaded;
+  Xoshiro256 seed_rng(111);
+  for (uint64_t i = 0; i < 2000; ++i) {
+    preloaded.push_back(Entry{RandomRect(seed_rng, 0.01), i});
+    tree.Insert(preloaded.back().mbr, i);
+  }
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    Xoshiro256 rng(112);
+    std::vector<Entry> mine;
+    uint64_t id = 1'000'000;
+    while (!stop.load(std::memory_order_relaxed)) {
+      mine.push_back(Entry{RandomRect(rng, 0.005), id++});
+      tree.Insert(mine.back().mbr, mine.back().id);
+      if (mine.size() > 300) {
+        const size_t k = rng.Next() % mine.size();
+        tree.Delete(mine[k].mbr, mine[k].id);
+        mine[k] = mine.back();
+        mine.pop_back();
+      }
+    }
+  });
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Xoshiro256 rng(113 + static_cast<uint64_t>(t));
+      std::vector<Entry> out;
+      for (int i = 0; i < 5'000; ++i) {
+        out.clear();
+        const geo::Point p{rng.NextDouble(), rng.NextDouble()};
+        const size_t k = 1 + rng.NextBounded(16);
+        ASSERT_EQ(tree.NearestNeighbors(p, k, out), k);
+        const double kth = geo::MinDist2(out.back().mbr, p);
+        std::vector<uint64_t> ids;
+        for (const Entry& e : out) ids.push_back(e.id);
+        std::sort(ids.begin(), ids.end());
+        for (const Entry& e : preloaded) {
+          if (geo::MinDist2(e.mbr, p) >= kth) continue;
+          ASSERT_TRUE(std::binary_search(ids.begin(), ids.end(), e.id))
+              << "pre-loaded entry " << e.id << " closer than the k-th "
+              << "result was omitted";
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  stop.store(true);
+  writer.join();
+  tree.CheckInvariants();
+}
+
 }  // namespace
 }  // namespace catfish::rtree

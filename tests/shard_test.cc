@@ -147,10 +147,14 @@ TEST(ShardMapCodec, TrailingBytesMagicAndSkewAreTyped) {
   bad_magic[0] ^= std::byte{0xff};
   EXPECT_EQ(DecodeShardMap(bad_magic, out), MapDecodeStatus::kBadMagic);
 
-  // A future format version must be rejected as skew, not misparsed.
-  auto skew = bytes;
-  skew[4] = std::byte{static_cast<uint8_t>(shard::kShardMapFormatVersion + 1)};
-  EXPECT_EQ(DecodeShardMap(skew, out), MapDecodeStatus::kVersionSkew);
+  // Any other format version, older or newer, must be rejected as skew,
+  // not misparsed.
+  for (const int delta : {-1, 1}) {
+    auto skew = bytes;
+    skew[4] = std::byte{
+        static_cast<uint8_t>(shard::kShardMapFormatVersion + delta)};
+    EXPECT_EQ(DecodeShardMap(skew, out), MapDecodeStatus::kVersionSkew);
+  }
 }
 
 TEST(ShardMapCodec, AbsurdGeometryClaimsAreRejected) {
