@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace catfish {
 
@@ -68,6 +69,31 @@ size_t LogHistogram::BucketFor(double value) const noexcept {
 double LogHistogram::BucketLower(size_t idx) const noexcept {
   if (idx == 0) return 0.0;
   return min_value_ * std::exp(log_growth_ * static_cast<double>(idx - 1));
+}
+
+LogHistogram LogHistogram::FromParts(std::vector<uint64_t> buckets,
+                                     double sum, double sum_squares,
+                                     double min, double max) {
+  LogHistogram h;
+  uint64_t n = 0;
+  size_t lo = buckets.size();
+  size_t hi = 0;
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets[i] == 0) continue;
+    n += buckets[i];
+    lo = std::min(lo, i);
+    hi = i;
+  }
+  if (n == 0) return h;
+  if (!(min <= max)) {
+    min = h.BucketLower(lo);
+    max = h.BucketLower(hi + 1);
+  }
+  const double mean = sum / static_cast<double>(n);
+  h.stat_ = RunningStat::FromMoments(n, sum, sum_squares - sum * mean, min,
+                                     max);
+  h.buckets_ = std::move(buckets);
+  return h;
 }
 
 void LogHistogram::Add(double value) noexcept {

@@ -48,6 +48,14 @@ class LogHistogram {
   /// bucket 0. `growth` is the per-bucket geometric factor.
   explicit LogHistogram(double min_value = 1e-3, double growth = 1.02);
 
+  /// Rebuilds a default-shaped histogram from its raw parts, as kept by
+  /// writers that update each field separately (telemetry::Registry).
+  /// The parts may disagree slightly when read while being written: the
+  /// bucket counts decide the count, and min/max fall back to bucket
+  /// bounds when unset.
+  static LogHistogram FromParts(std::vector<uint64_t> buckets, double sum,
+                                double sum_squares, double min, double max);
+
   void Add(double value) noexcept;
   void Merge(const LogHistogram& other);
 
@@ -73,8 +81,10 @@ class LogHistogram {
   /// "mean=12.3 p50=11 p95=30 p99=41 max=55 n=1000"
   std::string Summary() const;
 
- private:
+  /// Index of the bucket `value` lands in.
   size_t BucketFor(double value) const noexcept;
+
+ private:
   double BucketLower(size_t idx) const noexcept;
 
   double min_value_;

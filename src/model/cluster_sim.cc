@@ -428,10 +428,8 @@ void ClusterSim::SubqueryFast(Client& c, std::shared_ptr<Leg> leg,
   }
   const size_t resp_bytes =
       k.response_base_bytes * segments + sst.results * k.per_result_bytes;
-  if (!tcp) {
-    ++result_.fast_searches;
-    CATFISH_COUNT("catfish.client.search.fast");
-  }
+  ++result_.fast_searches;
+  CATFISH_COUNT("catfish.client.search.fast");
 
   // Arm the hedge: if the primary has not joined after the delay,
   // re-issue as an offloaded read against a follower (round-robin).

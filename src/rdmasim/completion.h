@@ -41,7 +41,8 @@ struct WorkCompletion {
   uint32_t qp_num = 0;    ///< local QP the completion belongs to
   uint32_t imm_data = 0;  ///< valid only for kRecvImm
   uint32_t byte_len = 0;  ///< bytes moved by the operation
-  uint64_t posted_ns = 0; ///< when the NIC pushed it (0 without telemetry)
+  uint64_t posted_ns = 0; ///< when the NIC pushed it to a blocked waiter
+                          ///< (0 otherwise, and without telemetry)
 };
 
 class CompletionQueue {
@@ -55,6 +56,9 @@ class CompletionQueue {
   /// Batch reaping (the coalesced-polling half of doorbell batching):
   /// drains up to out.size() completions under a single lock acquisition
   /// and counts a single `rdma.polls` access however many CQEs it moves.
+  /// It records no `rdma.cq.delay_us` sample: a poller reaps CQEs in
+  /// bulk (e.g. a worker's stale-IMM drain), where a clock read and a
+  /// timer sample per CQE would cost more than the reaping itself.
   size_t PollMany(std::span<WorkCompletion> out) {
     CATFISH_COUNT("rdma.polls");
     const std::scoped_lock lock(mu_);
@@ -62,7 +66,6 @@ class CompletionQueue {
     while (n < out.size() && !queue_.empty()) {
       out[n] = queue_.front();
       queue_.pop_front();
-      RecordDelay(out[n]);
       ++n;
     }
     return n;
@@ -70,12 +73,17 @@ class CompletionQueue {
 
   /// Blocking: waits until a completion is available or `timeout`
   /// elapses, then pops one. Emulates blocking on a completion event
-  /// channel (ibv_get_cq_event) followed by a poll.
+  /// channel (ibv_get_cq_event) followed by a poll. A pickup that had
+  /// to block records one `rdma.cq.delay_us` sample.
   std::optional<WorkCompletion> Wait(std::chrono::microseconds timeout) {
     std::unique_lock lock(mu_);
-    if (!cv_.wait_for(lock, timeout, [this] { return !queue_.empty(); })) {
-      return std::nullopt;
-    }
+    // wait_for returns without unlocking when a completion is already
+    // queued, so Push only sees waiters_ != 0 while this call blocks.
+    ++waiters_;
+    const bool ready =
+        cv_.wait_for(lock, timeout, [this] { return !queue_.empty(); });
+    --waiters_;
+    if (!ready) return std::nullopt;
     WorkCompletion wc = queue_.front();
     queue_.pop_front();
     RecordDelay(wc);
@@ -115,14 +123,15 @@ class CompletionQueue {
   }
 
  private:
-  /// The delivery stamp RecordDelay reads; builds without telemetry skip
-  /// the clock read on every completion.
-  static uint64_t StampNow() noexcept {
-    return CATFISH_TELEMETRY_ENABLED ? NowNanos() : 0;
+  /// The delivery stamp RecordDelay reads, taken only while a consumer
+  /// is blocked in Wait(): completions reaped by polling, and builds
+  /// without telemetry, skip the clock read. Callers hold mu_.
+  uint64_t StampNow() const noexcept {
+    return CATFISH_TELEMETRY_ENABLED && waiters_ != 0 ? NowNanos() : 0;
   }
 
-  /// Time from NIC delivery to consumer pickup — the sim's analogue of
-  /// completion latency (how long work sat in the CQ).
+  /// Time from NIC delivery to pickup by a consumer that blocked for it
+  /// — the sim's analogue of event-mode completion latency (§IV-B).
   static void RecordDelay(const WorkCompletion& wc) noexcept {
 #if CATFISH_TELEMETRY_ENABLED
     if (wc.posted_ns != 0) {
@@ -138,6 +147,7 @@ class CompletionQueue {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<WorkCompletion> queue_;
+  uint32_t waiters_ = 0;  // threads blocked in Wait()
 };
 
 }  // namespace catfish::rdma

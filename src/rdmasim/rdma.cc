@@ -429,8 +429,10 @@ bool QueuePair::Execute(const WorkRequest& wr, WorkCompletion& wc,
 }
 
 bool QueuePair::PostOne(const WorkRequest& wr) {
+  // One doorbell, but no batch_size sample: that histogram describes
+  // PostBatch chains, and a sample per single post would cost a timer
+  // update on every ring WRITE.
   CATFISH_COUNT("rdma.doorbells");
-  CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size", 1.0);
   WorkCompletion wc;
   bool deliver = false;
   const bool ok = Execute(wr, wc, deliver);

@@ -3,16 +3,26 @@
 //
 // Catfish's whole value proposition is a runtime tradeoff (server CPU vs
 // client RTTs, §IV-A); this registry is how every layer reports its side
-// of that tradeoff without perturbing it:
+// of that tradeoff without perturbing it. Every update on the live path
+// is a few plain instructions:
 //
-//  * a Counter increment is one uncontended relaxed fetch_add on a slot
-//    private to the calling thread — no shared cache line ever bounces
-//    between worker threads on the hot path;
-//  * a Timer records into a per-thread LogHistogram under a per-shard
-//    mutex that only a snapshot ever contends for;
-//  * TakeSnapshot() merges every thread's shard into one consistent
-//    view — the exporters (telemetry/export.h) turn that into JSON
-//    lines or a human table.
+//  * each thread owns one shard per registry, found through a
+//    thread-local (registry uid, shard) cache — one compare on a hit;
+//  * a Counter increment is a relaxed load + store on a slot of a dense
+//    per-thread array that only the owning thread writes (no
+//    lock-prefixed read-modify-write, no shared cache line);
+//  * a Timer sample takes no mutex: the owner bumps a LogHistogram
+//    bucket count and its sum, sum of squares, min and max, all relaxed
+//    atomics only it writes. The shard mutex only orders an owner
+//    growing its arrays against a snapshot reading them;
+//  * TakeSnapshot() merges every thread's shard into one view — the
+//    exporters (telemetry/export.h) turn that into JSON lines or a
+//    human table. A snapshot taken while owners write tolerates skew
+//    between a slot's fields: the bucket counts decide a timer's count;
+//  * Reset() never writes a slot another thread owns. It records the
+//    raw totals as a baseline that later snapshots subtract, and bumps a
+//    generation word: an owner's first timer sample of a new generation
+//    restarts its slot's min and max, so they stay exact.
 //
 // Instrumentation sites use the CATFISH_COUNT / CATFISH_TIMER macros
 // below: each site resolves its metric handle once (function-local
@@ -24,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,6 +54,14 @@ namespace catfish::telemetry {
 
 class Registry;
 
+/// Adds to a slot only the calling thread writes: a plain load + store
+/// is then an exact add, and concurrent readers still see whole values.
+template <typename T>
+void OwnerAdd(std::atomic<T>& slot, T n) noexcept {
+  slot.store(slot.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
+
 /// Monotonically increasing event count. Handles are created by a
 /// Registry, have stable addresses for the registry's lifetime, and are
 /// safe to use from any thread.
@@ -53,8 +72,11 @@ class Counter {
 
  private:
   friend class Registry;
-  Counter(Registry* reg, uint32_t id) : reg_(reg), id_(id) {}
+  Counter(Registry* reg, uint64_t uid, uint32_t id)
+      : reg_(reg), uid_(uid), id_(id) {}
   Registry* reg_;
+  // reg_'s uid, kept here so a shard-cache hit loads nothing via reg_.
+  uint64_t uid_;
   uint32_t id_;
 };
 
@@ -70,15 +92,17 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Duration/value distribution backed by a per-thread LogHistogram.
+/// Duration/value distribution; snapshots report it as a LogHistogram.
 class Timer {
  public:
   void RecordUs(double us) noexcept;
 
  private:
   friend class Registry;
-  Timer(Registry* reg, uint32_t id) : reg_(reg), id_(id) {}
+  Timer(Registry* reg, uint64_t uid, uint32_t id)
+      : reg_(reg), uid_(uid), id_(id) {}
   Registry* reg_;
+  uint64_t uid_;  // as in Counter
   uint32_t id_;
 };
 
@@ -120,27 +144,72 @@ class Registry {
   Snapshot TakeSnapshot() const;
 
   /// Zeroes all values (counters, timers, gauges) while keeping every
-  /// handle valid — benches call this between cells.
+  /// handle valid — benches call this between cells. Counters and
+  /// timers restart from a baseline of their current totals; threads
+  /// may keep recording across the call.
   void Reset();
 
  private:
   friend class Counter;
   friend class Timer;
 
-  /// One thread's slice of the registry: counters are per-slot atomics
-  /// only the owning thread adds to; timer histograms are guarded by the
-  /// shard mutex (uncontended except while a snapshot merges).
+  /// One thread's samples of one timer. Only the owning thread writes
+  /// it; `buckets` are LogHistogram bucket counts, grown on demand, and
+  /// min/max cover the samples since Reset() generation `generation`.
+  struct TimerSlot {
+    std::vector<std::atomic<uint64_t>> buckets;
+    std::atomic<double> sum{0.0};
+    std::atomic<double> sum_squares{0.0};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
+    std::atomic<uint64_t> generation{0};
+  };
+
+  /// A timer's raw parts summed over every shard.
+  struct TimerTotals {
+    std::vector<uint64_t> buckets;
+    double sum = 0.0;
+    double sum_squares = 0.0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
+  };
+
+  /// One thread's slice of the registry. Slots are indexed by metric id
+  /// and written only by the owning thread; `mu` serializes the owner
+  /// growing an array against TakeSnapshot/Reset reading it.
   struct Shard {
     std::mutex mu;
-    std::deque<std::atomic<uint64_t>> counters;  // indexed by counter id
-    std::deque<LogHistogram> timers;             // indexed by timer id
-    void GrowCounters(uint32_t id);
+    std::vector<std::atomic<uint64_t>> counters;
+    std::vector<std::unique_ptr<TimerSlot>> timers;
+    /// Owner only: makes `slots` (this shard's counters or one of its
+    /// timers' buckets) long enough to index `idx`.
+    void Grow(std::vector<std::atomic<uint64_t>>& slots, size_t idx);
     void GrowTimers(uint32_t id);
   };
 
-  Shard& LocalShard();
+  /// This thread's shard for the registry it used last. Zero-initialized
+  /// like every thread_local; registry uids start at 1.
+  struct ShardCache {
+    uint64_t uid;
+    Shard* shard;
+  };
+  static inline thread_local ShardCache tls_last_;
+
+  /// This thread's shard of `reg`, whose uid is `uid`.
+  static Shard& LocalShard(Registry* reg, uint64_t uid) {
+    if (tls_last_.uid == uid) return *tls_last_.shard;
+    return reg->FindOrAddShard();
+  }
+  Shard& FindOrAddShard();
+
+  /// Every shard's counters and timers summed (timer min/max from the
+  /// current generation only); callers hold mu_.
+  void MergeShards(std::vector<uint64_t>& counts,
+                   std::vector<TimerTotals>& timers) const;
 
   const uint64_t uid_;
+  const LogHistogram shape_;  // the bucket layout every timer slot uses
+  std::atomic<uint64_t> generation_{0};  // bumped by every Reset()
   mutable std::mutex mu_;
   std::unordered_map<std::string, uint32_t> counter_ids_;
   std::unordered_map<std::string, uint32_t> gauge_ids_;
@@ -152,7 +221,16 @@ class Registry {
   std::vector<std::string> gauge_names_;
   std::vector<std::string> timer_names_;
   std::vector<std::shared_ptr<Shard>> shards_;
+  // Totals at the last Reset(); snapshots report what came after.
+  std::vector<uint64_t> counter_baseline_;
+  std::vector<TimerTotals> timer_baseline_;
 };
+
+inline void Counter::Add(uint64_t n) noexcept {
+  Registry::Shard& s = Registry::LocalShard(reg_, uid_);
+  if (id_ >= s.counters.size()) s.Grow(s.counters, id_);
+  OwnerAdd(s.counters[id_], n);
+}
 
 /// RAII wall-clock timer recording elapsed microseconds at scope exit.
 class ScopedTimer {
@@ -173,7 +251,7 @@ class ScopedTimer {
 
 // ---------------------------------------------------------------------------
 // Instrumentation macros. Each site pays one hash lookup ever (static
-// init), then a thread-local relaxed add. With telemetry compiled out
+// init), then an owner-only slot update. With telemetry compiled out
 // they expand to nothing — arguments are not evaluated.
 // ---------------------------------------------------------------------------
 

@@ -90,6 +90,19 @@ TEST(ClusterSimTest, FastMessagingUsesServerCpu) {
   EXPECT_GT(r.server_cpu_util, 0.0);
 }
 
+TEST(ClusterSimTest, TcpSearchesCountAsFastSearches) {
+  // A TCP search is served by the server like a fast-messaging one, so
+  // it is counted as one: the JSONL `adaptive` block of a TCP cell
+  // reports every completed search.
+  Testbed tb;
+  for (const Scheme s : {Scheme::kTcp1G, Scheme::kTcp40G}) {
+    ClusterSim sim(*tb.tree, BaseConfig(s, 8, 1e-4, 50));
+    const auto r = sim.Run();
+    EXPECT_EQ(r.fast_searches, r.completed) << SchemeName(s);
+    EXPECT_EQ(r.offloaded_searches, 0u) << SchemeName(s);
+  }
+}
+
 TEST(ClusterSimTest, CpuBoundRegimeSaturatesCpuNotNetwork) {
   // Fig 2(b): small-scope searches on TCP — CPU far busier than the wire.
   Testbed tb;

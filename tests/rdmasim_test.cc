@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include "telemetry/metrics.h"
 
 namespace catfish::rdma {
 namespace {
@@ -314,6 +317,89 @@ TEST(RdmaSimTest, PollManyMatchesRepeatedPoll) {
     for (size_t i = 0; i < got; ++i) EXPECT_EQ(two[i].wr_id, next++);
   }
   EXPECT_EQ(next, 55u);
+}
+
+// The per-op telemetry policy: a single post counts its doorbell but adds
+// no batch_size sample (that histogram describes multi-WR chains), and
+// only a Wait() that blocked for its completion records a CQ delay —
+// bulk PollMany reaping records none.
+uint64_t TimerCount(const telemetry::Snapshot& snap, std::string_view name) {
+  const LogHistogram* h = snap.timer(name);
+  return h != nullptr ? h->count() : 0;
+}
+
+TEST(RdmaSimTelemetryTest, SinglePostsAddNoBatchSizeSample) {
+#if !CATFISH_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out (CATFISH_TELEMETRY=OFF)";
+#endif
+  Endpoints ep;
+  std::vector<std::byte> server_mem(256, std::byte{3});
+  const auto mr = ep.server->RegisterMemory(server_mem);
+  std::vector<std::byte> local(64);
+  auto& reg = telemetry::Registry::Global();
+
+  const telemetry::Snapshot before = reg.TakeSnapshot();
+  ASSERT_TRUE(ep.c_qp->PostRead(1, local, RemoteAddr{mr.rkey, 0}));
+  const telemetry::Snapshot one = reg.TakeSnapshot();
+  EXPECT_EQ(one.counter("rdma.doorbells"),
+            before.counter("rdma.doorbells") + 1);
+  EXPECT_EQ(TimerCount(one, "rdma.doorbell.batch_size"),
+            TimerCount(before, "rdma.doorbell.batch_size"));
+
+  std::vector<WorkRequest> wrs(4);
+  for (size_t i = 0; i < wrs.size(); ++i) {
+    wrs[i].wr_id = 10 + i;
+    wrs[i].dst = std::span<std::byte>(local).subspan(i * 16, 16);
+    wrs[i].remote = RemoteAddr{mr.rkey, i * 16};
+  }
+  ASSERT_EQ(ep.c_qp->PostBatch(wrs), wrs.size());
+  const telemetry::Snapshot batch = reg.TakeSnapshot();
+  EXPECT_EQ(batch.counter("rdma.doorbells"),
+            one.counter("rdma.doorbells") + 1);
+  const LogHistogram* after = batch.timer("rdma.doorbell.batch_size");
+  ASSERT_NE(after, nullptr);
+  const LogHistogram added =
+      one.timer("rdma.doorbell.batch_size") != nullptr
+          ? after->Diff(*one.timer("rdma.doorbell.batch_size"))
+          : *after;
+  EXPECT_EQ(added.count(), 1u);
+  EXPECT_DOUBLE_EQ(added.mean(), 4.0);
+}
+
+TEST(RdmaSimTelemetryTest, OnlyBlockingPickupsRecordCqDelay) {
+#if !CATFISH_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out (CATFISH_TELEMETRY=OFF)";
+#endif
+  Endpoints ep;
+  std::vector<std::byte> server_mem(256, std::byte{3});
+  const auto mr = ep.server->RegisterMemory(server_mem);
+  std::vector<std::byte> local(32);
+  auto& reg = telemetry::Registry::Global();
+
+  constexpr uint64_t kN = 6;
+  for (uint64_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(ep.c_qp->PostRead(i, local, RemoteAddr{mr.rkey, 8 * i}));
+  }
+  const uint64_t before = TimerCount(reg.TakeSnapshot(), "rdma.cq.delay_us");
+  WorkCompletion wcs[kN];
+  ASSERT_EQ(ep.c_send->PollMany(wcs), kN);
+  EXPECT_EQ(TimerCount(reg.TakeSnapshot(), "rdma.cq.delay_us"), before);
+
+  // A Wait() that finds its completion already queued never blocked.
+  ASSERT_TRUE(ep.c_qp->PostRead(98, local, RemoteAddr{mr.rkey, 0}));
+  ASSERT_TRUE(ep.c_send->Wait(100ms).has_value());
+  EXPECT_EQ(TimerCount(reg.TakeSnapshot(), "rdma.cq.delay_us"), before);
+
+  // One that blocks until the NIC delivers records exactly one sample.
+  std::thread poster([&] {
+    std::this_thread::sleep_for(50ms);
+    EXPECT_TRUE(ep.c_qp->PostRead(99, local, RemoteAddr{mr.rkey, 0}));
+  });
+  const auto wc = ep.c_send->Wait(5s);
+  poster.join();
+  ASSERT_TRUE(wc.has_value());
+  EXPECT_EQ(wc->wr_id, 99u);
+  EXPECT_EQ(TimerCount(reg.TakeSnapshot(), "rdma.cq.delay_us"), before + 1);
 }
 
 TEST(FaultControllerTest, QpErrorIsStickyAndTyped) {
