@@ -208,8 +208,11 @@ void BPlusTree::SplitNode(std::vector<ChunkId>& path, BNodeData& node) {
   std::copy(node.entries + left_n, node.entries + total, right.entries);
   right.next = node.next;
 
+  // Every level links left → right, and the right half is stored before
+  // the left one: a lock-free reader holding a parent image from before
+  // the split reaches the moved keys through `next` (DescendToLeaf).
   node.count = static_cast<uint16_t>(left_n);
-  if (node.IsLeaf()) node.next = right_id;
+  node.next = right_id;
 
   const uint64_t right_min = right.entries[0].key;
 
@@ -218,8 +221,8 @@ void BPlusTree::SplitNode(std::vector<ChunkId>& path, BNodeData& node) {
     const ChunkId left_id = arena_->Allocate();
     BNodeData left = node;
     left.self = left_id;
-    StoreNode(left);
     StoreNode(right);
+    StoreNode(left);
 
     BNodeData root;
     root.self = kRootChunk;
@@ -233,8 +236,8 @@ void BPlusTree::SplitNode(std::vector<ChunkId>& path, BNodeData& node) {
     return;
   }
 
-  StoreNode(node);
   StoreNode(right);
+  StoreNode(node);
 
   // Insert (right_min → right_id) into the parent.
   path.pop_back();
@@ -272,18 +275,15 @@ bool BPlusTree::Erase(uint64_t key) {
 
 std::optional<uint64_t> BPlusTree::Get(uint64_t key) const {
   BNodeData node;
-  ChunkId cur = kRootChunk;
-  for (;;) {
-    ReadNode(cur, node);
-    if (node.IsLeaf()) {
-      const size_t pos = node.LowerBound(key);
-      if (pos < node.count && node.entries[pos].key == key) {
-        return node.entries[pos].value;
-      }
-      return std::nullopt;
-    }
-    cur = static_cast<ChunkId>(node.entries[node.ChildIndexFor(key)].value);
+  DescendToLeaf(key, node, [this](ChunkId id, BNodeData& out) {
+    ReadNode(id, out);
+    return true;
+  });
+  const size_t pos = node.LowerBound(key);
+  if (pos < node.count && node.entries[pos].key == key) {
+    return node.entries[pos].value;
   }
+  return std::nullopt;
 }
 
 size_t BPlusTree::Scan(uint64_t lo, uint64_t hi,

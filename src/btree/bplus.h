@@ -17,8 +17,9 @@
 //   u16 level; u16 count; u32 self; u32 next; u32 _pad;
 //   Entry { u64 key; u64 value } × count   (59 max)
 // Internal entries hold (separator key = smallest key of subtree,
-// child chunk id); leaves hold the key→value pairs and chain through
-// `next` in key order.
+// child chunk id); leaves hold the key→value pairs. Every level chains
+// through `next` in key order: leaves for range scans, and every level
+// for lookups that race a split (DescendToLeaf).
 //
 // Deletion is lazy (no rebalancing): entries are removed in place and
 // underfull nodes persist. Lookups, scans and inserts stay correct; the
@@ -59,7 +60,7 @@ struct BNodeData {
   uint32_t self = rtree::kInvalidChunk;
   uint16_t level = 0;   ///< 0 = leaf
   uint16_t count = 0;
-  uint32_t next = kNoLeaf;  ///< next leaf in key order (leaves only)
+  uint32_t next = kNoLeaf;  ///< right sibling on the same level
   /// One spare slot: inserts overflow in memory to kMaxKeys+1 entries,
   /// then split before the node is stored (stored count <= kMaxKeys).
   KeyValue entries[kMaxKeys + 1];
@@ -73,6 +74,38 @@ struct BNodeData {
 
 size_t EncodeBNode(const BNodeData& node, std::span<std::byte> payload);
 bool DecodeBNode(std::span<const std::byte> payload, BNodeData& out);
+
+/// Root-to-leaf descent for `key` without the writer lock, shared by
+/// BPlusTree::Get and RemoteBTreeReader::Get. `read(id, node)` fills
+/// `node` with a validated image of chunk `id`, returning false to abort.
+/// Returns false when a read aborted; otherwise `node` is key's leaf.
+///
+/// Lehman–Yao move-right: a split stores the new right sibling before
+/// the shortened left node and links `left.next` to it on every level,
+/// so a descent that read the parent before the split and lands in the
+/// left half can still reach the keys that moved right. Whenever `key`
+/// falls in a node's last slot (above every leaf entry, or the last
+/// child) and the node has a right sibling, the sibling is read and the
+/// descent moves to it if its first key is <= key. An empty leaf
+/// sibling has no first key to stop at, so the descent moves on.
+template <typename ReadFn>
+bool DescendToLeaf(uint64_t key, BNodeData& node, ReadFn&& read) {
+  if (!read(kRootChunk, node)) return false;
+  BNodeData sibling;
+  for (;;) {
+    while (node.next != kNoLeaf &&
+           (node.IsLeaf() ? node.LowerBound(key) == node.count
+                          : node.ChildIndexFor(key) + 1 == node.count)) {
+      if (!read(static_cast<ChunkId>(node.next), sibling)) return false;
+      if (sibling.count > 0 && sibling.entries[0].key > key) break;
+      node = sibling;
+    }
+    if (node.IsLeaf()) return true;
+    const auto child =
+        static_cast<ChunkId>(node.entries[node.ChildIndexFor(key)].value);
+    if (!read(child, node)) return false;
+  }
+}
 
 class BPlusTree {
  public:

@@ -6,7 +6,9 @@
 // per-cache-line versions and bounds torn-read retries, and walks the
 // tree itself — no server CPU involvement. Because a B+-tree lookup is a
 // single root→leaf path there is nothing to multi-issue (§IV-C calls
-// this out); range scans pipeline along the leaf chain instead.
+// this out); range scans pipeline along the leaf chain instead. A lookup
+// that races a split moves right along the level's sibling chain, like
+// the server-side BPlusTree::Get (both share DescendToLeaf).
 //
 // The transport is injected (remote/transport.h) so the same reader runs
 // over the rdmasim queue pair (examples/tests), over a real ibverbs QP
@@ -30,26 +32,27 @@ class RemoteBTreeReader {
   explicit RemoteBTreeReader(remote::FetchTransport* transport,
                              size_t chunk_size = kChunkSize,
                              remote::RetryPolicy policy = {})
-      : engine_(transport, "btree", policy), buf_(chunk_size) {}
+      : engine_(transport, "btree", chunk_size, /*scratch_buffers=*/1,
+                policy) {}
 
   /// Offloaded point lookup. `out` is the value when the key exists,
-  /// nullopt otherwise; only meaningful when the status is kOk.
+  /// nullopt otherwise; only meaningful when the status is kOk. The
+  /// descent moves right past concurrent splits (DescendToLeaf).
   remote::FetchStatus Get(uint64_t key, std::optional<uint64_t>& out) {
     out.reset();
     BNodeData node;
-    ChunkId cur = kRootChunk;
-    for (;;) {
-      if (const auto st = FetchNode(cur, node); st != remote::FetchStatus::kOk)
-        return st;
-      if (node.IsLeaf()) {
-        const size_t pos = node.LowerBound(key);
-        if (pos < node.count && node.entries[pos].key == key) {
-          out = node.entries[pos].value;
-        }
-        return remote::FetchStatus::kOk;
-      }
-      cur = static_cast<ChunkId>(node.entries[node.ChildIndexFor(key)].value);
+    remote::FetchStatus st = remote::FetchStatus::kOk;
+    if (!DescendToLeaf(key, node, [&](ChunkId id, BNodeData& n) {
+          st = FetchNode(id, n);
+          return st == remote::FetchStatus::kOk;
+        })) {
+      return st;
     }
+    const size_t pos = node.LowerBound(key);
+    if (pos < node.count && node.entries[pos].key == key) {
+      out = node.entries[pos].value;
+    }
+    return remote::FetchStatus::kOk;
   }
 
   /// Offloaded range scan along the remote leaf chain. Appends matches
@@ -89,16 +92,16 @@ class RemoteBTreeReader {
   remote::FetchStatus FetchNode(ChunkId id, BNodeData& out) {
     // The same read-validate protocol as the R-tree offload path, run by
     // the shared engine; this reader only decodes accepted images.
-    return engine_.FetchOne(id, buf_, [&](std::span<const std::byte> image) {
-      if (!rtree::ValidateVersions(image).has_value()) return false;
-      std::byte payload[rtree::PayloadCapacity(kChunkSize)];
-      rtree::GatherPayload(image, payload);
-      return DecodeBNode(payload, out) && out.self == id;
-    });
+    return engine_.FetchChunks(
+        {&id, 1}, [&](size_t, std::span<const std::byte> image) {
+          if (!rtree::ValidateVersions(image).has_value()) return false;
+          std::byte payload[rtree::PayloadCapacity(kChunkSize)];
+          rtree::GatherPayload(image, payload);
+          return DecodeBNode(payload, out) && out.self == id;
+        });
   }
 
   remote::VersionedFetchEngine engine_;
-  std::vector<std::byte> buf_;
 };
 
 }  // namespace catfish::btree

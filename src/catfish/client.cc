@@ -140,13 +140,13 @@ void RTreeClient::WireUp(const HandshakeFn& shake) {
 }
 
 void RTreeClient::UseFetchTransport(remote::FetchTransport* transport) {
-  engine_ = std::make_unique<remote::VersionedFetchEngine>(
-      transport, "rtree", cfg_.remote_retry);
   // Pooled fetch buffers: search rounds borrow chunk-sized scratch from
-  // this bounded pool instead of allocating per level. On real verbs
-  // the slab would be registered once here; the simulated NIC does not
-  // require registered local buffers, so no MR is created for it.
-  engine_->EnableScratch(boot_.chunk_size, cfg_.scratch_buffers);
+  // the engine's bounded pool instead of allocating per level. On real
+  // verbs the slab would be registered once here; the simulated NIC does
+  // not require registered local buffers, so no MR is created for it.
+  engine_ = std::make_unique<remote::VersionedFetchEngine>(
+      transport, "rtree", boot_.chunk_size, cfg_.scratch_buffers,
+      cfg_.remote_retry);
 }
 
 void RTreeClient::WatchdogTick(uint64_t now_us) {

@@ -1,9 +1,10 @@
 // Client-side (offloaded) cuckoo lookups over one-sided reads.
 //
 // A lookup fetches the key's two candidate chunks through the shared
-// remote-access engine (src/remote), whose multi-issue batcher posts
-// both READs back-to-back (§IV-C: no dependency between the two probes),
-// validates versions, and scans the two buckets locally — a
+// remote-access engine (src/remote), which posts both READs under one
+// doorbell (§IV-C: no dependency between the two probes) and validates
+// versions; the reader scans the two buckets inside the engine's
+// validate callback — a
 // constant-round-trip lookup with zero server CPU, the pattern Pilaf and
 // FaRM popularized and the paper cites as the framework's other target.
 //
@@ -15,7 +16,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "cuckoo/cuckoo.h"
 #include "remote/engine.h"
@@ -30,50 +30,54 @@ class RemoteCuckooReader {
   /// engine always posts them before waiting.
   RemoteCuckooReader(remote::FetchTransport* transport, TableGeometry geo,
                      remote::RetryPolicy policy = {})
-      : engine_(transport, "cuckoo", policy), geo_(geo),
-        bufs_{std::vector<std::byte>(kChunkSize),
-              std::vector<std::byte>(kChunkSize)} {}
+      : engine_(transport, "cuckoo", kChunkSize, /*scratch_buffers=*/2,
+                policy),
+        geo_(geo) {}
 
   /// Offloaded point lookup. `out` is the value when the key exists,
   /// nullopt otherwise; only meaningful when the status is kOk.
   remote::FetchStatus Get(uint64_t key, std::optional<uint64_t>& out) {
     out.reset();
     if (key == kEmptyKey) return remote::FetchStatus::kOk;
-    const uint64_t b[2] = {geo_.BucketOf(key, 0), geo_.BucketOf(key, 1)};
-    const ChunkId chunks[2] = {geo_.ChunkOfBucket(b[0]),
-                               geo_.ChunkOfBucket(b[1])};
-    const size_t n = chunks[0] == chunks[1] ? 1 : 2;
-    const remote::VersionedFetchEngine::Request reqs[2] = {
-        {chunks[0], bufs_[0]}, {chunks[1], bufs_[1]}};
+    Probe p;
+    p.key = key;
+    p.buckets[0] = geo_.BucketOf(key, 0);
+    p.buckets[1] = geo_.BucketOf(key, 1);
+    const ChunkId chunks[2] = {geo_.ChunkOfBucket(p.buckets[0]),
+                               geo_.ChunkOfBucket(p.buckets[1])};
+    p.chunks = chunks[0] == chunks[1] ? 1 : 2;
+    // Images live only during the callback: record each one's version
+    // and look the key up in the bucket(s) it holds right there.
+    const auto probe = [this, &p](size_t i, std::span<const std::byte> image) {
+      const auto v = rtree::ValidateVersions(image);
+      if (!v) return false;
+      p.versions[i] = *v;
+      for (size_t j = 0; j < 2 && !p.hit; ++j) {
+        if (p.chunks == 2 && j != i) continue;  // bucket j is in chunk j
+        Bucket bucket;
+        std::byte payload[kBucketBytes];
+        rtree::GatherPayloadAt(image, geo_.PayloadOffsetOfBucket(p.buckets[j]),
+                               payload);
+        DecodeBucket(payload, bucket);
+        const int slot = bucket.FindKey(p.key);
+        if (slot >= 0) p.hit = bucket.slots[slot].value;
+      }
+      return true;
+    };
 
     for (uint32_t attempt = 0; attempt < engine_.policy().max_attempts;
          ++attempt) {
       // Both probes multi-issued; the engine validates versions per
       // chunk and re-fetches torn images within its own bounds.
-      uint32_t versions[2] = {0, 0};
-      const auto st = engine_.FetchMany(
-          {reqs, n}, [&](size_t i, std::span<const std::byte> image) {
-            const auto v = rtree::ValidateVersions(image);
-            if (!v) return false;
-            versions[i] = *v;
-            return true;
-          });
-      if (st != remote::FetchStatus::kOk) return st;
-
-      for (size_t i = 0; i < 2; ++i) {
-        const size_t buf = n == 1 ? 0 : i;
-        Bucket bucket;
-        std::byte payload[kBucketBytes];
-        rtree::GatherPayloadAt(bufs_[buf], geo_.PayloadOffsetOfBucket(b[i]),
-                               payload);
-        DecodeBucket(payload, bucket);
-        const int slot = bucket.FindKey(key);
-        if (slot >= 0) {
-          out = bucket.slots[slot].value;
-          return remote::FetchStatus::kOk;
-        }
+      if (const auto st = engine_.FetchChunks({chunks, p.chunks}, probe);
+          st != remote::FetchStatus::kOk) {
+        return st;
       }
-      if (n == 1) return remote::FetchStatus::kOk;  // one chunk: consistent
+      // A hit is genuine; one chunk is one consistent image.
+      if (p.hit || p.chunks == 1) {
+        out = p.hit;
+        return remote::FetchStatus::kOk;
+      }
 
       // Miss across two separately-read chunks: the engine posts both
       // READs back-to-back, so the two snapshots are unordered — a
@@ -83,17 +87,14 @@ class RemoteCuckooReader {
       // snapshots precede both rechecks, so unchanged versions on both
       // sides pin a common instant where both images were
       // simultaneously valid and the miss is genuine.
-      uint32_t recheck[2] = {0, 0};
-      const auto cst = engine_.FetchMany(
-          {reqs, n}, [&](size_t i, std::span<const std::byte> image) {
-            const auto v = rtree::ValidateVersions(image);
-            if (!v) return false;
-            recheck[i] = *v;
-            return true;
-          });
-      if (cst != remote::FetchStatus::kOk) return cst;
-      if (recheck[0] == versions[0] && recheck[1] == versions[1]) {
-        return remote::FetchStatus::kOk;  // miss
+      const uint32_t probed[2] = {p.versions[0], p.versions[1]};
+      if (const auto st = engine_.FetchChunks(chunks, probe);
+          st != remote::FetchStatus::kOk) {
+        return st;
+      }
+      if (p.hit || (p.versions[0] == probed[0] && p.versions[1] == probed[1])) {
+        out = p.hit;
+        return remote::FetchStatus::kOk;
       }
       engine_.NoteConsistencyRetry();
     }
@@ -108,9 +109,17 @@ class RemoteCuckooReader {
   }
 
  private:
+  /// One lookup's state, filled by the validate callback.
+  struct Probe {
+    uint64_t key = 0;
+    uint64_t buckets[2] = {0, 0};
+    size_t chunks = 0;  ///< 1 when both buckets share a chunk
+    uint32_t versions[2] = {0, 0};
+    std::optional<uint64_t> hit;
+  };
+
   remote::VersionedFetchEngine engine_;
   TableGeometry geo_;
-  std::vector<std::byte> bufs_[2];
 };
 
 }  // namespace catfish::cuckoo

@@ -337,16 +337,6 @@ WcStatus QueuePair::CheckPostFaults(std::shared_ptr<SimNode>& peer_node,
   return WcStatus::kSuccess;
 }
 
-QpOpStats QueuePair::op_stats() const noexcept {
-  QpOpStats s;
-  s.writes_posted = writes_posted_.load(std::memory_order_relaxed);
-  s.write_bytes = write_bytes_.load(std::memory_order_relaxed);
-  s.reads_posted = reads_posted_.load(std::memory_order_relaxed);
-  s.read_bytes = read_bytes_.load(std::memory_order_relaxed);
-  s.imm_sent = imm_sent_.load(std::memory_order_relaxed);
-  return s;
-}
-
 bool QueuePair::Execute(const WorkRequest& wr, WorkCompletion& wc,
                         bool& deliver) {
   const bool is_read = wr.kind == WorkRequest::Kind::kRead;
@@ -358,14 +348,10 @@ bool QueuePair::Execute(const WorkRequest& wr, WorkCompletion& wc,
   deliver = true;  // errors always complete, even for unsignaled WRs
   if (is_read) {
     node_->reads_posted_.fetch_add(1, std::memory_order_relaxed);
-    reads_posted_.fetch_add(1, std::memory_order_relaxed);
-    read_bytes_.fetch_add(len, std::memory_order_relaxed);
     CATFISH_COUNT("rdma.read.posted");
     CATFISH_COUNT_ADD("rdma.read.bytes", len);
   } else {
     node_->writes_posted_.fetch_add(1, std::memory_order_relaxed);
-    writes_posted_.fetch_add(1, std::memory_order_relaxed);
-    write_bytes_.fetch_add(len, std::memory_order_relaxed);
     CATFISH_COUNT("rdma.write.posted");
     CATFISH_COUNT_ADD("rdma.write.bytes", len);
   }
@@ -422,7 +408,6 @@ bool QueuePair::Execute(const WorkRequest& wr, WorkCompletion& wc,
     iwc.byte_len = static_cast<uint32_t>(len);
     peer->recv_cq_->Push(iwc);
     peer->node_->imm_delivered_.fetch_add(1, std::memory_order_relaxed);
-    imm_sent_.fetch_add(1, std::memory_order_relaxed);
     CATFISH_COUNT("rdma.imm.delivered");
   }
   return true;

@@ -289,23 +289,11 @@ struct WorkRequest {
   bool signaled = true;            ///< errors always complete regardless
 };
 
-/// Per-QP operation counters (telemetry): what this QP posted and how
-/// many bytes each op class moved. Readable from any thread.
-struct QpOpStats {
-  uint64_t writes_posted = 0;
-  uint64_t write_bytes = 0;
-  uint64_t reads_posted = 0;
-  uint64_t read_bytes = 0;
-  uint64_t imm_sent = 0;
-};
-
 /// A reliable-connection queue pair. Thread-compatible: one thread posts
 /// at a time (matching verbs usage); distinct QPs are independent.
 class QueuePair {
  public:
   uint32_t qp_num() const noexcept { return qp_num_; }
-
-  QpOpStats op_stats() const noexcept;
 
   /// Connects this QP with `peer` (both directions), like exchanging QP
   /// numbers during connection setup.
@@ -390,12 +378,6 @@ class QueuePair {
   std::shared_ptr<SimNode> peer_node_;
   bool closed_ = false;
   bool error_ = false;
-
-  std::atomic<uint64_t> writes_posted_{0};
-  std::atomic<uint64_t> write_bytes_{0};
-  std::atomic<uint64_t> reads_posted_{0};
-  std::atomic<uint64_t> read_bytes_{0};
-  std::atomic<uint64_t> imm_sent_{0};
 };
 
 /// The interconnect: a factory and name registry for nodes sharing one

@@ -1,13 +1,15 @@
-// Allocation regression harness for the messaging hot path: after
-// warm-up, the steady-state ring send/receive loop, the client's request
-// encode and the server's reply codecs must not touch the global
-// allocator (RingSender::frame_, RingReceiver::scratch_, the client's
-// request scratch, per-connection reply scratch, trace_wire's
-// append-into-capacity encoder). Counting is done by replacing the
-// global operator new; disabled under sanitizers, whose own allocator
-// interposition this would fight.
+// Allocation regression harness for the messaging and offload hot
+// paths: after warm-up, the steady-state ring send/receive loop, the
+// client's request encode, the server's reply codecs and the remote
+// fetch engine's loop must not touch the global allocator
+// (RingSender::frame_, RingReceiver::scratch_, the client's request
+// scratch, per-connection reply scratch, trace_wire's
+// append-into-capacity encoder, the engine's reused staging members).
+// Counting is done by replacing the global operator new; disabled under
+// sanitizers, whose own allocator interposition this would fight.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -18,6 +20,8 @@
 #include "msg/protocol.h"
 #include "msg/ring.h"
 #include "rdmasim/rdma.h"
+#include "remote/engine.h"
+#include "rtree/layout.h"
 #include "telemetry/trace_wire.h"
 #include "test_util.h"
 
@@ -225,6 +229,92 @@ TEST(AllocTest, TraceWireEncoderReusesCapacity) {
     allocs = counter.count();
   }
   EXPECT_EQ(allocs, 0u) << "trace encoder hit the allocator";
+}
+
+/// Serves every fetch from one version-valid chunk image and completes
+/// into a fixed array, so any allocation counted is the engine's own.
+class FixedArrayTransport final : public remote::FetchTransport {
+ public:
+  explicit FixedArrayTransport(std::span<const std::byte> image)
+      : image_(image) {}
+
+  bool PostFetch(uint64_t token, remote::ChunkId,
+                 std::span<std::byte> dst) override {
+    if (ready_count_ == ready_.size()) return false;
+    std::copy(image_.begin(), image_.end(), dst.begin());
+    ready_[ready_count_++] = remote::FetchCompletion{token, true};
+    return true;
+  }
+
+  size_t PollCompletions(std::span<remote::FetchCompletion> out) override {
+    const size_t n = std::min(out.size(), ready_count_);
+    std::copy_n(ready_.begin(), n, out.begin());
+    std::copy(ready_.begin() + n, ready_.begin() + ready_count_,
+              ready_.begin());
+    ready_count_ -= n;
+    return n;
+  }
+
+ private:
+  std::span<const std::byte> image_;
+  std::array<remote::FetchCompletion, 16> ready_{};
+  size_t ready_count_ = 0;
+};
+
+TEST(AllocTest, SteadyStateRemoteFetchIsAllocationFree) {
+  std::vector<std::byte> image(rtree::kChunkSize);
+  const std::vector<std::byte> payload(
+      rtree::PayloadCapacity(rtree::kChunkSize), std::byte{0x3c});
+  rtree::BeginWrite(image);
+  rtree::ScatterPayload(image, payload);
+  rtree::EndWrite(image);
+  FixedArrayTransport transport(image);
+  remote::VersionedFetchEngine engine(&transport, "alloc", rtree::kChunkSize,
+                                      4);
+
+  const remote::ChunkId four[] = {3, 5, 7, 9};
+  const remote::ChunkId one[] = {11};
+  size_t accepted = 0;
+  // Captures one reference, so std::function stores it inline.
+  const auto validate = [&accepted](size_t, std::span<const std::byte> im) {
+    if (!rtree::ValidateVersions(im).has_value()) return false;
+    ++accepted;
+    return true;
+  };
+  // Warm-up grows the engine's staging members and registers the
+  // scratch-pool metric statics.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(engine.FetchChunks(four, validate), remote::FetchStatus::kOk);
+    ASSERT_EQ(engine.FetchChunks(one, validate), remote::FetchStatus::kOk);
+  }
+
+  size_t failures = 0;
+  size_t four_allocs = 0;
+  size_t one_allocs = 0;
+  {
+    const AllocCounter counter;
+    for (int i = 0; i < 1000; ++i) {
+      if (engine.FetchChunks(four, validate) != remote::FetchStatus::kOk) {
+        ++failures;
+      }
+    }
+    four_allocs = counter.count();
+  }
+  {
+    const AllocCounter counter;
+    for (int i = 0; i < 1000; ++i) {
+      if (engine.FetchChunks(one, validate) != remote::FetchStatus::kOk) {
+        ++failures;
+      }
+    }
+    one_allocs = counter.count();
+  }
+  EXPECT_EQ(failures, 0u);
+  EXPECT_EQ(accepted, 8u * 5 + 1000u * 5);
+  EXPECT_EQ(four_allocs, 0u) << "4-chunk fetches hit the allocator";
+  EXPECT_EQ(one_allocs, 0u) << "1-chunk fetches hit the allocator";
+  EXPECT_EQ(engine.scratch()->in_use(), 0u);
+  EXPECT_EQ(engine.scratch()->overflow_allocs(), 0u);
 }
 
 #else  // !CATFISH_ALLOC_COUNTING

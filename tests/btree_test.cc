@@ -312,5 +312,36 @@ TEST(RemoteBTreeTest, ConsistentUnderConcurrentWriter) {
   rig.tree.CheckInvariants();
 }
 
+TEST(RemoteBTreeTest, SplitBetweenParentAndChildReadKeepsKeys) {
+  // Scripted race: the lookup reads the root, then a writer grows the
+  // tree rightward until the root's last child splits, then the lookup
+  // reads that child through the root image it already holds. The keys
+  // in the child's upper half moved to its new right sibling, which the
+  // stale root does not name; the descent must move right to find them.
+  for (const uint64_t key : {1850u, 1900u, 1990u}) {
+    NodeArena arena(kChunkSize, 1 << 14);
+    BPlusTree tree = BPlusTree::Create(arena);
+    for (uint64_t k = 1; k <= 2000; ++k) tree.Put(k, k * 3);
+    ASSERT_EQ(tree.height(), 3u);
+
+    size_t reads = 0;
+    remote::CallbackTransport transport(
+        [&](ChunkId id, std::span<std::byte> dst) {
+          if (++reads == 2) {
+            for (uint64_t k = 2001; k <= 4000; ++k) tree.Put(k, k * 3);
+          }
+          const auto chunk = arena.chunk(id);
+          std::copy(chunk.begin(), chunk.end(), dst.begin());
+        });
+    RemoteBTreeReader reader(&transport);
+    std::optional<uint64_t> got;
+    ASSERT_EQ(reader.Get(key, got), remote::FetchStatus::kOk);
+    ASSERT_TRUE(got.has_value()) << "stable key " << key << " lost";
+    EXPECT_EQ(*got, key * 3);
+    EXPECT_EQ(tree.Get(key), key * 3);
+    tree.CheckInvariants();
+  }
+}
+
 }  // namespace
 }  // namespace catfish::btree

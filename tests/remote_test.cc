@@ -1,6 +1,7 @@
 // Tests for the shared remote-memory access layer (src/remote): the
-// transport adapters, the bounded read→validate→retry engine, the
-// multi-issue batcher, fault injection, and the `remote.*` telemetry
+// transport adapters, the bounded read→validate→retry engine with its
+// doorbell-per-round issue and scratch pool, fault injection, and the
+// `remote.*` telemetry
 // schema every consumer (R-tree client, B+-tree reader, cuckoo reader)
 // reports through.
 #include "remote/engine.h"
@@ -62,20 +63,49 @@ bool PayloadUniform(std::span<const std::byte> image, std::byte* fill_out) {
   return true;
 }
 
+bool AcceptValid(size_t, std::span<const std::byte> image) {
+  return VersionsValid(image);
+}
+
+/// What a single-chunk fetch saw in the image it accepted. Images live
+/// only during the validate callback, so they are inspected there.
+struct Accepted {
+  bool uniform = false;
+  std::byte fill{};
+};
+
+/// Fetches chunk `id` alone, accepting any version-valid image; records
+/// the accepted image's payload check in `got` when non-null.
+FetchStatus FetchSingle(VersionedFetchEngine& engine, ChunkId id,
+                        Accepted* got = nullptr) {
+  return engine.FetchChunks(
+      {&id, 1}, [got](size_t, std::span<const std::byte> image) {
+        if (!VersionsValid(image)) return false;
+        if (got != nullptr) got->uniform = PayloadUniform(image, &got->fill);
+        return true;
+      });
+}
+
+/// Chunk ids 0..n-1, the round most tests fetch.
+std::vector<ChunkId> FirstIds(size_t n) {
+  std::vector<ChunkId> ids(n);
+  for (size_t i = 0; i < n; ++i) ids[i] = static_cast<ChunkId>(i);
+  return ids;
+}
+
 TEST(RemoteEngineTest, FetchesAndValidatesLocalChunks) {
   Region region(4);
   for (ChunkId id = 0; id < 4; ++id) {
     region.WriteFill(id, std::byte{static_cast<uint8_t>(id + 1)});
   }
   LocalMemoryTransport transport(region.mem, kChunk);
-  VersionedFetchEngine engine(&transport, "test");
+  VersionedFetchEngine engine(&transport, "test", kChunk, 1);
 
-  std::vector<std::byte> buf(kChunk);
   for (ChunkId id = 0; id < 4; ++id) {
-    ASSERT_EQ(engine.FetchOne(id, buf, VersionsValid), FetchStatus::kOk);
-    std::byte fill{};
-    ASSERT_TRUE(PayloadUniform(buf, &fill));
-    EXPECT_EQ(fill, std::byte{static_cast<uint8_t>(id + 1)});
+    Accepted got;
+    ASSERT_EQ(FetchSingle(engine, id, &got), FetchStatus::kOk);
+    ASSERT_TRUE(got.uniform);
+    EXPECT_EQ(got.fill, std::byte{static_cast<uint8_t>(id + 1)});
   }
   EXPECT_EQ(engine.stats().reads, 4u);
   EXPECT_EQ(engine.stats().version_retries, 0u);
@@ -88,15 +118,11 @@ TEST(RemoteEngineTest, MultiIssueDeliversEveryItemOnce) {
     region.WriteFill(id, std::byte{static_cast<uint8_t>(0x10 + id)});
   }
   LocalMemoryTransport transport(region.mem, kChunk);
-  VersionedFetchEngine engine(&transport, "test");
-
-  std::vector<std::vector<std::byte>> bufs(8, std::vector<std::byte>(kChunk));
-  std::vector<VersionedFetchEngine::Request> reqs(8);
-  for (size_t i = 0; i < 8; ++i) reqs[i] = {static_cast<ChunkId>(i), bufs[i]};
+  VersionedFetchEngine engine(&transport, "test", kChunk, 8);
 
   std::vector<int> seen(8, 0);
-  const auto st = engine.FetchMany(
-      reqs, [&](size_t i, std::span<const std::byte> image) {
+  const auto st = engine.FetchChunks(
+      FirstIds(8), [&](size_t i, std::span<const std::byte> image) {
         if (!VersionsValid(image)) return false;
         ++seen[i];
         return true;
@@ -119,20 +145,18 @@ TEST(RemoteEngineTest, PermanentlyTornChunkExhaustsBoundedly) {
   policy.backoff_base_us = 1;
   policy.backoff_cap_us = 8;
   LocalMemoryTransport transport(region.mem, kChunk);
-  VersionedFetchEngine engine(&transport, "test", policy);
+  VersionedFetchEngine engine(&transport, "test", kChunk, 1, policy);
 
-  std::vector<std::byte> buf(kChunk);
   // Exhaustion is a status, not a throw or a hang — and it is exact:
   // one fetch per allowed attempt, no hot spin beyond the bound.
-  EXPECT_EQ(engine.FetchOne(1, buf, VersionsValid),
-            FetchStatus::kRetriesExhausted);
+  EXPECT_EQ(FetchSingle(engine, 1), FetchStatus::kRetriesExhausted);
   EXPECT_EQ(engine.stats().reads, 8u);
   EXPECT_EQ(engine.stats().version_retries, 8u);
   EXPECT_EQ(engine.stats().retry_exhausted, 1u);
   EXPECT_GE(engine.stats().backoff_waits, 1u);
 
   // The call site can recover: the same engine keeps serving fetches.
-  EXPECT_EQ(engine.FetchOne(0, buf, VersionsValid), FetchStatus::kOk);
+  EXPECT_EQ(FetchSingle(engine, 0), FetchStatus::kOk);
 
 #if CATFISH_TELEMETRY_ENABLED
   const auto snap = telemetry::Registry::Global().TakeSnapshot();
@@ -149,11 +173,9 @@ TEST(RemoteEngineTest, OutOfRangeChunkIsTransportError) {
   policy.max_attempts = 3;
   policy.backoff_cap_us = 1;
   LocalMemoryTransport transport(region.mem, kChunk);
-  VersionedFetchEngine engine(&transport, "test", policy);
+  VersionedFetchEngine engine(&transport, "test", kChunk, 1, policy);
 
-  std::vector<std::byte> buf(kChunk);
-  EXPECT_EQ(engine.FetchOne(100, buf, VersionsValid),
-            FetchStatus::kTransportError);
+  EXPECT_EQ(FetchSingle(engine, 100), FetchStatus::kTransportError);
   EXPECT_EQ(engine.stats().transport_errors, 3u);
   EXPECT_EQ(engine.stats().retry_exhausted, 0u);  // not a version problem
 }
@@ -168,11 +190,9 @@ TEST(RemoteFaultTest, DroppedFetchesFailCleanlyWithinBounds) {
   RetryPolicy policy;
   policy.max_attempts = 5;
   policy.backoff_cap_us = 1;
-  VersionedFetchEngine engine(&faulty, "test", policy);
+  VersionedFetchEngine engine(&faulty, "test", kChunk, 1, policy);
 
-  std::vector<std::byte> buf(kChunk);
-  EXPECT_EQ(engine.FetchOne(0, buf, VersionsValid),
-            FetchStatus::kTransportError);
+  EXPECT_EQ(FetchSingle(engine, 0), FetchStatus::kTransportError);
   // Bounded: exactly max_attempts posts reached the transport, not 1e6.
   EXPECT_EQ(faulty.fetches_posted(), 5u);
   EXPECT_EQ(engine.stats().transport_errors, 5u);
@@ -186,12 +206,11 @@ TEST(RemoteFaultTest, TransientTearsAreRetriedAndRecovered) {
   FaultInjectingTransport faulty(&inner);
   faulty.tear.first = 3;  // fetches 0,1,2 torn; fetch 3 clean
 
-  VersionedFetchEngine engine(&faulty, "test");
-  std::vector<std::byte> buf(kChunk);
-  ASSERT_EQ(engine.FetchOne(0, buf, VersionsValid), FetchStatus::kOk);
-  std::byte fill{};
-  ASSERT_TRUE(PayloadUniform(buf, &fill));
-  EXPECT_EQ(fill, std::byte{0x42});
+  VersionedFetchEngine engine(&faulty, "test", kChunk, 1);
+  Accepted got;
+  ASSERT_EQ(FetchSingle(engine, 0, &got), FetchStatus::kOk);
+  ASSERT_TRUE(got.uniform);
+  EXPECT_EQ(got.fill, std::byte{0x42});
   EXPECT_EQ(engine.stats().reads, 4u);
   EXPECT_EQ(engine.stats().version_retries, 3u);
   EXPECT_EQ(engine.stats().retry_exhausted, 0u);
@@ -212,15 +231,8 @@ TEST(RemoteFaultTest, DelayedCompletionsAreAwaited) {
   FaultInjectingTransport faulty(&inner);
   faulty.delay_polls = 7;
 
-  VersionedFetchEngine engine(&faulty, "test");
-  std::vector<std::vector<std::byte>> bufs(4, std::vector<std::byte>(kChunk));
-  std::vector<VersionedFetchEngine::Request> reqs(4);
-  for (size_t i = 0; i < 4; ++i) reqs[i] = {static_cast<ChunkId>(i), bufs[i]};
-  EXPECT_EQ(engine.FetchMany(reqs,
-                             [](size_t, std::span<const std::byte> image) {
-                               return VersionsValid(image);
-                             }),
-            FetchStatus::kOk);
+  VersionedFetchEngine engine(&faulty, "test", kChunk, 4);
+  EXPECT_EQ(engine.FetchChunks(FirstIds(4), AcceptValid), FetchStatus::kOk);
   EXPECT_EQ(engine.stats().reads, 4u);
 }
 
@@ -288,15 +300,8 @@ TEST(RemoteFaultTest, MultiIssueRetearsOnlyAffectedItems) {
   FaultInjectingTransport faulty(&inner);
   faulty.tear.first = 2;  // the round's first two posts deliver torn
 
-  VersionedFetchEngine engine(&faulty, "test");
-  std::vector<std::vector<std::byte>> bufs(4, std::vector<std::byte>(kChunk));
-  std::vector<VersionedFetchEngine::Request> reqs(4);
-  for (size_t i = 0; i < 4; ++i) reqs[i] = {static_cast<ChunkId>(i), bufs[i]};
-  EXPECT_EQ(engine.FetchMany(reqs,
-                             [](size_t, std::span<const std::byte> image) {
-                               return VersionsValid(image);
-                             }),
-            FetchStatus::kOk);
+  VersionedFetchEngine engine(&faulty, "test", kChunk, 4);
+  EXPECT_EQ(engine.FetchChunks(FirstIds(4), AcceptValid), FetchStatus::kOk);
   // 4 initial multi-issued READs + one re-fetch per torn item.
   EXPECT_EQ(engine.stats().reads, 6u);
   EXPECT_EQ(engine.stats().version_retries, 2u);
@@ -320,13 +325,12 @@ TEST(RemoteEngineTest, TornReadHammer) {
   const testutil::StopAndJoin stop_writer(stop, writer);
 
   LocalMemoryTransport transport(region.mem, kChunk);
-  VersionedFetchEngine engine(&transport, "test");
-  std::vector<std::byte> buf(kChunk);
+  VersionedFetchEngine engine(&transport, "test", kChunk, 1);
   for (int i = 0; i < 5000; ++i) {
-    ASSERT_EQ(engine.FetchOne(1, buf, VersionsValid), FetchStatus::kOk);
-    std::byte fill{};
-    ASSERT_TRUE(PayloadUniform(buf, &fill)) << "torn image passed validation";
-    ASSERT_NE(fill, std::byte{0});
+    Accepted got;
+    ASSERT_EQ(FetchSingle(engine, 1, &got), FetchStatus::kOk);
+    ASSERT_TRUE(got.uniform) << "torn image passed validation";
+    ASSERT_NE(got.fill, std::byte{0});
   }
   stop.store(true);
   writer.join();
@@ -338,13 +342,12 @@ TEST(RemoteEngineTest, PerEngineMetricsAggregate) {
   Region region(2);
   region.WriteFill(0, std::byte{0x01});
   LocalMemoryTransport transport(region.mem, kChunk);
-  VersionedFetchEngine a(&transport, "alpha");
-  VersionedFetchEngine b(&transport, "beta");
+  VersionedFetchEngine a(&transport, "alpha", kChunk, 1);
+  VersionedFetchEngine b(&transport, "beta", kChunk, 1);
 
-  std::vector<std::byte> buf(kChunk);
-  ASSERT_EQ(a.FetchOne(0, buf, VersionsValid), FetchStatus::kOk);
-  ASSERT_EQ(b.FetchOne(0, buf, VersionsValid), FetchStatus::kOk);
-  ASSERT_EQ(b.FetchOne(0, buf, VersionsValid), FetchStatus::kOk);
+  ASSERT_EQ(FetchSingle(a, 0), FetchStatus::kOk);
+  ASSERT_EQ(FetchSingle(b, 0), FetchStatus::kOk);
+  ASSERT_EQ(FetchSingle(b, 0), FetchStatus::kOk);
 
 #if CATFISH_TELEMETRY_ENABLED
   const auto snap = telemetry::Registry::Global().TakeSnapshot();
@@ -379,65 +382,7 @@ struct CountingTransport final : FetchTransport {
   }
 };
 
-TEST(MultiIssueBatcherTest, WaitAnyWithNothingOutstandingReturnsZero) {
-  // Regression: WaitAny used to be callable only with work in flight;
-  // an empty batcher must return 0 immediately instead of spinning on
-  // a poll that can never deliver.
-  Region region(2);
-  LocalMemoryTransport transport(region.mem, kChunk);
-  MultiIssueBatcher batch(&transport);
-
-  FetchCompletion out[4];
-  EXPECT_EQ(batch.WaitAny(out), 0u);
-  EXPECT_EQ(batch.WaitAny(out), 0u);  // still empty, still instant
-
-  // An empty output span also returns 0 — but it still flushes staged
-  // work so the caller can drain it with a real span afterwards.
-  std::vector<std::byte> buf(kChunk);
-  batch.Stage(7, 0, buf);
-  EXPECT_EQ(batch.WaitAny({}), 0u);
-  EXPECT_EQ(batch.staged(), 0u);
-  EXPECT_EQ(batch.outstanding(), 1u);
-  ASSERT_EQ(batch.WaitAny(out), 1u);
-  EXPECT_EQ(out[0].token, 7u);
-  EXPECT_EQ(batch.WaitAny(out), 0u);
-}
-
-TEST(MultiIssueBatcherTest, StageFlushRingsOneDoorbellPerRound) {
-  Region region(4);
-  for (ChunkId id = 0; id < 4; ++id) {
-    region.WriteFill(id, std::byte{static_cast<uint8_t>(id + 1)});
-  }
-  LocalMemoryTransport inner(region.mem, kChunk);
-  CountingTransport counting(&inner);
-  MultiIssueBatcher batch(&counting);
-
-  std::vector<std::vector<std::byte>> bufs(4, std::vector<std::byte>(kChunk));
-  for (size_t i = 0; i < 4; ++i) {
-    batch.Stage(i, static_cast<ChunkId>(i), bufs[i]);
-  }
-  EXPECT_EQ(batch.staged(), 4u);
-  EXPECT_EQ(counting.batch_posts, 0u);  // staging never touches the wire
-
-  EXPECT_EQ(batch.Flush(), 4u);
-  EXPECT_EQ(counting.batch_posts, 1u);
-  ASSERT_EQ(counting.batch_sizes.size(), 1u);
-  EXPECT_EQ(counting.batch_sizes[0], 4u);
-  EXPECT_EQ(counting.single_posts, 0u);  // no per-WR posts on the wrapper
-  EXPECT_EQ(batch.outstanding(), 4u);
-
-  size_t drained = 0;
-  FetchCompletion out[4];
-  while (drained < 4) {
-    const size_t got = batch.WaitAny(out);
-    ASSERT_GT(got, 0u);
-    for (size_t i = 0; i < got; ++i) EXPECT_TRUE(out[i].ok);
-    drained += got;
-  }
-  EXPECT_EQ(batch.outstanding(), 0u);
-}
-
-TEST(RemoteEngineTest, FetchManyCountsDoorbellsPerIssueRound) {
+TEST(RemoteEngineTest, FetchChunksCountsDoorbellsPerIssueRound) {
   Region region(6);
   for (ChunkId id = 0; id < 6; ++id) {
     region.WriteFill(id, std::byte{static_cast<uint8_t>(id + 1)});
@@ -446,25 +391,19 @@ TEST(RemoteEngineTest, FetchManyCountsDoorbellsPerIssueRound) {
   FaultInjectingTransport faulty(&inner);
   faulty.tear.first = 2;  // the round's first two images come back torn
   CountingTransport counting(&faulty);
-  VersionedFetchEngine engine(&counting, "test");
+  VersionedFetchEngine engine(&counting, "test", kChunk, 6);
 
-  std::vector<std::vector<std::byte>> bufs(6, std::vector<std::byte>(kChunk));
-  std::vector<VersionedFetchEngine::Request> reqs(6);
-  for (size_t i = 0; i < 6; ++i) reqs[i] = {static_cast<ChunkId>(i), bufs[i]};
-  ASSERT_EQ(engine.FetchMany(reqs,
-                             [](size_t, std::span<const std::byte> image) {
-                               return VersionsValid(image);
-                             }),
-            FetchStatus::kOk);
+  ASSERT_EQ(engine.FetchChunks(FirstIds(6), AcceptValid), FetchStatus::kOk);
 
   // One doorbell for the 6-WR initial round, one for the 2-WR retry
-  // wave — not one per READ (the whole point of Stage/Flush).
+  // wave — not one per READ: no per-WR posts reach the transport.
   EXPECT_EQ(engine.stats().reads, 8u);
   EXPECT_EQ(engine.stats().doorbells, 2u);
   EXPECT_EQ(counting.batch_posts, 2u);
   ASSERT_EQ(counting.batch_sizes.size(), 2u);
   EXPECT_EQ(counting.batch_sizes[0], 6u);
   EXPECT_EQ(counting.batch_sizes[1], 2u);
+  EXPECT_EQ(counting.single_posts, 0u);
   // Coalesced reaping: strictly fewer reap passes than completions
   // would cost unbatched is not guaranteed on a synchronous transport,
   // but the count must be recorded and bounded by the read count.
@@ -515,19 +454,10 @@ TEST(RemoteEngineTest, FetchChunksReleasesScratchOnEveryExitPath) {
   RetryPolicy policy;
   policy.max_attempts = 4;
   policy.backoff_cap_us = 1;
-  VersionedFetchEngine engine(&faulty, "test", policy);
-
-  // Without a pool, FetchChunks has nowhere to put images: a clean
-  // transport error, not a crash.
-  const ChunkId all[] = {0, 1, 2, 3};
-  EXPECT_EQ(engine.FetchChunks(all,
-                               [](size_t, std::span<const std::byte>) {
-                                 return true;
-                               }),
-            FetchStatus::kTransportError);
-
   // Capacity below the round width forces the overflow path too.
-  ScratchPool& pool = engine.EnableScratch(kChunk, 2);
+  VersionedFetchEngine engine(&faulty, "test", kChunk, 2, policy);
+  ScratchPool& pool = *engine.scratch();
+  const ChunkId all[] = {0, 1, 2, 3};
 
   // Exit path 1: success.
   size_t validated = 0;
@@ -571,16 +501,12 @@ TEST(RemoteEngineTest, FetchChunksReleasesScratchOnEveryExitPath) {
                std::runtime_error);
   EXPECT_EQ(pool.in_use(), 0u);
 
-  // Exit path 5: re-enabling (the reconnect path) swaps pools; the new
-  // pool starts empty and serves fetches.
-  ScratchPool& fresh = engine.EnableScratch(kChunk, 8);
-  EXPECT_EQ(engine.scratch(), &fresh);
+  // Exit path 5: the reconnect path rebuilds the engine over the same
+  // transport; the new pool starts empty and serves fetches.
+  VersionedFetchEngine rebuilt(&faulty, "test", kChunk, 8, policy);
+  ScratchPool& fresh = *rebuilt.scratch();
   EXPECT_EQ(fresh.in_use(), 0u);
-  ASSERT_EQ(engine.FetchChunks(all,
-                               [](size_t, std::span<const std::byte> image) {
-                                 return VersionsValid(image);
-                               }),
-            FetchStatus::kOk);
+  ASSERT_EQ(rebuilt.FetchChunks(all, AcceptValid), FetchStatus::kOk);
   EXPECT_EQ(fresh.in_use(), 0u);
   EXPECT_EQ(fresh.overflow_allocs(), 0u);  // capacity 8 covers width 4
 }
@@ -595,13 +521,12 @@ TEST(RemoteTransportTest, CallbackTransportCompletesSynchronously) {
     std::copy(chunk.begin(), chunk.end(), dst.begin());
   });
 
-  VersionedFetchEngine engine(&transport, "test");
-  std::vector<std::byte> buf(kChunk);
-  ASSERT_EQ(engine.FetchOne(1, buf, VersionsValid), FetchStatus::kOk);
+  VersionedFetchEngine engine(&transport, "test", kChunk, 1);
+  Accepted got;
+  ASSERT_EQ(FetchSingle(engine, 1, &got), FetchStatus::kOk);
   EXPECT_EQ(calls, 1u);
-  std::byte fill{};
-  ASSERT_TRUE(PayloadUniform(buf, &fill));
-  EXPECT_EQ(fill, std::byte{0x77});
+  ASSERT_TRUE(got.uniform);
+  EXPECT_EQ(got.fill, std::byte{0x77});
 }
 
 }  // namespace
