@@ -640,21 +640,6 @@ void RTreeClient::AccountEngineDelta(const remote::EngineStats& before) {
   CATFISH_COUNT_ADD("catfish.client.version_retries", retries);
 }
 
-void RTreeClient::ProcessNode(const rtree::NodeData& node,
-                              const geo::Rect& rect,
-                              std::vector<rtree::Entry>& results,
-                              std::vector<rtree::ChunkId>& next) {
-  for (uint16_t i = 0; i < node.count; ++i) {
-    const rtree::Entry& e = node.entries[i];
-    if (!e.mbr.Intersects(rect)) continue;
-    if (node.IsLeaf()) {
-      results.push_back(e);
-    } else {
-      next.push_back(static_cast<rtree::ChunkId>(e.id));
-    }
-  }
-}
-
 bool RTreeClient::FetchRound(std::span<const rtree::ChunkId> ids,
                              rtree::TreeMeta* meta_before,
                              rtree::TreeMeta* meta_after) {
@@ -759,9 +744,7 @@ bool RTreeClient::TraverseOffloaded(const geo::Rect& rect, bool cached,
   results.clear();
   staged_nodes_.clear();
   if (trace) trace->nodes_per_level.clear();
-  std::vector<rtree::ChunkId> frontier{boot_.root};
-  std::vector<rtree::ChunkId> next;
-  std::vector<rtree::ChunkId> to_fetch;
+  frontier_.assign(1, boot_.root);
   // S1 is read before the first node READ (uncached traversals only), S2
   // after the last one; s2_last says the current S2 really was.
   rtree::TreeMeta s1;
@@ -778,10 +761,10 @@ bool RTreeClient::TraverseOffloaded(const geo::Rect& rect, bool cached,
       return;
     }
     seen_level = node.level;
-    ProcessNode(node, rect, results, next);
+    rtree::VisitNode(node, rect, results, next_);
   };
 
-  for (int64_t round = 0; consistent && (!frontier.empty() || !s2_last);
+  for (int64_t round = 0; consistent && (!frontier_.empty() || !s2_last);
        ++round) {
     // The offload path has no server to shed for us, so the budget is
     // enforced between rounds: a deadline that expired mid-traversal
@@ -790,9 +773,9 @@ bool RTreeClient::TraverseOffloaded(const geo::Rect& rect, bool cached,
       FailDeadlineExpired(
           "catfish client: op deadline expired mid-offload");
     }
-    if (trace && !frontier.empty()) {
+    if (trace && !frontier_.empty()) {
       trace->nodes_per_level.push_back(
-          static_cast<uint32_t>(frontier.size()));
+          static_cast<uint32_t>(frontier_.size()));
     }
     auto round_span = telemetry::kInvalidSpan;
     ClientStats round_before;
@@ -801,12 +784,12 @@ bool RTreeClient::TraverseOffloaded(const geo::Rect& rect, bool cached,
                                      cfg_.tracer->now_us());
       trace_->SetAttr(round_span, "level", round);
       trace_->SetAttr(round_span, "frontier",
-                      static_cast<int64_t>(frontier.size()));
+                      static_cast<int64_t>(frontier_.size()));
       round_before = stats_;
     }
-    next.clear();
-    to_fetch.clear();
-    for (const rtree::ChunkId id : frontier) {
+    next_.clear();
+    to_fetch_.clear();
+    for (const rtree::ChunkId id : frontier_) {
       if (cached) {
         const auto it = node_cache_.find(id);
         if (it != node_cache_.end()) {
@@ -816,18 +799,18 @@ bool RTreeClient::TraverseOffloaded(const geo::Rect& rect, bool cached,
           continue;
         }
       }
-      to_fetch.push_back(id);
+      to_fetch_.push_back(id);
     }
     // S2 rides the leaf round's chain. A traversal that ends above the
     // leaves, or whose leaf round had to re-fetch, reads it on its own.
     const bool root_round = !cached && round == 0;
-    const bool leaf_round = level == 0 || frontier.empty();
-    if (!to_fetch.empty() || leaf_round) {
-      const bool bracketed = FetchRound(to_fetch, root_round ? &s1 : nullptr,
-                                        leaf_round ? &s2 : nullptr);
+    const bool leaf_round = level == 0 || frontier_.empty();
+    if (!to_fetch_.empty() || leaf_round) {
+      const bool bracketed = FetchRound(
+          to_fetch_, root_round ? &s1 : nullptr, leaf_round ? &s2 : nullptr);
       // A re-fetched S1 may have landed after the root: read it again.
-      if (root_round && !bracketed) FetchRound(to_fetch, nullptr, nullptr);
-      for (size_t i = 0; i < to_fetch.size(); ++i) {
+      if (root_round && !bracketed) FetchRound(to_fetch_, nullptr, nullptr);
+      for (size_t i = 0; i < to_fetch_.size(); ++i) {
         const rtree::NodeData& node = round_nodes_[i];
         visit(node);
         if (cfg_.cache_internal_nodes && !node.IsLeaf()) {
@@ -849,7 +832,7 @@ bool RTreeClient::TraverseOffloaded(const geo::Rect& rect, bool cached,
           static_cast<int64_t>(stats_.cache_hits - round_before.cache_hits));
       trace_->EndSpan(round_span, cfg_.tracer->now_us());
     }
-    frontier.swap(next);
+    frontier_.swap(next_);
   }
   if (!consistent) return false;
 

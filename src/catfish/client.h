@@ -522,12 +522,6 @@ class RTreeClient {
   /// ClientStats and the legacy `catfish.client.version_retries` metric.
   void AccountEngineDelta(const remote::EngineStats& before);
 
-  /// Routes one fetched node's entries: hits to `results` (leaf) or the
-  /// next frontier (internal).
-  static void ProcessNode(const rtree::NodeData& node, const geo::Rect& rect,
-                          std::vector<rtree::Entry>& results,
-                          std::vector<rtree::ChunkId>& next);
-
   std::shared_ptr<rdma::SimNode> node_;
   ClientConfig cfg_;
   ServerBootstrap boot_;
@@ -587,6 +581,11 @@ class RTreeClient {
   /// Internal nodes fetched by the traversal in progress, committed to
   /// the cache only once it validates.
   std::vector<rtree::NodeData> staged_nodes_;
+  /// TraverseOffloaded scratch: the current and next frontier, and the
+  /// frontier's chunks missing from the cache.
+  std::vector<rtree::ChunkId> frontier_;
+  std::vector<rtree::ChunkId> next_;
+  std::vector<rtree::ChunkId> to_fetch_;
   /// FetchRound scratch: the round's chunk ids and decoded nodes.
   std::vector<rtree::ChunkId> round_ids_;
   std::vector<rtree::NodeData> round_nodes_;

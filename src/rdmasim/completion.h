@@ -10,10 +10,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "common/clock.h"
 #include "telemetry/metrics.h"
@@ -63,11 +63,7 @@ class CompletionQueue {
     CATFISH_COUNT("rdma.polls");
     const std::scoped_lock lock(mu_);
     size_t n = 0;
-    while (n < out.size() && !queue_.empty()) {
-      out[n] = queue_.front();
-      queue_.pop_front();
-      ++n;
-    }
+    while (n < out.size() && !queue_.empty()) out[n++] = TakeFront();
     return n;
   }
 
@@ -84,8 +80,7 @@ class CompletionQueue {
         cv_.wait_for(lock, timeout, [this] { return !queue_.empty(); });
     --waiters_;
     if (!ready) return std::nullopt;
-    WorkCompletion wc = queue_.front();
-    queue_.pop_front();
+    const WorkCompletion wc = TakeFront();
     RecordDelay(wc);
     return wc;
   }
@@ -94,8 +89,7 @@ class CompletionQueue {
   void Push(const WorkCompletion& wc) {
     {
       const std::scoped_lock lock(mu_);
-      queue_.push_back(wc);
-      queue_.back().posted_ns = StampNow();
+      Append(wc, StampNow());
     }
     cv_.notify_one();
   }
@@ -109,20 +103,37 @@ class CompletionQueue {
     {
       const std::scoped_lock lock(mu_);
       const uint64_t now = StampNow();
-      for (const WorkCompletion& wc : wcs) {
-        queue_.push_back(wc);
-        queue_.back().posted_ns = now;
-      }
+      for (const WorkCompletion& wc : wcs) Append(wc, now);
     }
     cv_.notify_all();
   }
 
   size_t Depth() const {
     const std::scoped_lock lock(mu_);
-    return queue_.size();
+    return queue_.size() - head_;
   }
 
  private:
+  // The queue is queue_[head_..]: a drained queue resets to empty, and a
+  // full one drops its consumed prefix before it grows, so steady traffic
+  // reuses the vector's capacity and never allocates. Callers hold mu_.
+  void Append(const WorkCompletion& wc, uint64_t posted_ns) {
+    if (head_ != 0 && queue_.size() == queue_.capacity()) {
+      queue_.erase(queue_.begin(), queue_.begin() + head_);
+      head_ = 0;
+    }
+    queue_.push_back(wc);
+    queue_.back().posted_ns = posted_ns;
+  }
+  WorkCompletion TakeFront() {
+    const WorkCompletion wc = queue_[head_++];
+    if (head_ == queue_.size()) {
+      queue_.clear();
+      head_ = 0;
+    }
+    return wc;
+  }
+
   /// The delivery stamp RecordDelay reads, taken only while a consumer
   /// is blocked in Wait(): completions reaped by polling, and builds
   /// without telemetry, skip the clock read. Callers hold mu_.
@@ -146,7 +157,8 @@ class CompletionQueue {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<WorkCompletion> queue_;
+  std::vector<WorkCompletion> queue_;
+  size_t head_ = 0;
   uint32_t waiters_ = 0;  // threads blocked in Wait()
 };
 

@@ -73,7 +73,7 @@ void VersionedFetchEngine::Flush() {
 }
 
 FetchStatus VersionedFetchEngine::FetchChunks(std::span<const ChunkId> ids,
-                                              const ValidateFn& validate) {
+                                              ValidateFn validate) {
   if (ids.empty()) return FetchStatus::kOk;
   if (ids.size() > 1) {
     ++stats_.batches;

@@ -24,9 +24,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/backoff.h"
@@ -87,8 +87,34 @@ class VersionedFetchEngine {
   /// re-fetches that chunk (bounded by the policy). Called in completion
   /// order, once per delivered image; the image is valid only during
   /// the call, so consumers decode accepted nodes in the callback.
-  using ValidateFn =
-      std::function<bool(size_t index, std::span<const std::byte> image)>;
+  ///
+  /// A non-owning reference to the callable, two words whatever it
+  /// captures, so no call allocates. The engine calls it only inside
+  /// FetchChunks, and a callable written in the argument list lives
+  /// until FetchChunks returns.
+  class ValidateFn {
+   public:
+    using Image = std::span<const std::byte>;
+
+    template <typename F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, ValidateFn> &&
+               std::is_object_v<std::remove_reference_t<F>> &&
+               std::is_invocable_r_v<bool, F&, size_t, Image>)
+    ValidateFn(F&& f) noexcept  // NOLINT: implicit, like std::function
+        : obj_(const_cast<void*>(static_cast<const void*>(&f))),
+          call_([](void* obj, size_t index, Image image) -> bool {
+            return (*static_cast<std::remove_reference_t<F>*>(obj))(index,
+                                                                    image);
+          }) {}
+
+    bool operator()(size_t index, Image image) const {
+      return call_(obj_, index, image);
+    }
+
+   private:
+    void* obj_;
+    bool (*call_)(void* obj, size_t index, Image image);
+  };
 
   /// Fetches every chunk of `ids` into pooled scratch with one doorbell,
   /// validating and re-fetching per item as completions arrive. Returns
@@ -98,8 +124,7 @@ class VersionedFetchEngine {
   /// and every retry wave — is flushed with a single transport doorbell.
   /// Scratch buffers go back to the pool on EVERY exit path — success,
   /// retry exhaustion, transport error, or a throwing validate.
-  FetchStatus FetchChunks(std::span<const ChunkId> ids,
-                          const ValidateFn& validate);
+  FetchStatus FetchChunks(std::span<const ChunkId> ids, ValidateFn validate);
 
   /// The engine's scratch pool. Exposed so owners and tests can assert
   /// in_use() == 0 between operations, and so an owner on real verbs

@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "geo/rect.h"
 #include "rtree/arena.h"
@@ -59,6 +60,35 @@ struct NodeData {
     return r;
   }
 };
+
+/// The node visit of every R-tree search, the server's traversal and the
+/// offloading client's alike: appends each entry of `node` whose MBR
+/// intersects `query` (Rect::Intersects) — the entry itself to `results`
+/// in a leaf, its child chunk id to `next` in an internal node — in
+/// entry order. The four comparisons of every entry combine with `&`
+/// and the hit indices compact into a stack array, so no branch depends
+/// on the data until the appends.
+inline void VisitNode(const NodeData& node, const geo::Rect& query,
+                      std::vector<Entry>& results,
+                      std::vector<ChunkId>& next) {
+  uint8_t hits[kMaxFanout] = {};
+  size_t n = 0;
+  for (size_t i = 0; i < node.count; ++i) {
+    const geo::Rect& r = node.entries[i].mbr;
+    hits[n] = static_cast<uint8_t>(i);
+    n += static_cast<size_t>((r.min_x <= query.max_x) &
+                             (query.min_x <= r.max_x) &
+                             (r.min_y <= query.max_y) &
+                             (query.min_y <= r.max_y));
+  }
+  if (node.IsLeaf()) {
+    for (size_t k = 0; k < n; ++k) results.push_back(node.entries[hits[k]]);
+  } else {
+    for (size_t k = 0; k < n; ++k) {
+      next.push_back(static_cast<ChunkId>(node.entries[hits[k]].id));
+    }
+  }
+}
 
 /// Serializes `node` into a payload buffer of at least
 /// PayloadCapacity(kChunkSize) bytes. Returns the encoded size.

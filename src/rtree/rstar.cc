@@ -231,11 +231,14 @@ size_t RStarTree::TraverseOnce(const geo::Rect& query, std::vector<Entry>& out,
                                TraversalTrace* trace) const {
   // Breadth-first traversal: the frontier at each level is exactly the
   // set of nodes a multi-issue offloading client fetches in one round.
-  size_t found = 0;
+  // The frontiers are per thread: several workers search at once, and a
+  // warm thread's traversal allocates nothing.
+  thread_local std::vector<ChunkId> frontier;
+  thread_local std::vector<ChunkId> next;
+  const size_t first = out.size();
   uint64_t visited = 0;
   uint64_t retries = 0;
-  std::vector<ChunkId> frontier{kRootChunk};
-  std::vector<ChunkId> next;
+  frontier.assign(1, kRootChunk);
   if (trace) trace->nodes_per_level.clear();
   NodeData node;
   while (!frontier.empty()) {
@@ -246,19 +249,11 @@ size_t RStarTree::TraverseOnce(const geo::Rect& query, std::vector<Entry>& out,
     for (const ChunkId id : frontier) {
       retries += ReadNode(id, node);
       ++visited;
-      for (uint16_t i = 0; i < node.count; ++i) {
-        const Entry& e = node.entries[i];
-        if (!e.mbr.Intersects(query)) continue;
-        if (node.IsLeaf()) {
-          out.push_back(e);
-          ++found;
-        } else {
-          next.push_back(static_cast<ChunkId>(e.id));
-        }
-      }
+      VisitNode(node, query, out, next);
     }
     frontier.swap(next);
   }
+  const size_t found = out.size() - first;
   if (stats) {
     stats->nodes_visited = visited;
     stats->results = found;

@@ -1,10 +1,12 @@
-// Allocation regression harness for the messaging and offload hot
-// paths: after warm-up, the steady-state ring send/receive loop, the
-// client's request encode, the server's reply codecs and the remote
-// fetch engine's loop must not touch the global allocator
+// Allocation regression harness for the messaging, search and offload
+// hot paths: after warm-up, the steady-state ring send/receive loop, the
+// client's request encode, the server's reply codecs, the remote fetch
+// engine's loop, the R-tree's own search and the client's cached
+// offloaded search must not touch the global allocator
 // (RingSender::frame_, RingReceiver::scratch_, the client's request
 // scratch, per-connection reply scratch, trace_wire's
-// append-into-capacity encoder, the engine's reused staging members).
+// append-into-capacity encoder, the engine's reused staging members, the
+// per-thread search frontiers and the client's traversal members).
 // Counting is done by replacing the global operator new; disabled under
 // sanitizers, whose own allocator interposition this would fight.
 #include <gtest/gtest.h>
@@ -17,11 +19,16 @@
 #include <new>
 #include <vector>
 
+#include "catfish/client.h"
+#include "catfish/server.h"
 #include "msg/protocol.h"
 #include "msg/ring.h"
 #include "rdmasim/rdma.h"
 #include "remote/engine.h"
+#include "rtree/bulk_load.h"
 #include "rtree/layout.h"
+#include "rtree/rstar.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace_wire.h"
 #include "test_util.h"
 
@@ -32,6 +39,7 @@
 namespace {
 std::atomic<size_t> g_allocs{0};
 std::atomic<bool> g_counting{false};
+thread_local bool t_counting = false;
 }  // namespace
 
 // The replaced new is malloc-backed, so free() in the deletes below is
@@ -42,7 +50,7 @@ std::atomic<bool> g_counting{false};
 #endif
 
 void* operator new(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
+  if (t_counting || g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(n)) return p;
@@ -73,6 +81,32 @@ class AllocCounter {
   ~AllocCounter() { g_counting.store(false, std::memory_order_relaxed); }
   size_t count() const { return g_allocs.load(std::memory_order_relaxed); }
 };
+
+/// Counts only the calling thread's operator new calls within a scope:
+/// for client paths that run beside the server's own threads.
+class ThreadAllocCounter {
+ public:
+  ThreadAllocCounter() {
+    g_allocs.store(0, std::memory_order_relaxed);
+    t_counting = true;
+  }
+  ~ThreadAllocCounter() { t_counting = false; }
+  size_t count() const { return g_allocs.load(std::memory_order_relaxed); }
+};
+
+/// 2000 random rects of edge <= 0.01 in the unit square.
+std::vector<rtree::Entry> UnitSquareItems() {
+  Xoshiro256 rng(21);
+  std::vector<rtree::Entry> items;
+  for (uint64_t i = 0; i < 2000; ++i) {
+    items.push_back({testutil::RandomRect(rng, 0.01), i});
+  }
+  return items;
+}
+
+/// Outside the unit square: every search for it visits the root only
+/// and matches nothing.
+constexpr geo::Rect kNowhere{2.0, 2.0, 3.0, 3.0};
 
 // A connected sender/receiver pair over the instant fabric (the same
 // harness ring_test.cc uses).
@@ -315,6 +349,62 @@ TEST(AllocTest, SteadyStateRemoteFetchIsAllocationFree) {
   EXPECT_EQ(one_allocs, 0u) << "1-chunk fetches hit the allocator";
   EXPECT_EQ(engine.scratch()->in_use(), 0u);
   EXPECT_EQ(engine.scratch()->overflow_allocs(), 0u);
+}
+
+TEST(AllocTest, WarmRTreeSearchIsAllocationFree) {
+  // The server's traversal reuses its thread's frontiers.
+  rtree::NodeArena arena(rtree::kChunkSize, 1 << 12);
+  const rtree::RStarTree tree = rtree::BulkLoad(arena, UnitSquareItems());
+  ASSERT_GT(tree.height(), 1u);
+  std::vector<rtree::Entry> out;
+  for (int i = 0; i < 8; ++i) tree.Search(kNowhere, out);
+
+  size_t allocs = 0;
+  {
+    const AllocCounter counter;
+    for (int i = 0; i < 1000; ++i) tree.Search(kNowhere, out);
+    allocs = counter.count();
+  }
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(allocs, 0u) << "a warm R-tree search hit the allocator";
+}
+
+TEST(AllocTest, WarmCachedOffloadedSearchIsAllocationFree) {
+  // With the root cached, each search runs one S2 meta READ through the
+  // engine: the traversal's frontiers are client members, the engine's
+  // validate callable is a reference, not a std::function, and the
+  // READ's completion queue reuses one vector.
+  rdma::Fabric fabric{rdma::FabricProfile::Instant()};
+  rtree::NodeArena arena(rtree::kChunkSize, 1 << 12);
+  rtree::RStarTree tree = rtree::BulkLoad(arena, UnitSquareItems());
+  RTreeServer server(fabric.CreateNode("server"), tree, ServerConfig{});
+  ClientConfig cfg;
+  cfg.cache_internal_nodes = true;
+  RTreeClient client(fabric.CreateNode("client"), server, cfg);
+  ASSERT_FALSE(client.SearchOffloaded(geo::Rect{0, 0, 1, 1}).empty());
+  for (int i = 0; i < 8; ++i) client.SearchOffloaded(kNowhere);
+  // A slow sample would grow this thread's latency histogram: grow it
+  // past any sample the counted loop can take.
+  telemetry::Registry::Global()
+      .timer("catfish.client.search_offload_us")
+      ->RecordUs(1e9);
+
+  const ClientStats before = client.stats();
+  size_t allocs = 0;
+  size_t results = 0;
+  {
+    const ThreadAllocCounter counter;
+    for (int i = 0; i < 1000; ++i) {
+      results += client.SearchOffloaded(kNowhere).size();
+    }
+    allocs = counter.count();
+  }
+  EXPECT_EQ(results, 0u);
+  EXPECT_EQ(client.stats().cache_hits - before.cache_hits, 1000u);
+  EXPECT_EQ(client.stats().offloaded_searches - before.offloaded_searches,
+            1000u);
+  EXPECT_EQ(allocs, 0u) << "a warm cached offloaded search hit the allocator";
+  server.Stop();
 }
 
 #else  // !CATFISH_ALLOC_COUNTING

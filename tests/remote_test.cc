@@ -63,9 +63,9 @@ bool PayloadUniform(std::span<const std::byte> image, std::byte* fill_out) {
   return true;
 }
 
-bool AcceptValid(size_t, std::span<const std::byte> image) {
+const auto AcceptValid = [](size_t, std::span<const std::byte> image) {
   return VersionsValid(image);
-}
+};
 
 /// What a single-chunk fetch saw in the image it accepted. Images live
 /// only during the validate callback, so they are inspected there.
@@ -309,17 +309,32 @@ TEST(RemoteFaultTest, MultiIssueRetearsOnlyAffectedItems) {
 
 TEST(RemoteEngineTest, TornReadHammer) {
   // The shared engine against a live seqlock writer: validated images
-  // must never mix two writes, and bounded retries must always resolve
-  // (the writer never holds a chunk torn for long).
+  // must never mix two writes, and bounded retries must always resolve.
+  // The writer has a stated duty cycle: a burst of kWritesPerFetch
+  // rewrites, then a wait until the reader completes another fetch.
+  // Bursts overlap fetches, so tears still race; but while one fetch
+  // runs the writer makes at most 2 × kWritesPerFetch writes and then
+  // waits for it, so the engine's bounded budget always finds the
+  // chunk quiet, however loaded the host.
+  constexpr int kWritesPerFetch = 8;
   Region region(2);
   region.WriteFill(1, std::byte{1});
 
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> fetched{0};
   std::thread writer([&] {
     uint8_t v = 1;
+    uint64_t seen = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      region.WriteFill(1, std::byte{v});
-      v = v == 250 ? 1 : static_cast<uint8_t>(v + 1);
+      for (int k = 0; k < kWritesPerFetch; ++k) {
+        region.WriteFill(1, std::byte{v});
+        v = v == 250 ? 1 : static_cast<uint8_t>(v + 1);
+      }
+      while (!stop.load(std::memory_order_relaxed) &&
+             fetched.load(std::memory_order_acquire) == seen) {
+        std::this_thread::yield();
+      }
+      seen = fetched.load(std::memory_order_acquire);
     }
   });
   const testutil::StopAndJoin stop_writer(stop, writer);
@@ -331,6 +346,7 @@ TEST(RemoteEngineTest, TornReadHammer) {
     ASSERT_EQ(FetchSingle(engine, 1, &got), FetchStatus::kOk);
     ASSERT_TRUE(got.uniform) << "torn image passed validation";
     ASSERT_NE(got.fill, std::byte{0});
+    fetched.fetch_add(1, std::memory_order_release);
   }
   stop.store(true);
   writer.join();
