@@ -373,6 +373,12 @@ class CellExporter {
     j.Key("polls").Value(r.polls);
     j.Key("version_retries").Value(r.version_retries);
     j.EndObject();
+    j.Key("offload");
+    j.BeginObject();
+    j.Key("restarts").Value(r.offload_restarts);
+    j.Key("fallbacks").Value(r.offload_fallbacks);
+    j.Key("cache_hits").Value(r.cache_hits);
+    j.EndObject();
     j.Key("adaptive");
     j.BeginObject();
     j.Key("mode_switches").Value(r.mode_switches);

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "common/clock.h"
-#include "rtree/layout.h"
 #include "telemetry/events.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace_wire.h"
@@ -30,14 +29,6 @@ uint64_t PayloadReqId(std::span<const std::byte> payload) {
   uint64_t id = 0;
   std::memcpy(&id, payload.data(), sizeof id);
   return id;
-}
-
-/// Validates+decodes a fetched image of the meta chunk.
-bool TryDecodeMeta(std::span<const std::byte> buf, rtree::TreeMeta& out) {
-  if (!rtree::ValidateVersions(buf).has_value()) return false;
-  std::byte payload[rtree::PayloadCapacity(rtree::kChunkSize)];
-  rtree::GatherPayload(buf, payload);
-  return rtree::DecodeMeta(payload, out);
 }
 
 }  // namespace
@@ -224,7 +215,7 @@ ClientStatus RTreeClient::Reconnect() {
   }
   // Everything cached from the old incarnation is garbage now: the
   // arena may belong to a new primary with its own sequence words.
-  node_cache_.clear();
+  node_cache_.Clear();
   conn_state_ = ConnState::kConnected;
   ++stats_.reconnects;
   CATFISH_COUNT("catfish.client.reconnects");
@@ -431,11 +422,20 @@ bool RTreeClient::NextFrame(uint64_t req_id) {
       continue;
     }
     if (type == msg::MsgType::kOverloaded) {
+      const auto ov = msg::DecodeOverloadReply(rx_msg_.payload);
+      last_retry_after_us_ = ov ? ov->retry_after_us : 0;
+      // Hint 0 is the server's expired-request drop. When the armed op
+      // deadline has passed too, that drop may just have beaten the
+      // client's own deadline check: it is the same expiry, not
+      // overload.
+      if (last_retry_after_us_ == 0 && cur_deadline_us_ != 0 &&
+          NowMicros() >= cur_deadline_us_) {
+        FailDeadlineExpired(
+            "catfish client: op deadline expired awaiting response");
+      }
       // Admission control shed this request. Surface it as a typed
       // error and feed the breaker; the retry-after hint steers both
       // the breaker's open window and the write retry backoff.
-      const auto ov = msg::DecodeOverloadReply(rx_msg_.payload);
-      last_retry_after_us_ = ov ? ov->retry_after_us : 0;
       ++stats_.overloaded;
       CATFISH_COUNT("overload.client.shed_replies");
       NoteFastFailure(NowMicros(), last_retry_after_us_);
@@ -622,16 +622,6 @@ std::vector<rtree::Entry> RTreeClient::NearestNeighbors(
   return results;
 }
 
-bool RTreeClient::TryDecodeNode(rtree::ChunkId id,
-                                std::span<const std::byte> buf,
-                                rtree::NodeData& out) {
-  // Version check + decode (the read-write conflict detection, §III-B).
-  if (!rtree::ValidateVersions(buf).has_value()) return false;
-  std::byte payload[rtree::PayloadCapacity(rtree::kChunkSize)];
-  rtree::GatherPayload(buf, payload);
-  return rtree::DecodeNode(payload, out) && out.self == id;
-}
-
 void RTreeClient::AccountEngineDelta(const remote::EngineStats& before) {
   const remote::EngineStats& now = engine_->stats();
   stats_.rdma_reads += now.reads - before.reads;
@@ -640,22 +630,8 @@ void RTreeClient::AccountEngineDelta(const remote::EngineStats& before) {
   CATFISH_COUNT_ADD("catfish.client.version_retries", retries);
 }
 
-bool RTreeClient::FetchRound(std::span<const rtree::ChunkId> ids,
-                             rtree::TreeMeta* meta_before,
-                             rtree::TreeMeta* meta_after) {
-  // The chain as posted: [meta] ids... [meta].
-  const size_t first = meta_before != nullptr ? 1 : 0;
-  round_ids_.clear();
-  if (meta_before != nullptr) round_ids_.push_back(rtree::kMetaChunk);
-  round_ids_.insert(round_ids_.end(), ids.begin(), ids.end());
-  if (meta_after != nullptr) round_ids_.push_back(rtree::kMetaChunk);
-  if (round_nodes_.size() < ids.size()) round_nodes_.resize(ids.size());
-  const auto validate = [&](size_t i, std::span<const std::byte> image) {
-    if (i < first) return TryDecodeMeta(image, *meta_before);
-    if (i - first == ids.size()) return TryDecodeMeta(image, *meta_after);
-    return TryDecodeNode(ids[i - first], image, round_nodes_[i - first]);
-  };
-
+bool RTreeClient::FetchRound() {
+  const std::span<const rtree::ChunkId> ids = walk_.round();
   const remote::EngineStats before = engine_->stats();
   remote::FetchStatus st = remote::FetchStatus::kOk;
   if (cfg_.multi_issue) {
@@ -664,17 +640,20 @@ bool RTreeClient::FetchRound(std::span<const rtree::ChunkId> ids,
     // images in completion order; torn reads re-fetch under the engine's
     // bounded backoff. Images land in the engine's pooled scratch — no
     // per-level buffer allocation.
-    st = engine_->FetchChunks(round_ids_, validate);
+    st = engine_->FetchChunks(
+        ids, [this](size_t i, std::span<const std::byte> image) {
+          return walk_.Accept(i, image);
+        });
   } else {
     // One READ at a time: every chunk access pays a full round trip (the
     // baseline that Fig. 8 compares against). Buffers still come from
     // the pool — the comparison isolates batching, not malloc.
-    for (size_t i = 0; i < round_ids_.size() && st == remote::FetchStatus::kOk;
+    for (size_t i = 0; i < ids.size() && st == remote::FetchStatus::kOk;
          ++i) {
       st = engine_->FetchChunks(
-          {&round_ids_[i], 1},
-          [&](size_t, std::span<const std::byte> image) {
-            return validate(i, image);
+          ids.subspan(i, 1),
+          [this, i](size_t, std::span<const std::byte> image) {
+            return walk_.Accept(i, image);
           });
     }
   }
@@ -690,170 +669,7 @@ bool RTreeClient::FetchRound(std::span<const rtree::ChunkId> ids,
   // brackets its node READs between its meta READs. Single READs are
   // issued strictly one after another.
   return !cfg_.multi_issue ||
-         engine_->stats().reads - before.reads == round_ids_.size();
-}
-
-bool RTreeClient::SmosMissQuery(const geo::Rect& rect,
-                                 const rtree::TreeMeta& s1,
-                                 const rtree::TreeMeta& s2) {
-  if (s1.smo_seq == s2.smo_seq && s1.smo_seq % 2 == 0) return true;
-  if (s2.index_seq < s1.index_seq) return false;
-  // Every change that may have run between S1 and S2, including one
-  // running at either read.
-  const uint64_t first = s1.index_seq - s1.index_seq % 2 + 2;
-  const uint64_t last = s2.index_seq + s2.index_seq % 2;
-  if (last - first >= 2 * rtree::TreeMeta::kChangeLog) return false;
-  for (uint64_t seq = first; seq <= last; seq += 2) {
-    const rtree::IndexChange* c = s2.FindChange(seq);
-    if (c == nullptr || (c->smo && c->region.Intersects(rect))) return false;
-  }
-  return true;
-}
-
-bool RTreeClient::AbsorbChanges(const rtree::TreeMeta& s2) {
-  const uint64_t done = s2.index_seq - s2.index_seq % 2;
-  if (done < cache_index_seq_ ||
-      done - cache_index_seq_ > 2 * rtree::TreeMeta::kChangeLog) {
-    return false;
-  }
-  for (uint64_t seq = cache_index_seq_ + 2; seq <= done; seq += 2) {
-    const rtree::IndexChange* c = s2.FindChange(seq);
-    if (c == nullptr || dirty_regions_.size() == kMaxDirtyRegions) {
-      return false;
-    }
-    dirty_regions_.push_back(c->region);
-  }
-  cache_index_seq_ = done;
-  return true;
-}
-
-bool RTreeClient::CacheMissesChanges(const geo::Rect& rect,
-                                     const rtree::TreeMeta& s2) const {
-  for (const geo::Rect& r : dirty_regions_) {
-    if (r.Intersects(rect)) return false;
-  }
-  if (s2.index_seq % 2 == 0) return true;
-  // An SMO is running: its region so far bounds what it moved before S2.
-  const rtree::IndexChange* running = s2.FindChange(s2.index_seq + 1);
-  return running != nullptr && !running->region.Intersects(rect);
-}
-
-bool RTreeClient::TraverseOffloaded(const geo::Rect& rect, bool cached,
-                                    std::vector<rtree::Entry>& results,
-                                    rtree::TraversalTrace* trace) {
-  results.clear();
-  staged_nodes_.clear();
-  if (trace) trace->nodes_per_level.clear();
-  frontier_.assign(1, boot_.root);
-  // S1 is read before the first node READ (uncached traversals only), S2
-  // after the last one; s2_last says the current S2 really was.
-  rtree::TreeMeta s1;
-  rtree::TreeMeta s2;
-  bool s2_last = false;
-  int level = -1;  // level of the frontier's nodes, -1 until the root
-  bool consistent = true;
-  // Routes one node. A node off its expected level can only come from a
-  // concurrent structure change; the traversal is then abandoned.
-  int seen_level = -1;
-  const auto visit = [&](const rtree::NodeData& node) {
-    if (level >= 0 && node.level != level) {
-      consistent = false;
-      return;
-    }
-    seen_level = node.level;
-    rtree::VisitNode(node, rect, results, next_);
-  };
-
-  for (int64_t round = 0; consistent && (!frontier_.empty() || !s2_last);
-       ++round) {
-    // The offload path has no server to shed for us, so the budget is
-    // enforced between rounds: a deadline that expired mid-traversal
-    // stops issuing READs for an answer nobody will use.
-    if (cur_deadline_us_ != 0 && NowMicros() >= cur_deadline_us_) {
-      FailDeadlineExpired(
-          "catfish client: op deadline expired mid-offload");
-    }
-    if (trace && !frontier_.empty()) {
-      trace->nodes_per_level.push_back(
-          static_cast<uint32_t>(frontier_.size()));
-    }
-    auto round_span = telemetry::kInvalidSpan;
-    ClientStats round_before;
-    if (trace_) {
-      round_span = trace_->StartSpan(trace_root_, "offload_round",
-                                     cfg_.tracer->now_us());
-      trace_->SetAttr(round_span, "level", round);
-      trace_->SetAttr(round_span, "frontier",
-                      static_cast<int64_t>(frontier_.size()));
-      round_before = stats_;
-    }
-    next_.clear();
-    to_fetch_.clear();
-    for (const rtree::ChunkId id : frontier_) {
-      if (cached) {
-        const auto it = node_cache_.find(id);
-        if (it != node_cache_.end()) {
-          ++stats_.cache_hits;
-          CATFISH_COUNT("catfish.client.cache_hits");
-          visit(it->second);
-          continue;
-        }
-      }
-      to_fetch_.push_back(id);
-    }
-    // S2 rides the leaf round's chain. A traversal that ends above the
-    // leaves, or whose leaf round had to re-fetch, reads it on its own.
-    const bool root_round = !cached && round == 0;
-    const bool leaf_round = level == 0 || frontier_.empty();
-    if (!to_fetch_.empty() || leaf_round) {
-      const bool bracketed = FetchRound(
-          to_fetch_, root_round ? &s1 : nullptr, leaf_round ? &s2 : nullptr);
-      // A re-fetched S1 may have landed after the root: read it again.
-      if (root_round && !bracketed) FetchRound(to_fetch_, nullptr, nullptr);
-      for (size_t i = 0; i < to_fetch_.size(); ++i) {
-        const rtree::NodeData& node = round_nodes_[i];
-        visit(node);
-        if (cfg_.cache_internal_nodes && !node.IsLeaf()) {
-          staged_nodes_.push_back(node);
-        }
-      }
-      s2_last = leaf_round && bracketed;
-    }
-    level = seen_level - 1;
-    if (trace_) {
-      trace_->SetAttr(
-          round_span, "reads",
-          static_cast<int64_t>(stats_.rdma_reads - round_before.rdma_reads));
-      trace_->SetAttr(round_span, "version_retries",
-                      static_cast<int64_t>(stats_.version_retries -
-                                           round_before.version_retries));
-      trace_->SetAttr(
-          round_span, "cache_hits",
-          static_cast<int64_t>(stats_.cache_hits - round_before.cache_hits));
-      trace_->EndSpan(round_span, cfg_.tracer->now_us());
-    }
-    frontier_.swap(next_);
-  }
-  if (!consistent) return false;
-
-  if (cached) {
-    // Cached internal nodes still route the query to every entry unless
-    // a change since they were validated touched the query's area.
-    if (!AbsorbChanges(s2) || !CacheMissesChanges(rect, s2)) return false;
-  } else {
-    if (!SmosMissQuery(rect, s1, s2)) return false;
-    if (!cfg_.cache_internal_nodes) return true;
-    // The fetched nodes are no older than S1: every change after it is
-    // dirty for them.
-    node_cache_.clear();
-    dirty_regions_.clear();
-    cache_index_seq_ = s1.index_seq - s1.index_seq % 2;
-    if (!AbsorbChanges(s2)) return true;
-  }
-  for (const rtree::NodeData& node : staged_nodes_) {
-    node_cache_[node.self] = node;
-  }
-  return true;
+         engine_->stats().reads - before.reads == ids.size();
 }
 
 std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
@@ -863,37 +679,68 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
   ArmOpDeadline();
   CATFISH_SCOPED_TIMER_US("catfish.client.search_offload_us");
   const TraceGuard own_trace = BeginTrace("search.offload");
-  const ClientStats before = stats_;
+  const remote::EngineStats engine_before = engine_->stats();
+
+  walk_.Start(rect, boot_.root,
+              cfg_.cache_internal_nodes ? &node_cache_ : nullptr, trace);
+  rtree::OffloadWalk::Step step;
+  while ((step = walk_.Next()) == rtree::OffloadWalk::Step::kRestart ||
+         step == rtree::OffloadWalk::Step::kFetch) {
+    if (step == rtree::OffloadWalk::Step::kRestart) {
+      ++stats_.smo_restarts;
+      CATFISH_COUNT("catfish.client.smo_restarts");
+      if (walk_.dropped_cache()) {
+        ++stats_.cache_invalidations;
+        CATFISH_COUNT("catfish.client.cache_invalidations");
+      } else {
+        // An SMO in the query's area overlapped the traversal. Only
+        // yield: a timed sleep overshoots by the timer slack, and the
+        // restart bound with the fallback already caps the wait.
+        std::this_thread::yield();
+      }
+      continue;
+    }
+    // The offload path has no server to shed for us, so the budget is
+    // enforced between rounds: a deadline that expired mid-traversal
+    // stops issuing READs for an answer nobody will use.
+    if (cur_deadline_us_ != 0 && NowMicros() >= cur_deadline_us_) {
+      FailDeadlineExpired("catfish client: op deadline expired mid-offload");
+    }
+    stats_.cache_hits += walk_.round_hits();
+    CATFISH_COUNT_ADD("catfish.client.cache_hits", walk_.round_hits());
+    auto round_span = telemetry::kInvalidSpan;
+    remote::EngineStats round_before;
+    if (trace_) {
+      round_span = trace_->StartSpan(trace_root_, "offload_round",
+                                     cfg_.tracer->now_us());
+      trace_->SetAttr(round_span, "level", walk_.round_index());
+      trace_->SetAttr(round_span, "frontier",
+                      static_cast<int64_t>(walk_.round_frontier()));
+      round_before = engine_->stats();
+    }
+    walk_.Deliver(walk_.round().empty() || FetchRound());
+    if (trace_) {
+      const remote::EngineStats& now = engine_->stats();
+      trace_->SetAttr(round_span, "reads",
+                      static_cast<int64_t>(now.reads - round_before.reads));
+      trace_->SetAttr(round_span, "version_retries",
+                      static_cast<int64_t>(now.version_retries -
+                                           round_before.version_retries));
+      trace_->SetAttr(round_span, "cache_hits", walk_.round_hits());
+      trace_->EndSpan(round_span, cfg_.tracer->now_us());
+    }
+  }
 
   std::vector<rtree::Entry> results;
-  bool cached = cfg_.cache_internal_nodes && !node_cache_.empty();
-  bool valid = TraverseOffloaded(rect, cached, results, trace);
-  for (int restart = 0; !valid && restart < kMaxOffloadRestarts; ++restart) {
-    if (cached) {
-      // Stale internal nodes: refill from an uncached traversal now.
-      node_cache_.clear();
-      ++stats_.cache_invalidations;
-      CATFISH_COUNT("catfish.client.cache_invalidations");
-      cached = false;
-    } else {
-      // An SMO in the query's area overlapped the traversal. Only yield:
-      // a timed sleep overshoots by the timer slack, and the restart
-      // bound with the fallback already caps the wait.
-      std::this_thread::yield();
-    }
-    ++stats_.smo_restarts;
-    CATFISH_COUNT("catfish.client.smo_restarts");
-    valid = TraverseOffloaded(rect, /*cached=*/false, results, trace);
-  }
-  if (valid) {
+  if (step == rtree::OffloadWalk::Step::kValid) {
     ++stats_.offloaded_searches;
     CATFISH_COUNT("catfish.client.search.offload");
+    results = walk_.TakeResults();
   } else {
     // Every attempt overlapped a structure change: the server's own
     // traversal serves the search instead of a possibly partial result.
     ++stats_.offload_fallbacks;
     CATFISH_COUNT("catfish.client.offload_fallbacks");
-    if (trace) trace->nodes_per_level.clear();
     // Same op, same deadline: the offload attempts already spent part
     // of it.
     if (cur_deadline_us_ != 0 && NowMicros() >= cur_deadline_us_) {
@@ -903,17 +750,17 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
     results = SearchFastArmed(rect);
   }
   if (trace_) {
-    const auto delta = [&](uint64_t ClientStats::*field) {
-      return static_cast<int64_t>(stats_.*field - before.*field);
-    };
-    trace_->SetAttr(trace_root_, "rdma_reads", delta(&ClientStats::rdma_reads));
+    const remote::EngineStats& now = engine_->stats();
+    trace_->SetAttr(trace_root_, "rdma_reads",
+                    static_cast<int64_t>(now.reads - engine_before.reads));
     trace_->SetAttr(trace_root_, "version_retries",
-                    delta(&ClientStats::version_retries));
-    trace_->SetAttr(trace_root_, "cache_hits", delta(&ClientStats::cache_hits));
-    trace_->SetAttr(trace_root_, "smo_restarts",
-                    delta(&ClientStats::smo_restarts));
+                    static_cast<int64_t>(now.version_retries -
+                                         engine_before.version_retries));
+    trace_->SetAttr(trace_root_, "cache_hits",
+                    static_cast<int64_t>(walk_.cache_hits()));
+    trace_->SetAttr(trace_root_, "smo_restarts", walk_.restarts());
     trace_->SetAttr(trace_root_, "offload_fallbacks",
-                    delta(&ClientStats::offload_fallbacks));
+                    step == rtree::OffloadWalk::Step::kValid ? 0 : 1);
     trace_->SetAttr(trace_root_, "results",
                     static_cast<int64_t>(results.size()));
   }

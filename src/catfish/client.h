@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "catfish/adaptive.h"
@@ -33,6 +32,7 @@
 #include "msg/ring.h"
 #include "rdmasim/rdma.h"
 #include "remote/engine.h"
+#include "rtree/offload_walk.h"
 #include "rtree/rstar.h"
 #include "telemetry/trace.h"
 
@@ -253,7 +253,8 @@ class RTreeClient {
   /// Restarts an offloaded search may make after a sequence-word
   /// mismatch (see rtree::TreeMeta) before it falls back to fast
   /// messaging.
-  static constexpr int kMaxOffloadRestarts = 4;
+  static constexpr int kMaxOffloadRestarts =
+      rtree::OffloadWalk::kMaxRestarts;
 
   /// Forces the offloading path; optionally reports the traversal trace
   /// (of the attempt that validated). Returns every entry present for
@@ -480,43 +481,12 @@ class RTreeClient {
   /// with exactly-once retries (cfg_.write_attempts).
   bool ExecuteWrite(msg::MsgType type, const geo::Rect& rect, uint64_t id);
 
-  /// Validates+decodes a fetched chunk image (the engine's validate
-  /// callback); false → the engine re-fetches within its retry bounds.
-  bool TryDecodeNode(rtree::ChunkId id, std::span<const std::byte> buf,
-                     rtree::NodeData& out);
-
-  /// One traversal round: READs every chunk of `ids` in one doorbell
-  /// chain, with the meta chunk chained in front (into `*meta_before`)
-  /// and/or behind (into `*meta_after`) when those are non-null, and
-  /// decodes node ids[i] into round_nodes_[i]. Returns true when the
-  /// chained meta READs bracket the node READs, i.e. no chunk had to be
-  /// re-fetched after the first pass. Throws ClientError on fetch
-  /// failure.
-  bool FetchRound(std::span<const rtree::ChunkId> ids,
-                  rtree::TreeMeta* meta_before, rtree::TreeMeta* meta_after);
-
-  /// Whether an uncached traversal bracketed by the meta reads `s1` and
-  /// `s2` returns every entry present throughout: no SMO ran in between,
-  /// or s2's change log holds every change from S1 to S2 and no SMO
-  /// among them moved entries where `rect` looks.
-  static bool SmosMissQuery(const geo::Rect& rect, const rtree::TreeMeta& s1,
-                            const rtree::TreeMeta& s2);
-  /// Moves the regions of the changes s2 shows completed since
-  /// cache_index_seq_ into dirty_regions_ and advances cache_index_seq_.
-  /// False when the change log no longer covers them or the dirty set is
-  /// full: the cache can no longer be validated.
-  bool AbsorbChanges(const rtree::TreeMeta& s2);
-  /// Whether the cached nodes route `rect` to every entry: no dirty
-  /// region, nor the region of an SMO running at s2, meets it.
-  bool CacheMissesChanges(const geo::Rect& rect,
-                          const rtree::TreeMeta& s2) const;
-
-  /// One offloaded traversal, from the cache when `cached`. Returns
-  /// whether the meta chunk validated it; only then are the internal
-  /// nodes it fetched committed to the cache.
-  bool TraverseOffloaded(const geo::Rect& rect, bool cached,
-                         std::vector<rtree::Entry>& results,
-                         rtree::TraversalTrace* trace);
+  /// Fetches the walk's current round (walk_.round()): the whole chain
+  /// under one doorbell, or one READ at a time without multi-issue.
+  /// Returns whether no chunk had to be re-fetched after the first pass,
+  /// i.e. whether the chained meta READs bracket the node READs. Throws
+  /// ClientError on fetch failure.
+  bool FetchRound();
 
   /// Folds the engine's counters accumulated since `before` into
   /// ClientStats and the legacy `catfish.client.version_retries` metric.
@@ -570,25 +540,11 @@ class RTreeClient {
   uint64_t next_req_id_ = 0;
   const uint64_t client_gen_;  ///< process-unique write-session id
 
-  /// Cell-style cache of internal nodes (cfg_.cache_internal_nodes). The
-  /// nodes route every query correctly except where an index change
-  /// after cache_index_seq_ was made: dirty_regions_ holds those
-  /// changes' regions (see rtree::TreeMeta), at most kMaxDirtyRegions.
-  static constexpr size_t kMaxDirtyRegions = 64;
-  std::unordered_map<rtree::ChunkId, rtree::NodeData> node_cache_;
-  uint64_t cache_index_seq_ = 0;
-  std::vector<geo::Rect> dirty_regions_;
-  /// Internal nodes fetched by the traversal in progress, committed to
-  /// the cache only once it validates.
-  std::vector<rtree::NodeData> staged_nodes_;
-  /// TraverseOffloaded scratch: the current and next frontier, and the
-  /// frontier's chunks missing from the cache.
-  std::vector<rtree::ChunkId> frontier_;
-  std::vector<rtree::ChunkId> next_;
-  std::vector<rtree::ChunkId> to_fetch_;
-  /// FetchRound scratch: the round's chunk ids and decoded nodes.
-  std::vector<rtree::ChunkId> round_ids_;
-  std::vector<rtree::NodeData> round_nodes_;
+  /// Cell-style cache of internal nodes (cfg_.cache_internal_nodes) and
+  /// the offloaded walk, reused across searches so that a warm search
+  /// allocates nothing.
+  rtree::NodeCache node_cache_;
+  rtree::OffloadWalk walk_;
 
   /// The search currently being traced (null between requests or when
   /// sampled out). Owned by Search()/SearchFast()/SearchOffloaded();

@@ -41,7 +41,8 @@ rdma::FabricProfile FabricFor(Scheme s) {
 
 ClusterSim::Client::Client(size_t i, const ClusterConfig& cfg, uint64_t seed)
     : index(i), gen(cfg.workload, seed), rng(seed + 0x51ed2701u),
-      breaker(cfg.overload.breaker, seed ^ (i << 1)) {
+      breaker(cfg.overload.breaker, seed ^ (i << 1)),
+      caches(cfg.scheme == Scheme::kCatfish ? cfg.num_shards : 0) {
   for (uint32_t sh = 0; sh < cfg.num_shards; ++sh) {
     ctrl.emplace_back(cfg.adaptive, seed ^ (0x9e3779b9u + sh), i);
   }
@@ -298,7 +299,7 @@ void ClusterSim::StartNextRequest(Client& c) {
   }
 }
 
-void ClusterSim::OracleCheck(const geo::Rect& rect) {
+void ClusterSim::OracleCheck(Query& q, const geo::Rect& rect) {
   // Both sides evaluated at the same virtual instant: the union of the
   // per-shard traversals against a scan of everything applied so far.
   ++result_.oracle_checks;
@@ -311,7 +312,9 @@ void ClusterSim::OracleCheck(const geo::Rect& rect) {
   }
   std::vector<uint64_t> want;
   for (const auto& e : oracle_items_) {
-    if (e.mbr.Intersects(rect)) want.push_back(e.id);
+    if (!e.mbr.Intersects(rect)) continue;
+    want.push_back(e.id);
+    q.oracle_want.push_back(e);
   }
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());
@@ -329,7 +332,7 @@ void ClusterSim::StartSearch(Client& c, std::shared_ptr<Query> q,
   result_.fanout_width.Add(static_cast<double>(width));
   if (map_) CATFISH_TIMER_RECORD_US("shard.client.fanout_width", width);
   if (cfg_.oracle_every != 0 && n % cfg_.oracle_every == 0) {
-    OracleCheck(rect);
+    OracleCheck(*q, rect);
   }
 
   const double t0 = q->t0;
@@ -365,6 +368,7 @@ void ClusterSim::StartSearch(Client& c, std::shared_ptr<Query> q,
     auto leg = std::make_shared<Leg>();
     leg->query = q;
     leg->shard = sh;
+    leg->rect = rect;
     if (q->trace) {
       leg->span = q->trace->root();
       if (map_) {
@@ -376,10 +380,10 @@ void ClusterSim::StartSearch(Client& c, std::shared_ptr<Query> q,
     const double offload_delay = post_delay;
     post_delay += post_us;
     if (mode == AccessMode::kFastMessaging) {
-      SubqueryFast(c, std::move(leg), rect, post_delay);
+      SubqueryFast(c, std::move(leg), post_delay);
     } else {
       if (q->trace) q->trace->SetAttr(leg->span, "offload", 1);
-      SubqueryOffloaded(c, std::move(leg), rect, offload_delay);
+      SubqueryOffloaded(c, std::move(leg), offload_delay);
     }
   }
 }
@@ -403,7 +407,7 @@ bool ClusterSim::Refuse(Shard& s, double t0,
 }
 
 void ClusterSim::SubqueryFast(Client& c, std::shared_ptr<Leg> leg,
-                              const geo::Rect& rect, double issue_delay) {
+                              double issue_delay) {
   Shard& s = *shards_[leg->shard];
   const CostModel& k = cfg_.costs;
   const bool tcp = IsTcp();
@@ -412,7 +416,7 @@ void ClusterSim::SubqueryFast(Client& c, std::shared_ptr<Leg> leg,
   // grant time so concurrent searches see them in virtual-time order.)
   rtree::SearchStats sst;
   std::vector<rtree::Entry> out;
-  s.tree->SearchTraced(rect, out, &sst, nullptr);
+  s.tree->SearchTraced(leg->rect, out, &sst, nullptr);
   const size_t segments =
       1 + sst.results * k.per_result_bytes / k.max_segment_payload_bytes;
   double service =
@@ -436,16 +440,13 @@ void ClusterSim::SubqueryFast(Client& c, std::shared_ptr<Leg> leg,
   if (cfg_.hedge && !s.replicas.empty()) {
     leg->hedge_delay_us = HedgeDelayUs();
     sched_.After(issue_delay + leg->hedge_delay_us,
-                 [this, &c, &s, rect, leg]() {
+                 [this, &c, &s, leg]() {
       if (leg->done) return;  // primary answered in time; no hedge
       leg->hedged = true;
       ++result_.hedges_issued;
       CATFISH_COUNT("shard.client.hedges_issued");
       Plane& plane = s.replicas[s.read_rr++ % s.replicas.size()]->plane;
-      auto trace = std::make_shared<rtree::TraversalTrace>();
-      std::vector<rtree::Entry> hout;
-      s.tree->SearchTraced(rect, hout, nullptr, trace.get());
-      OffloadRound(c, s, plane, std::move(trace), 0, leg, /*hedge=*/true);
+      StartWalk(c, s, plane, leg, /*hedge=*/true, 0.0);
     });
   }
 
@@ -523,15 +524,9 @@ void ClusterSim::ExecViaServer(Shard& s, double t0, double issue_delay,
 }
 
 void ClusterSim::SubqueryOffloaded(Client& c, std::shared_ptr<Leg> leg,
-                                   const geo::Rect& rect,
                                    double issue_delay) {
   Shard& s = *shards_[leg->shard];
   leg->offloaded = true;
-  ++result_.offloaded_searches;
-  CATFISH_COUNT("catfish.client.search.offload");
-  auto trace = std::make_shared<rtree::TraversalTrace>();
-  std::vector<rtree::Entry> out;
-  s.tree->SearchTraced(rect, out, nullptr, trace.get());
   // Follower read routing: spread the configured fraction of offloaded
   // sub-queries round-robin over the followers (they hold the same
   // tree, shipped record by record).
@@ -543,179 +538,209 @@ void ClusterSim::SubqueryOffloaded(Client& c, std::shared_ptr<Leg> leg,
     CATFISH_COUNT("shard.client.follower_reads");
     if (leg->query->trace) leg->query->trace->SetAttr(leg->span, "follower", 1);
   }
+  StartWalk(c, s, *plane, std::move(leg), /*hedge=*/false, issue_delay);
+}
+
+struct ClusterSim::Walk {
+  Client* client;
+  Shard* shard;
+  Plane* plane;
+  std::shared_ptr<Leg> leg;
+  bool hedge;
+  rtree::OffloadWalk walk{};
+  // The round in flight: READs not yet processed; the instant the
+  // client CPU, which processes arrivals serially (one chunk overlaps
+  // the other READs in flight, §IV-C), is free; and whether no READ was
+  // fetched again, so its meta READs bracket its node READs.
+  size_t remaining = 0;
+  double client_free_at = 0.0;
+  bool bracketed = true;
+};
+
+void ClusterSim::StartWalk(Client& c, Shard& s, Plane& plane,
+                           std::shared_ptr<Leg> leg, bool hedge,
+                           double issue_delay) {
+  auto w = std::make_shared<Walk>(Walk{&c, &s, &plane, std::move(leg), hedge});
+  // The Catfish client caches internal nodes, as the live client does by
+  // default; FaRM, the offloading baseline, has no client cache.
+  w->walk.Start(w->leg->rect, s.tree->root(),
+                c.caches.empty() ? nullptr : &c.caches[w->leg->shard]);
   if (issue_delay == 0.0) {
-    OffloadRound(c, s, *plane, std::move(trace), 0, std::move(leg), false);
+    WalkRound(w);
     return;
   }
-  sched_.After(issue_delay, [this, &c, &s, plane, trace, leg]() {
-    OffloadRound(c, s, *plane, trace, 0, leg, false);
+  sched_.After(issue_delay, [this, w]() { WalkRound(w); });
+}
+
+void ClusterSim::WalkRound(const std::shared_ptr<Walk>& w) {
+  rtree::OffloadWalk& walk = w->walk;
+  rtree::OffloadWalk::Step step;
+  // A restart starts the next round at once.
+  while ((step = walk.Next()) == rtree::OffloadWalk::Step::kRestart) {
+    ++result_.offload_restarts;
+    CATFISH_COUNT("catfish.client.smo_restarts");
+    if (walk.dropped_cache()) {
+      CATFISH_COUNT("catfish.client.cache_invalidations");
+    }
+  }
+  if (step == rtree::OffloadWalk::Step::kValid) {
+    CheckWalk(*w);
+    if (!w->hedge) {
+      ++result_.offloaded_searches;
+      CATFISH_COUNT("catfish.client.search.offload");
+    }
+    LegDone(w->leg, w->hedge);
+    return;
+  }
+  if (step == rtree::OffloadWalk::Step::kFallback) {
+    ++result_.offload_fallbacks;
+    CATFISH_COUNT("catfish.client.offload_fallbacks");
+    if (!w->hedge) SubqueryFast(*w->client, w->leg, cfg_.costs.verbs_post_us);
+    return;
+  }
+
+  const CostModel& k = cfg_.costs;
+  const size_t n = walk.round().size();
+  result_.cache_hits += walk.round_hits();
+  CATFISH_COUNT_ADD("catfish.client.cache_hits", walk.round_hits());
+  Leg& leg = *w->leg;
+  if (!w->hedge) {
+    TraceStage(&leg, "offload_round");
+    if (leg.query->trace && !leg.done) {
+      leg.query->trace->SetAttr(leg.open, "level", walk.round_index());
+      leg.query->trace->SetAttr(leg.open, "reads", static_cast<int64_t>(n));
+    }
+  }
+  // The client visits the round's cached nodes before it posts a READ.
+  const double visit = walk.round_hits() * k.client_node_us;
+  w->remaining = n;
+  w->client_free_at = sched_.now() + visit;
+  w->bracketed = true;
+  if (n == 0) {
+    sched_.At(w->client_free_at, [this, w]() {
+      w->walk.Deliver(true);
+      WalkRound(w);
+    });
+    return;
+  }
+  if (!cfg_.multi_issue) {
+    // Single-issue: READ i+1 posts only after READ i is fully processed
+    // (ReadDone) — every chunk access pays a full round trip (Fig 8's
+    // baseline).
+    PostChain(w, 0, 1, visit + k.verbs_post_us);
+    return;
+  }
+  // All READs of the round posted back-to-back (pipelined on the NICs
+  // and the wire); arrivals are processed as they land. With doorbell
+  // batching the client stages each WR cheaply (verbs_stage_us) and
+  // rings one doorbell per chain of ≤ doorbell_batch_limit WRs; the
+  // chain's reads hit the wire together at flush time. Without it, read
+  // i pays its own full post — the per-WR issue cadence of the
+  // FaRM-style baseline (limit == 1 reproduces the verbs_post_us * (i +
+  // 1) schedule exactly).
+  const size_t limit = !cfg_.doorbell_batching ? 1
+                       : cfg_.doorbell_batch_limit == 0
+                           ? n
+                           : cfg_.doorbell_batch_limit;
+  double t = visit;
+  for (size_t issued = 0; issued < n;) {
+    const size_t m = std::min(limit, n - issued);
+    t += k.verbs_post_us + k.verbs_stage_us * static_cast<double>(m - 1);
+    PostChain(w, issued, m, t);
+    issued += m;
+  }
+  // The client thread is inside the issue loop until the last flush:
+  // no completion can be reaped before it. This is where batching's
+  // CPU win lands — the loop releases the core (m-1) * (post - stage)
+  // microseconds earlier per chain than per-WR posting.
+  w->client_free_at = sched_.now() + t;
+}
+
+void ClusterSim::PostChain(const std::shared_ptr<Walk>& w, size_t first,
+                           size_t m, double delay) {
+  ++result_.doorbells;
+  CATFISH_COUNT("rdma.doorbells");
+  CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size",
+                          static_cast<double>(m));
+  for (size_t i = first; i < first + m; ++i) {
+    sched_.After(delay, [this, w, i]() { PostRead(w, i); });
+  }
+}
+
+void ClusterSim::PostRead(const std::shared_ptr<Walk>& w, size_t i) {
+  const CostModel& k = cfg_.costs;
+  const size_t chunk_bytes =
+      w->shard->tree->arena().chunk_size() + k.read_response_overhead_bytes;
+  ++result_.rdma_reads;
+  CATFISH_COUNT("rdma.read.posted");
+  CATFISH_COUNT_ADD("rdma.read.bytes", chunk_bytes);
+  w->plane->down->Transfer(k.read_request_bytes, [this, w, i, chunk_bytes]() {
+    w->plane->nic->Submit(cfg_.costs.nic_read_op_us, [this, w, i,
+                                                      chunk_bytes]() {
+      const bool accepted = w->walk.Accept(
+          i, w->shard->tree->arena().chunk(w->walk.round()[i]));
+      w->plane->up->Transfer(chunk_bytes, [this, w, i, accepted]() {
+        const double p = ReadRetryProbability(*w->shard);
+        if (!accepted || (p > 0.0 && w->client->rng.NextDouble() < p)) {
+          ++result_.version_retries;
+          CATFISH_COUNT("catfish.client.version_retries");
+          // Reaping the torn completion and reposting it alone: retries
+          // arrive at their own times, so they don't ride a chain even
+          // when doorbell batching is on.
+          ++result_.polls;
+          CATFISH_COUNT("rdma.polls");
+          ++result_.doorbells;
+          CATFISH_COUNT("rdma.doorbells");
+          CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size", 1.0);
+          if (cfg_.multi_issue) w->bracketed = false;
+          PostRead(w, i);  // torn read: fetch again
+          return;
+        }
+        ReadDone(w, i);
+      });
+    });
   });
 }
 
-void ClusterSim::OffloadRound(Client& c, Shard& s, Plane& plane,
-                              std::shared_ptr<rtree::TraversalTrace> trace,
-                              size_t level, std::shared_ptr<Leg> leg,
-                              bool hedge) {
-  if (level >= trace->nodes_per_level.size()) {
-    LegDone(leg, hedge);
-    return;
+void ClusterSim::ReadDone(const std::shared_ptr<Walk>& w, size_t i) {
+  // Completion pickup: a CQE that lands while the client is still
+  // chewing an earlier chunk rides that pass's coalesced reap (PollMany)
+  // for free; one that finds the client idle costs a fresh poll.
+  // Unbatched reaping pays one poll — and its CPU — per CQE.
+  double cpu = cfg_.costs.client_node_us;
+  if (!(cfg_.multi_issue && cfg_.doorbell_batching) ||
+      sched_.now() >= w->client_free_at) {
+    ++result_.polls;
+    CATFISH_COUNT("rdma.polls");
+    cpu += cfg_.costs.verbs_reap_us;
   }
-  if (!hedge) {
-    TraceStage(leg.get(), "offload_round");
-    if (leg->query->trace && !leg->done) {
-      leg->query->trace->SetAttr(leg->open, "level",
-                                 static_cast<int64_t>(level));
-      leg->query->trace->SetAttr(
-          leg->open, "reads",
-          static_cast<int64_t>(trace->nodes_per_level[level]));
+  // Serial client CPU: reap (if charged) + decode + intersect.
+  w->client_free_at = std::max(w->client_free_at, sched_.now()) + cpu;
+  sched_.At(w->client_free_at, [this, w, i]() {
+    if (!cfg_.multi_issue && i + 1 < w->walk.round().size()) {
+      PostChain(w, i + 1, 1, cfg_.costs.verbs_post_us);
     }
-  }
-  const CostModel& k = cfg_.costs;
-  const uint32_t n = trace->nodes_per_level[level];
-  const size_t chunk_bytes =
-      s.tree->arena().chunk_size() + k.read_response_overhead_bytes;
+    if (--w->remaining > 0) return;
+    sched_.At(std::max(w->client_free_at, sched_.now()), [this, w]() {
+      w->walk.Deliver(w->bracketed);
+      WalkRound(w);
+    });
+  });
+}
 
-  // Shared round state: arrivals processed serially on the client CPU
-  // (processing one node overlaps the other reads in flight, §IV-C).
-  struct Round {
-    uint32_t remaining;
-    double client_free_at;
-  };
-  auto round = std::make_shared<Round>(Round{n, sched_.now()});
-
-  auto node_done = [this, &c, &s, &plane, trace, level, round, leg,
-                    hedge]() {
-    if (--round->remaining == 0) {
-      const double resume = std::max(round->client_free_at, sched_.now());
-      sched_.At(resume, [this, &c, &s, &plane, trace, level, leg, hedge]() {
-        OffloadRound(c, s, plane, trace, level + 1, leg, hedge);
-      });
+void ClusterSim::CheckWalk(const Walk& w) {
+  const Query& q = *w.leg->query;
+  if (q.oracle_want.empty()) return;
+  std::vector<uint64_t> got;
+  for (const rtree::Entry& e : w.walk.results()) got.push_back(e.id);
+  std::sort(got.begin(), got.end());
+  for (const rtree::Entry& e : q.oracle_want) {
+    if (map_ && map_->OwnerOf(e.mbr) != w.leg->shard) continue;
+    if (!std::binary_search(got.begin(), got.end(), e.id)) {
+      ++result_.oracle_mismatches;
+      CATFISH_COUNT("shard.sim.oracle_mismatches");
+      return;
     }
-  };
-
-  // One READ: request over the plane's down link, its NIC serves it,
-  // chunk back over the up link; a modeled version-conflict retries the
-  // whole fetch.
-  struct ReadOp {
-    ClusterSim* sim;
-    Client* client;
-    const Shard* shard;
-    Plane* plane;
-    size_t chunk_bytes;
-    std::function<void()> done;
-
-    void Issue(std::shared_ptr<ReadOp> self) const {
-      ++sim->result_.rdma_reads;
-      CATFISH_COUNT("rdma.read.posted");
-      CATFISH_COUNT_ADD("rdma.read.bytes", chunk_bytes);
-      plane->down->Transfer(sim->cfg_.costs.read_request_bytes, [self]() {
-        self->plane->nic->Submit(self->sim->cfg_.costs.nic_read_op_us,
-                                 [self]() {
-          self->plane->up->Transfer(self->chunk_bytes, [self]() {
-            const double p = self->sim->ReadRetryProbability(*self->shard);
-            if (p > 0.0 && self->client->rng.NextDouble() < p) {
-              ++self->sim->result_.version_retries;
-              CATFISH_COUNT("catfish.client.version_retries");
-              // Reaping the torn completion and reposting it alone:
-              // retries arrive at their own times, so they don't ride
-              // a chain even when doorbell batching is on.
-              ++self->sim->result_.polls;
-              CATFISH_COUNT("rdma.polls");
-              ++self->sim->result_.doorbells;
-              CATFISH_COUNT("rdma.doorbells");
-              CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size", 1.0);
-              self->Issue(self);  // torn read: fetch again
-              return;
-            }
-            self->done();
-          });
-        });
-      });
-    }
-  };
-
-  if (cfg_.multi_issue) {
-    // All reads of the round posted back-to-back (pipelined on the NICs
-    // and the wire); arrivals are processed as they land. With doorbell
-    // batching the client stages each WR cheaply (verbs_stage_us) and
-    // rings one doorbell per chain of ≤ doorbell_batch_limit WRs; the
-    // chain's reads hit the wire together at flush time. Without it,
-    // read i pays its own full post — the per-WR issue cadence of the
-    // FaRM-style baseline (limit == 1 reproduces the
-    // verbs_post_us * (i + 1) schedule exactly).
-    const bool batched = cfg_.doorbell_batching;
-    const uint32_t limit =
-        !batched ? 1
-                 : (cfg_.doorbell_batch_limit == 0 ? n
-                                                   : cfg_.doorbell_batch_limit);
-    double t = 0.0;
-    for (uint32_t issued = 0; issued < n;) {
-      const uint32_t m = std::min(limit, n - issued);
-      t += k.verbs_post_us + k.verbs_stage_us * (m - 1);
-      ++result_.doorbells;
-      CATFISH_COUNT("rdma.doorbells");
-      CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size", m);
-      for (uint32_t j = 0; j < m; ++j) {
-        auto process = [this, round, batched, node_done]() {
-          // Completion pickup: a CQE that lands while the client is
-          // still chewing an earlier node rides that pass's coalesced
-          // reap (PollMany) for free; one that finds the client idle
-          // costs a fresh poll. Unbatched reaping pays one poll — and
-          // its CPU — per CQE.
-          double cpu = cfg_.costs.client_node_us;
-          if (!batched || sched_.now() >= round->client_free_at) {
-            ++result_.polls;
-            CATFISH_COUNT("rdma.polls");
-            cpu += cfg_.costs.verbs_reap_us;
-          }
-          // Serial client CPU: reap (if charged) + decode + intersect.
-          const double start = std::max(round->client_free_at, sched_.now());
-          round->client_free_at = start + cpu;
-          sched_.At(round->client_free_at, node_done);
-        };
-        auto op = std::make_shared<ReadOp>(
-            ReadOp{this, &c, &s, &plane, chunk_bytes, std::move(process)});
-        sched_.After(t, [op]() { op->Issue(op); });
-      }
-      issued += m;
-    }
-    // The client thread is inside the issue loop until the last flush:
-    // no completion can be reaped before it. This is where batching's
-    // CPU win lands — the loop releases the core (m-1) * (post - stage)
-    // microseconds earlier per chain than per-WR posting.
-    round->client_free_at = sched_.now() + t;
-  } else {
-    // Single-issue: read i+1 posts only after read i is fully processed
-    // — every node access pays a full round trip (Fig 8's baseline).
-    // Build the sequential chain explicitly.
-    auto issue_seq = std::make_shared<std::function<void(uint32_t)>>();
-    *issue_seq = [this, &c, &s, &plane, n, chunk_bytes, round, node_done,
-                  issue_seq](uint32_t i) {
-      auto process = [this, round, node_done, issue_seq, i, n]() {
-        // Lock-step issue: every completion is reaped alone.
-        ++result_.polls;
-        CATFISH_COUNT("rdma.polls");
-        const double start = std::max(round->client_free_at, sched_.now());
-        round->client_free_at =
-            start + cfg_.costs.client_node_us + cfg_.costs.verbs_reap_us;
-        sched_.At(round->client_free_at, [node_done, issue_seq, i, n]() {
-          node_done();
-          if (i + 1 < n) {
-            (*issue_seq)(i + 1);
-          } else {
-            // Break the self-capture cycle so the chain state frees.
-            *issue_seq = nullptr;
-          }
-        });
-      };
-      auto op = std::make_shared<ReadOp>(
-          ReadOp{this, &c, &s, &plane, chunk_bytes, std::move(process)});
-      ++result_.doorbells;  // one WR, one doorbell — nothing to chain
-      CATFISH_COUNT("rdma.doorbells");
-      CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size", 1.0);
-      sched_.After(cfg_.costs.verbs_post_us, [op]() { op->Issue(op); });
-    };
-    (*issue_seq)(0);
   }
 }
 

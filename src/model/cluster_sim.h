@@ -4,10 +4,11 @@
 // Reproduces the evaluation cluster (§V): server machines (28 cores, one
 // NIC each) and up to 256 closed-loop clients, connected by one of the
 // three fabrics. R-tree operations execute for real against real trees —
-// the traversal trace decides how many nodes each search touches, how
-// many results flow back, and when inserts land — while CPU time, NIC
-// message processing and link bandwidth are charged to contended virtual
-// resources:
+// the server's traversal decides how many nodes a fast search visits and
+// how many results flow back, an offloaded search READs the chunks the
+// client's walk asks for, and inserts land when they reach the writer
+// lock — while CPU time, NIC message processing and link bandwidth are
+// charged to contended virtual resources:
 //
 //   client ──down link──► server NIC ──► worker CPU pool ─┐
 //      ▲                                  (or writer lock) │
@@ -23,18 +24,27 @@
 // cost reported as tail amplification (query p99 / sub-query p99).
 // Inserts route to their owning shard alone.
 //
-// Offloaded sub-queries bypass the worker pool entirely: each node fetch
-// is a READ served by a read plane (NIC + links) only — the primary's or
-// a follower's. The adaptive scheme runs one production
+// Offloaded sub-queries bypass the worker pool entirely. Each one runs
+// the live client's walk (rtree::OffloadWalk): every chunk it asks for,
+// meta chunk included, is a READ served by a read plane (NIC + links)
+// only — the primary's or a follower's — and copies the chunk from the
+// shard's arena when that plane's NIC serves it, so inserts landing
+// between rounds cause the walk's real restarts and cache invalidations.
+// The Catfish scheme walks with one validated internal-node cache per
+// (client, shard), as the live client does by default; the FaRM-style
+// offloading baseline walks uncached. The adaptive scheme runs one production
 // AdaptiveController per (client, shard) against virtual heartbeats
 // computed from that shard's worker-pool utilization — Algorithm 1
 // unmodified, mirroring the live ShardedRTreeClient's per-connection
 // controllers.
 //
-// An optional oracle checks every Nth search synchronously: the union of
-// the per-shard traversal results is diffed against a brute-force scan
-// of everything loaded or inserted so far (both at the same virtual
-// instant, so concurrent inserts cannot fake a mismatch).
+// An optional oracle checks every Nth search: the union of the per-shard
+// server traversals is diffed against a brute-force scan of everything
+// loaded or inserted so far (both at the same virtual instant, so
+// concurrent inserts cannot fake a mismatch), and each of the search's
+// offloaded walks that ends valid must return every scanned entry its
+// shard owns (the workload only inserts, so all of them were present
+// for the whole walk).
 #pragma once
 
 #include <cstdint>
@@ -51,6 +61,7 @@
 #include "des/scheduler.h"
 #include "model/cost_model.h"
 #include "rdmasim/fabric_profile.h"
+#include "rtree/offload_walk.h"
 #include "rtree/rstar.h"
 #include "shard/partition.h"
 #include "telemetry/timeseries.h"
@@ -97,7 +108,7 @@ struct ClusterConfig {
   uint64_t requests_per_client = 1000;
   workload::RequestGen::Config workload;
   uint64_t seed = 1;
-  /// Scales the modeled probability that an offloaded node read races a
+  /// Scales the modeled probability that an offloaded chunk read races a
   /// concurrent insert and must retry (see DESIGN.md §5).
   double conflict_factor = 0.2;
   /// When set, the sim drives this sampler on *virtual* time: one
@@ -209,6 +220,12 @@ struct RunResult {
   uint64_t inserts = 0;
   uint64_t rdma_reads = 0;
   uint64_t version_retries = 0;
+  /// Offloaded walks: restarts after a failed validation, searches the
+  /// fast path served after kMaxRestarts of them, and internal nodes
+  /// read from a client cache instead of fetched.
+  uint64_t offload_restarts = 0;
+  uint64_t offload_fallbacks = 0;
+  uint64_t cache_hits = 0;
   /// Issue doorbells rung / completion reap passes on the offload path
   /// (plus request-post doorbells on the messaging path). With batching
   /// on, doorbells/op and polls/op drop while rdma_reads/op is
@@ -302,6 +319,8 @@ class ClusterSim {
     std::vector<AdaptiveController> ctrl;
     /// Production breaker state machine on virtual time (overload model).
     CircuitBreaker breaker;
+    /// One internal-node cache per shard connection (Catfish scheme).
+    std::vector<rtree::NodeCache> caches;
     uint64_t remaining = 0;
 
     Client(size_t i, const ClusterConfig& cfg, uint64_t seed);
@@ -318,6 +337,9 @@ class ClusterSim {
     bool expired = false;
     /// Set when this search is trace-sampled.
     std::shared_ptr<telemetry::Trace> trace;
+    /// Oracle-checked searches: every stored entry the rectangle met
+    /// when the search started.
+    std::vector<rtree::Entry> oracle_want;
   };
 
   /// One search's sub-query on one shard. The sim is single-threaded on
@@ -325,6 +347,7 @@ class ClusterSim {
   struct Leg {
     std::shared_ptr<Query> query;
     uint32_t shard = 0;
+    geo::Rect rect;
     bool offloaded = false;
     /// Joined. A hedge's slower twin keeps burning resources but its
     /// completion and trace stages no-op.
@@ -349,17 +372,36 @@ class ClusterSim {
                    const geo::Rect& rect);
   /// Fast-messaging / TCP sub-query through the shard's worker pool,
   /// leaving the client `issue_delay` after the query started.
-  void SubqueryFast(Client& c, std::shared_ptr<Leg> leg,
-                    const geo::Rect& rect, double issue_delay);
+  void SubqueryFast(Client& c, std::shared_ptr<Leg> leg, double issue_delay);
   /// One-sided READ traversal on the client, against the primary or a
   /// follower; its first round posts `issue_delay` after the query.
   void SubqueryOffloaded(Client& c, std::shared_ptr<Leg> leg,
-                         const geo::Rect& rect, double issue_delay);
-  /// One traversal level of READs against `plane`. A hedge chain
-  /// (`hedge`) records no trace stages and joins as the hedge leg.
-  void OffloadRound(Client& c, Shard& s, Plane& plane,
-                    std::shared_ptr<rtree::TraversalTrace> trace,
-                    size_t level, std::shared_ptr<Leg> leg, bool hedge);
+                         double issue_delay);
+  /// One offloaded walk in flight (defined in the .cc): the live
+  /// client's rtree::OffloadWalk plus the round it is fetching.
+  struct Walk;
+  /// Starts a walk for `leg` over `plane`, its first round `issue_delay`
+  /// from now. A hedge walk (`hedge`) records no trace stages and joins
+  /// as the hedge leg.
+  void StartWalk(Client& c, Shard& s, Plane& plane, std::shared_ptr<Leg> leg,
+                 bool hedge, double issue_delay);
+  /// Steps the walk: posts its next round, or joins the leg when the
+  /// walk ends valid, or serves the leg through SubqueryFast when the
+  /// walk falls back (a hedge that falls back just stops: its twin, the
+  /// fast sub-query it hedges, is still on its way).
+  void WalkRound(const std::shared_ptr<Walk>& w);
+  /// Rings one doorbell for round()[first, first + m), the READs leaving
+  /// `delay` from now.
+  void PostChain(const std::shared_ptr<Walk>& w, size_t first, size_t m,
+                 double delay);
+  /// READ i of the round: request over the plane's down link, its NIC
+  /// serves it (the chunk is copied then), chunk back over the up link;
+  /// a torn image, modeled or real, is fetched again.
+  void PostRead(const std::shared_ptr<Walk>& w, size_t i);
+  /// The client processes READ i's image; the last one ends the round.
+  void ReadDone(const std::shared_ptr<Walk>& w, size_t i);
+  /// Counts a valid walk's miss against its query's oracle scan.
+  void CheckWalk(const Walk& w);
   void ExecInsert(std::shared_ptr<Query> q, const workload::Request& req);
   /// A two-sided request through shard `s`'s worker pool — a fast
   /// sub-query (`leg` set, for its trace stages) or an insert — of an op
@@ -395,13 +437,16 @@ class ClusterSim {
   /// null) under its span, at the current virtual time. No-op for a null
   /// or unsampled leg.
   void TraceStage(Leg* leg, const char* next);
-  /// Diffs `rect` over the shards in fanout_scratch_ against a scan.
-  void OracleCheck(const geo::Rect& rect);
+  /// Diffs `rect` over the shards in fanout_scratch_ against a scan,
+  /// which it keeps in q.oracle_want for the search's offloaded walks.
+  void OracleCheck(Query& q, const geo::Rect& rect);
   void ScheduleHeartbeat();
   void ScheduleSample();
   double PollingPickupUs() const noexcept;
-  /// Modeled probability that one offloaded node read hits a concurrent
-  /// write and retries (paper §III-B / Fig 12 degradation).
+  /// Modeled probability that one offloaded chunk read hits a concurrent
+  /// write and retries (paper §III-B / Fig 12 degradation). The DES
+  /// copies a chunk between writes, so its images are never torn by
+  /// themselves: this is its only torn-read source.
   double ReadRetryProbability(const Shard& s) const noexcept;
   /// Current hedge delay: the fixed knob, or the adaptive percentile.
   double HedgeDelayUs() const noexcept;

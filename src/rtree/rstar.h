@@ -56,10 +56,9 @@ struct SearchStats {
   uint64_t read_retries = 0;   ///< optimistic-read retries (torn reads)
 };
 
-/// Per-level node counts of one search, root level first. In an
-/// offloaded multi-issue traversal, level i is fetched in round i with
-/// `nodes_per_level[i]` concurrent RDMA READs — this trace is what the
-/// discrete-event simulator charges network costs from.
+/// Per-level node counts of one search, root level first. An offloaded
+/// walk (OffloadWalk) reports the frontier of each of its rounds here,
+/// cached nodes included: round i visits `nodes_per_level[i]` nodes.
 struct TraversalTrace {
   std::vector<uint32_t> nodes_per_level;
 

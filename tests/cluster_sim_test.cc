@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <span>
 
@@ -226,6 +227,34 @@ TEST(ClusterSimTest, HybridOffloadingSeesVersionRetries) {
   ClusterSim sim(*tb.tree, cfg);
   const auto r = sim.Run();
   EXPECT_GT(r.version_retries, 0u);
+}
+
+TEST(ClusterSimTest, OffloadedWalksReturnEveryEntryUnderInserts) {
+  // The offloaded legs run the live client's walk over arena images at
+  // virtual time, so inserts landing between its rounds force real
+  // restarts. Every walk that ends valid must return every entry the
+  // oracle held when its search started (the workload only inserts).
+  // Wide queries over a small tree: stale cached routes would show.
+  Testbed tb(5'000);
+  auto cfg = BaseConfig(Scheme::kCatfish, 64, 0.05, 80);
+  cfg.workload.insert_ratio = 0.1;
+  cfg.oracle_every = 1;
+  // Two worker cores saturate, so Algorithm 1 offloads beside the
+  // writers.
+  cfg.server_cores = 2;
+  const auto r = ClusterSim(*tb.tree, cfg).Run();
+  std::printf("offloaded %llu, restarts %llu, fallbacks %llu, "
+              "cache hits %llu, oracle checks %llu\n",
+              static_cast<unsigned long long>(r.offloaded_searches),
+              static_cast<unsigned long long>(r.offload_restarts),
+              static_cast<unsigned long long>(r.offload_fallbacks),
+              static_cast<unsigned long long>(r.cache_hits),
+              static_cast<unsigned long long>(r.oracle_checks));
+  EXPECT_GT(r.offloaded_searches, 0u);
+  EXPECT_GT(r.cache_hits, 0u);
+  EXPECT_GT(r.offload_restarts, 0u);
+  EXPECT_EQ(r.oracle_checks, r.searches);
+  EXPECT_EQ(r.oracle_mismatches, 0u);
 }
 
 TEST(ClusterSimTest, OneShardMatchesSingleServer) {

@@ -229,6 +229,32 @@ TEST_F(OverloadTest, OpDeadlineBoundsTheWaitNotTheServer) {
   EXPECT_GE(client->stats().deadline_expired, 1u);
 }
 
+TEST_F(OverloadTest, ExpiredDropAfterTheDeadlineIsADeadlineExpiry) {
+  // The server's drop of an expired request can reach the ring before
+  // the client's own deadline check runs. Scripted: an abandoned search
+  // holds the connection's worker for 30 ms, so the 3 ms-budget search
+  // queued behind it is dropped as expired, and that drop is waiting in
+  // the ring when the client collects after both deadlines.
+  SetUpServer();
+  server_->SetServiceDelayForTest(30'000);
+  auto client = MakeClient();
+  Xoshiro256 rng(5);
+  client->SearchFastAbandon(client->SearchFastBegin(RandomRect(rng, 0.05)));
+  client->SetOpDeadline(NowMicros() + 3'000);
+  const uint64_t expired = client->SearchFastBegin(RandomRect(rng, 0.05));
+  client->SetOpDeadline(0);
+  std::this_thread::sleep_for(40ms);
+  try {
+    (void)client->SearchFastCollect(expired);
+    FAIL() << "expected kDeadlineExpired";
+  } catch (const ClientError& e) {
+    EXPECT_EQ(e.status(), ClientStatus::kDeadlineExpired) << e.what();
+  }
+  EXPECT_EQ(client->stats().deadline_expired, 1u);
+  EXPECT_EQ(client->stats().overloaded, 0u);
+  EXPECT_EQ(server_->stats().deadline_drops, 1u);
+}
+
 TEST_F(OverloadTest, BreakerOpensOnShedsAndRecloses) {
   SetUpServer(ForcedShedding());
   server_->OverrideUtilization(1.0);
