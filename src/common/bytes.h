@@ -16,7 +16,29 @@
 
 namespace catfish {
 
-/// Copies `n` bytes with relaxed word-sized atomic accesses.
+namespace detail {
+
+/// RelaxedCopy's loop for one word size: copies whole `Word`s from
+/// offset `off` while they fit in `n`; returns the offset after them.
+template <typename Word>
+size_t RelaxedCopyWords(std::byte* dst, const std::byte* src, size_t off,
+                        size_t n) noexcept {
+  for (; off + sizeof(Word) <= n; off += sizeof(Word)) {
+    const Word v = std::atomic_ref<Word>(
+                       *const_cast<Word*>(
+                           reinterpret_cast<const Word*>(src + off)))
+                       .load(std::memory_order_relaxed);
+    std::atomic_ref<Word>(*reinterpret_cast<Word*>(dst + off))
+        .store(v, std::memory_order_relaxed);
+  }
+  return off;
+}
+
+}  // namespace detail
+
+/// Copies `n` bytes with relaxed word-sized atomic accesses: 8-byte
+/// words when both pointers are 8-aligned, 4-byte words when both are
+/// 4-aligned, bytes otherwise (and for the tail).
 ///
 /// For memory that is racily shared across threads under a seqlock (the
 /// versioned chunk layout, rtree/layout.h): the version stamps make torn
@@ -27,27 +49,16 @@ namespace catfish {
 /// cost on x86, where relaxed word accesses are ordinary loads/stores.
 inline void RelaxedCopy(std::byte* dst, const std::byte* src,
                         size_t n) noexcept {
+  const uintptr_t both = reinterpret_cast<uintptr_t>(dst) |
+                         reinterpret_cast<uintptr_t>(src);
   size_t off = 0;
-  const bool word_aligned =
-      reinterpret_cast<uintptr_t>(dst) % alignof(uint32_t) == 0 &&
-      reinterpret_cast<uintptr_t>(src) % alignof(uint32_t) == 0;
-  if (word_aligned) {
-    for (; off + sizeof(uint32_t) <= n; off += sizeof(uint32_t)) {
-      const uint32_t v =
-          std::atomic_ref<uint32_t>(
-              *const_cast<uint32_t*>(
-                  reinterpret_cast<const uint32_t*>(src + off)))
-              .load(std::memory_order_relaxed);
-      std::atomic_ref<uint32_t>(*reinterpret_cast<uint32_t*>(dst + off))
-          .store(v, std::memory_order_relaxed);
-    }
+  if (both % alignof(uint64_t) == 0) {
+    off = detail::RelaxedCopyWords<uint64_t>(dst, src, off, n);
   }
-  for (; off < n; ++off) {
-    const std::byte v =
-        std::atomic_ref<std::byte>(*const_cast<std::byte*>(src + off))
-            .load(std::memory_order_relaxed);
-    std::atomic_ref<std::byte>(dst[off]).store(v, std::memory_order_relaxed);
+  if (both % alignof(uint32_t) == 0) {
+    off = detail::RelaxedCopyWords<uint32_t>(dst, src, off, n);
   }
+  detail::RelaxedCopyWords<std::byte>(dst, src, off, n);
 }
 
 /// Zeroes `n` bytes with the same relaxed word-sized atomic accesses as

@@ -161,7 +161,9 @@ uint64_t FaultController::SlowDelayUs(const std::string& local,
 // ---------------------------------------------------------------------------
 
 MemoryRegionHandle SimNode::RegisterMemory(std::span<std::byte> mem) {
-  const std::scoped_lock lock(mu_);
+  // Exclusive: the data path reads regions_ under mr_mu_ shared, and the
+  // push_back may reallocate it.
+  const std::unique_lock lock(mr_mu_);
   regions_.push_back(mem);
   return MemoryRegionHandle{static_cast<uint32_t>(regions_.size()),
                             mem.size()};
@@ -189,7 +191,6 @@ std::shared_ptr<QueuePair> SimNode::FindQp(uint32_t qp_num) const {
 }
 
 std::span<std::byte> SimNode::ResolveMr(uint32_t rkey) const {
-  const std::scoped_lock lock(mu_);
   if (rkey == 0 || rkey > regions_.size()) return {};
   return regions_[rkey - 1];
 }
@@ -199,7 +200,6 @@ void SimNode::Deregister(MemoryRegionHandle mr) {
   // against this region; blanking the slot (indices are rkeys) keeps
   // every other registration's rkey stable.
   const std::unique_lock barrier(mr_mu_);
-  const std::scoped_lock lock(mu_);
   if (mr.rkey == 0 || mr.rkey > regions_.size()) return;
   regions_[mr.rkey - 1] = {};
 }
@@ -208,7 +208,6 @@ void SimNode::DeregisterAll() {
   // Exclusive on mr_mu_: in-flight copies hold it shared, so acquiring
   // it waits them out; afterwards stale rkeys resolve an empty span.
   const std::unique_lock barrier(mr_mu_);
-  const std::scoped_lock lock(mu_);
   regions_.clear();
 }
 
@@ -218,8 +217,8 @@ void SimNode::Invalidate() {
     // Same in-flight barrier as DeregisterAll: a reboot must not yank
     // memory out from under a copy the NIC already started serving.
     const std::unique_lock barrier(mr_mu_);
-    const std::scoped_lock lock(mu_);
     regions_.clear();  // stale rkeys now fail with kRemoteAccessError
+    const std::scoped_lock lock(mu_);
     for (auto& [num, weak] : qps_) {
       if (auto qp = weak.lock()) live.push_back(std::move(qp));
     }
@@ -315,7 +314,7 @@ void QueuePair::Close() {
   }
 }
 
-WcStatus QueuePair::CheckPostFaults(std::shared_ptr<SimNode>& peer_node,
+WcStatus QueuePair::CheckPostFaults(bool want_peer, SimNode*& peer_node,
                                     std::shared_ptr<QueuePair>& peer) {
   {
     const std::scoped_lock lock(peer_mu_);
@@ -324,9 +323,15 @@ WcStatus QueuePair::CheckPostFaults(std::shared_ptr<SimNode>& peer_node,
       // torn down keeps reporting the error, like real hardware.
       return WcStatus::kQpError;
     }
-    peer = peer_.lock();
-    peer_node = peer_node_;
-    if (closed_ || !peer) return WcStatus::kFlushed;
+    // Only a WRITE with IMM reaches into the peer QP (its recv CQ); every
+    // other op checks liveness without touching the shared refcount.
+    if (want_peer) peer = peer_.lock();
+    if (closed_ || (want_peer ? !peer : peer_.expired())) {
+      return WcStatus::kFlushed;
+    }
+    // No refcount either: peer_node_ is set once, by Connect before any
+    // post, and this QP's reference keeps the node alive.
+    peer_node = peer_node_.get();
   }
   // Scripted faults fire before any byte moves, so a dropped ring write
   // can never leave a partially-written record behind.
@@ -355,9 +360,10 @@ bool QueuePair::Execute(const WorkRequest& wr, WorkCompletion& wc,
     CATFISH_COUNT("rdma.write.posted");
     CATFISH_COUNT_ADD("rdma.write.bytes", len);
   }
-  std::shared_ptr<SimNode> peer_node;
+  SimNode* peer_node = nullptr;
   std::shared_ptr<QueuePair> peer;
-  const WcStatus gate = CheckPostFaults(peer_node, peer);
+  const WcStatus gate =
+      CheckPostFaults(wr.kind == WorkRequest::Kind::kWriteImm, peer_node, peer);
   if (gate != WcStatus::kSuccess) {
     wc.status = gate;
     return false;
@@ -372,7 +378,8 @@ bool QueuePair::Execute(const WorkRequest& wr, WorkCompletion& wc,
     }
   }
   // In-flight guard: holds off DeregisterAll/Invalidate until the copy
-  // lands, so owners can free registered memory after a quiesce.
+  // lands, so owners can free registered memory after a quiesce. It is
+  // also the only lock on the peer node's regions_ a post takes.
   const std::shared_lock region_guard(peer_node->mr_mu_);
   const auto region = peer_node->ResolveMr(wr.remote.rkey);
   if (wr.remote.offset + len > region.size()) {

@@ -238,6 +238,7 @@ class SimNode : public std::enable_shared_from_this<SimNode> {
       : name_(std::move(name)), fabric_(fabric), generation_(generation) {}
 
   /// Resolves an rkey to the registered bytes; empty span when invalid.
+  /// Takes no lock: the caller holds mr_mu_ (shared is enough).
   std::span<std::byte> ResolveMr(uint32_t rkey) const;
 
   /// The restart primitive's teardown half: deregisters every memory
@@ -254,11 +255,14 @@ class SimNode : public std::enable_shared_from_this<SimNode> {
   /// only created by Fabric::CreateNode and must not outlive it.
   Fabric* fabric_;
   uint64_t generation_;
+  /// Guards qps_ only; no post takes it.
   mutable std::mutex mu_;
-  /// Region lifetime barrier: the data path holds it shared for the
-  /// duration of a copy into/out of this node's registered memory;
-  /// DeregisterAll/Invalidate take it exclusive to wait those copies
-  /// out before the regions (and their backing bytes) go away.
+  /// Guards regions_ and is the region lifetime barrier: the data path
+  /// holds it shared for the duration of a copy into/out of this node's
+  /// registered memory, the only lock a post takes on its peer node.
+  /// RegisterMemory, Deregister, DeregisterAll and Invalidate take it
+  /// exclusive, so a region changes only between copies and goes away
+  /// (with its backing bytes) only after the copies against it finish.
   mutable std::shared_mutex mr_mu_;
   std::vector<std::span<std::byte>> regions_;
   std::unordered_map<uint32_t, std::weak_ptr<QueuePair>> qps_;
@@ -296,7 +300,8 @@ class QueuePair {
   uint32_t qp_num() const noexcept { return qp_num_; }
 
   /// Connects this QP with `peer` (both directions), like exchanging QP
-  /// numbers during connection setup.
+  /// numbers during connection setup. Call it once per pair, before
+  /// either QP posts: a post reads the peer node it sets without a lock.
   static void Connect(const std::shared_ptr<QueuePair>& a,
                       const std::shared_ptr<QueuePair>& b);
 
@@ -368,13 +373,19 @@ class QueuePair {
 
   /// Fault gate shared by every post: kQpError when errored, kFlushed
   /// when closed, kRetryExceeded when the fault controller fails the op.
-  /// Fills `peer_node` / `peer` and returns kSuccess when the op may
-  /// proceed.
-  WcStatus CheckPostFaults(std::shared_ptr<SimNode>& peer_node,
+  /// Fills `peer_node` and returns kSuccess when the op may proceed; it
+  /// locks `peer` only when `want_peer` (a WRITE with IMM, which needs
+  /// the peer's recv CQ), so READs and WRITEs touch no refcount another
+  /// QP shares.
+  WcStatus CheckPostFaults(bool want_peer, SimNode*& peer_node,
                            std::shared_ptr<QueuePair>& peer);
 
+  /// Guards peer_, closed_ and error_ (this QP's connection state).
   mutable std::mutex peer_mu_;
   std::weak_ptr<QueuePair> peer_;
+  /// Written only by Connect, which every caller runs on fresh QPs
+  /// before their first post; Close leaves it set. So a post may use the
+  /// raw pointer without a refcount: this reference keeps the node alive.
   std::shared_ptr<SimNode> peer_node_;
   bool closed_ = false;
   bool error_ = false;

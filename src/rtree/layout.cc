@@ -135,7 +135,9 @@ void SnapshotCopy(std::byte* dst, const std::byte* src, size_t n) noexcept {
     uint32_t v1 = w->load(std::memory_order_acquire);
     uint32_t v2 = v1;
     for (int attempt = 0;; ++attempt) {
-      RelaxedCopy(d + kVersionBytes, s + kVersionBytes, kLinePayload);
+      // The whole line in one pass (8-byte words when both buffers are
+      // 8-aligned); the copied version word is overwritten below.
+      RelaxedCopy(d, s, kLineSize);
       // Order the payload loads above before the version re-read below,
       // mirroring the writer's release fences.
       std::atomic_thread_fence(std::memory_order_acquire);

@@ -78,10 +78,10 @@ void GatherPayloadAt(std::span<const std::byte> chunk, size_t offset,
 /// the seqlock cannot detect. Real hardware cannot interleave at sub-line
 /// granularity, so the simulated data path must not either.
 ///
-/// Per line: read the version word, copy the payload, re-read the version;
-/// equal means the line is a consistent snapshot (versions only grow, and
-/// payload stores happen only while the version is odd), so stamp the copy
-/// with it. After bounded retries, stamp the copy with an odd version so
+/// Per line: read the version word, copy the whole line, re-read the
+/// version; equal means the line is a consistent snapshot (versions only
+/// grow, and payload stores happen only while the version is odd), so
+/// stamp the copy's version word with it. After bounded retries, stamp the copy with an odd version so
 /// chunk validation deterministically rejects the line. For non-seqlock
 /// bytes (quiescent or unversioned regions) the first pass always matches
 /// and this degrades to a plain copy. A trailing sub-line remainder and

@@ -1,5 +1,8 @@
 #include "rtree/offload_walk.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "rtree/layout.h"
 
 namespace catfish::rtree {
@@ -45,8 +48,36 @@ bool SmosMissQuery(const geo::Rect& rect, const TreeMeta& s1,
 
 }  // namespace
 
-void NodeCache::Reset(uint64_t index_seq) noexcept {
+void NodeCache::Put(const NodeData& node) {
+  if (2 * (nodes_.size() + 1) > slots_.size()) {
+    // Grow (or allocate) the table and rehash: load stays at most 1/2.
+    const size_t n = slots_.empty() ? kInitialSlots : 2 * slots_.size();
+    slots_.assign(n, 0);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
+    for (size_t k = 0; k < nodes_.size(); ++k) {
+      size_t i = Home(nodes_[k].self);
+      while (slots_[i] != 0) i = (i + 1) & (n - 1);
+      slots_[i] = static_cast<uint32_t>(k + 1);
+    }
+  }
+  size_t i = Home(node.self);
+  for (; slots_[i] != 0; i = (i + 1) & (slots_.size() - 1)) {
+    if (nodes_[slots_[i] - 1].self == node.self) {
+      nodes_[slots_[i] - 1] = node;
+      return;
+    }
+  }
+  nodes_.push_back(node);
+  slots_[i] = static_cast<uint32_t>(nodes_.size());
+}
+
+void NodeCache::DropNodes() noexcept {
   nodes_.clear();
+  std::fill(slots_.begin(), slots_.end(), 0);
+}
+
+void NodeCache::Reset(uint64_t index_seq) noexcept {
+  DropNodes();
   dirty_.clear();
   index_seq_ = index_seq;
   ++generation_;
@@ -217,7 +248,7 @@ bool OffloadWalk::Validate() {
     cache_->Reset(s1_.index_seq - s1_.index_seq % 2);
     if (!cache_->Absorb(s2_)) return true;
   }
-  for (const NodeData& node : staged_) cache_->nodes_[node.self] = node;
+  for (const NodeData& node : staged_) cache_->Put(node);
   return true;
 }
 

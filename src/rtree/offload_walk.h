@@ -28,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/rect.h"
@@ -42,24 +41,47 @@ namespace catfish::rtree {
 /// `index_seq` touched it: the cache keeps those changes' regions (see
 /// TreeMeta), at most kMaxDirtyRegions. Only OffloadWalk fills and
 /// validates it; its owner may drop it (Clear).
+///
+/// The nodes sit in one vector, found through an open-addressing table
+/// of indices into it (power-of-two size, linear probing, at most half
+/// full): a hit costs a multiply, a shift and usually one compare, and
+/// emptying the cache keeps both arrays' capacity for the refill.
 class NodeCache {
  public:
   static constexpr size_t kMaxDirtyRegions = 64;
+  /// Slots of the table the first node allocates.
+  static constexpr size_t kInitialSlots = 64;
 
   bool empty() const noexcept { return nodes_.empty(); }
   size_t size() const noexcept { return nodes_.size(); }
+  /// The cached node with chunk id `id`, or null. The pointer lives until
+  /// the cache is next filled or emptied.
   const NodeData* Find(ChunkId id) const noexcept {
-    const auto it = nodes_.find(id);
-    return it == nodes_.end() ? nullptr : &it->second;
+    if (slots_.empty()) return nullptr;
+    for (size_t i = Home(id);; i = (i + 1) & (slots_.size() - 1)) {
+      const uint32_t slot = slots_[i];
+      if (slot == 0) return nullptr;
+      if (nodes_[slot - 1].self == id) return &nodes_[slot - 1];
+    }
   }
   /// Drops every node, e.g. when the tree behind it may be another one.
   void Clear() noexcept {
-    nodes_.clear();
+    DropNodes();
     ++generation_;
   }
 
  private:
   friend class OffloadWalk;
+  friend struct NodeCacheTestPeer;
+
+  /// The table slot `id` probes first (Fibonacci hashing, so ids that
+  /// share their low bits, such as a stride through the arena, spread).
+  size_t Home(ChunkId id) const noexcept {
+    return (id * uint64_t{0x9E3779B97F4A7C15}) >> shift_;
+  }
+  /// Adds `node` under node.self, overwriting a node cached under it.
+  void Put(const NodeData& node);
+  void DropNodes() noexcept;
 
   /// Empties the cache for a refill validated at even `index_seq`.
   void Reset(uint64_t index_seq) noexcept;
@@ -72,7 +94,11 @@ class NodeCache {
   /// region, nor the region of an SMO running at s2, meets it.
   bool Misses(const geo::Rect& rect, const TreeMeta& s2) const noexcept;
 
-  std::unordered_map<ChunkId, NodeData> nodes_;
+  std::vector<NodeData> nodes_;
+  /// 1 + the index in nodes_ of the node hashed there; 0 is empty.
+  std::vector<uint32_t> slots_;
+  /// 64 − log2(slots_.size()): Home keeps the product's top bits.
+  unsigned shift_ = 64;
   uint64_t index_seq_ = 0;
   std::vector<geo::Rect> dirty_;
   /// Moves on every Clear and refill. A walk that finds it moved since

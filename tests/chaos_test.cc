@@ -250,11 +250,20 @@ TEST_F(ChaosTest, DurableRestartRecoversAckedWrites) {
 
   // A write burst against the durable path: enough bytes to trip the
   // 32 KB checkpoint threshold at least once mid-burst, plus a tail of
-  // writes that only the WAL has seen at crash time.
+  // writes that only the WAL has seen at crash time. Checkpoints run
+  // only on the server monitor's heartbeat tick, and a monitor starved
+  // under load can sleep through the rest of the burst; so once the
+  // threshold trips, the burst waits for that checkpoint before it goes
+  // on with the tail.
   for (uint64_t i = 0; i < 600; ++i) {
     const auto r = RandomRect(rng, 0.01);
     ASSERT_TRUE(client->Insert(r, 10'000 + i));
     oracle_.Insert(r, 10'000 + i);
+    if (ckpt_disk_->writes() < 2 && durability_->ShouldCheckpoint()) {
+      ASSERT_TRUE(testutil::WaitUntil(
+          [&] { return ckpt_disk_->writes() >= 2; }, 10s))
+          << "the monitor never ran the triggered checkpoint";
+    }
     if (i % 7 == 0) {
       const auto q = RandomRect(rng, 0.02);
       for (const uint64_t id : oracle_.Search(q)) {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace catfish::rtree {
 namespace {
@@ -96,8 +98,36 @@ TEST(LayoutTest, PartialScatterLeavesTailIntact) {
   for (size_t i = 90; i < out.size(); ++i) EXPECT_EQ(out[i], std::byte{0xAA});
 }
 
+// On a chunk no writer touches, SnapshotCopy is memcpy: for an 8-aligned
+// destination (8-byte words), a 4-aligned-only one (4-byte words), an
+// unaligned one (the byte fallback) and a length ending in a part line.
+TEST(LayoutTest, SnapshotCopyOfAQuiescentChunkIsMemcpy) {
+  alignas(64) std::byte src[1024];
+  Xoshiro256 rng(11);
+  for (auto& b : src) b = static_cast<std::byte>(rng.Next());
+  // Arbitrary bytes, odd "versions" included: the copy stamps each line
+  // with the word it witnessed, which is the source's own.
+  alignas(64) std::byte dst_mem[1024 + 64];
+  for (const size_t shift : {size_t{0}, size_t{8}, size_t{4}, size_t{1}}) {
+    for (const size_t n : {sizeof(src), 5 * kLineSize + 37, size_t{20}}) {
+      std::memset(dst_mem, 0xA5, sizeof(dst_mem));
+      std::byte* dst = dst_mem + shift;
+      SnapshotCopy(dst, src, n);
+      EXPECT_EQ(std::memcmp(dst, src, n), 0) << "shift " << shift << " n " << n;
+      // Nothing written past the end.
+      EXPECT_EQ(dst[n], std::byte{0xA5}) << "shift " << shift << " n " << n;
+    }
+  }
+}
+
 // The seqlock property the offloading client depends on: a reader that
-// validates versions around a gather never observes a torn payload.
+// validates versions around a gather never observes a torn payload. The
+// reader takes turns between three ways of reading: gathering the live
+// chunk between two ValidateVersions, and the simulated NIC's READ —
+// SnapshotCopy into a private image, 8-aligned or 4-aligned only, that
+// it accepts when ValidateVersions does. The writer rewrites the chunk
+// once per two reads (it waits for the reader's count to move), so
+// reads of every kind both race a write and find the chunk quiet.
 TEST(LayoutTest, ConcurrentReaderNeverSeesTornPayload) {
   alignas(64) std::byte chunk_mem[1024];
   std::span<std::byte> chunk(chunk_mem, sizeof(chunk_mem));
@@ -105,36 +135,61 @@ TEST(LayoutTest, ConcurrentReaderNeverSeesTornPayload) {
 
   const size_t payload_size = PayloadCapacity(1024);
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> valid_reads{0};
-
+  std::atomic<uint64_t> reads{0};
   std::thread writer([&] {
     std::vector<std::byte> payload(payload_size);
     uint8_t fill = 0;
     while (!stop.load(std::memory_order_relaxed)) {
+      const uint64_t seen = reads.load(std::memory_order_relaxed);
       ++fill;
       std::memset(payload.data(), fill, payload.size());
       BeginWrite(chunk);
       ScatterPayload(chunk, payload);
       EndWrite(chunk);
+      while (!stop.load(std::memory_order_relaxed) &&
+             reads.load(std::memory_order_relaxed) < seen + 2) {
+        std::this_thread::yield();
+      }
     }
   });
+  testutil::StopAndJoin join(stop, writer);
 
+  constexpr const char* kModes[] = {"live gather", "8-aligned snapshot",
+                                    "4-aligned snapshot"};
+  alignas(64) std::byte image_mem[1024 + 8];
   std::vector<std::byte> out(payload_size);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto v1 = ValidateVersions(chunk);
-    if (!v1) continue;
-    GatherPayload(chunk, out);
-    const auto v2 = ValidateVersions(chunk);
-    if (!v2 || *v2 != *v1) continue;
+  uint64_t accepted[3] = {0, 0, 0};
+  const auto start = std::chrono::steady_clock::now();
+  for (;;) {
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    const bool each = accepted[0] && accepted[1] && accepted[2];
+    if (elapsed > std::chrono::seconds(10) ||
+        (each && elapsed > std::chrono::milliseconds(500))) {
+      break;
+    }
+    const size_t mode = reads.load(std::memory_order_relaxed) % 3;
+    bool valid;
+    if (mode == 0) {
+      const auto v1 = ValidateVersions(chunk);
+      GatherPayload(chunk, out);
+      const auto v2 = ValidateVersions(chunk);
+      valid = v1 && v2 && *v1 == *v2;
+    } else {
+      std::span<std::byte> image(image_mem + (mode == 2 ? 4 : 0),
+                                 chunk.size());
+      SnapshotCopy(image.data(), chunk.data(), chunk.size());
+      valid = ValidateVersions(image).has_value();
+      if (valid) GatherPayload(image, out);
+    }
+    reads.fetch_add(1, std::memory_order_relaxed);
+    if (!valid) continue;
     // Accepted read: every byte must carry the same fill value.
-    for (size_t i = 1; i < out.size(); ++i) ASSERT_EQ(out[i], out[0]);
-    valid_reads.fetch_add(1, std::memory_order_relaxed);
+    for (size_t i = 1; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], out[0]) << kModes[mode];
+    }
+    ++accepted[mode];
   }
-  stop.store(true);
-  writer.join();
-  EXPECT_GT(valid_reads.load(), 0u);
+  for (size_t m = 0; m < 3; ++m) EXPECT_GT(accepted[m], 0u) << kModes[m];
 }
 
 }  // namespace

@@ -19,6 +19,12 @@
 #include "test_util.h"
 
 namespace catfish::rtree {
+
+/// Fills a NodeCache directly; the walk is its only other writer.
+struct NodeCacheTestPeer {
+  static void Put(NodeCache& cache, const NodeData& node) { cache.Put(node); }
+};
+
 namespace {
 
 using testutil::RandomRect;
@@ -256,6 +262,65 @@ TEST(OffloadWalkTest, QuietTreeValidatesFirstTimeAndWarmsTheCache) {
       EXPECT_GT(reads, 1u);
     }
   }
+}
+
+NodeData CacheNode(ChunkId id, uint16_t count) {
+  NodeData node;
+  node.self = id;
+  node.level = 1;
+  node.count = count;
+  return node;
+}
+
+TEST(NodeCacheTest, FindMissesAfterClear) {
+  NodeCache cache;
+  EXPECT_EQ(cache.Find(5), nullptr);
+  for (ChunkId id = 1; id <= 10; ++id) {
+    NodeCacheTestPeer::Put(cache, CacheNode(id, 1));
+  }
+  ASSERT_NE(cache.Find(5), nullptr);
+  cache.Clear();
+  EXPECT_TRUE(cache.empty());
+  for (ChunkId id = 1; id <= 10; ++id) EXPECT_EQ(cache.Find(id), nullptr);
+  // The emptied table takes a refill.
+  NodeCacheTestPeer::Put(cache, CacheNode(7, 2));
+  ASSERT_NE(cache.Find(7), nullptr);
+  EXPECT_EQ(cache.Find(7)->count, 2);
+  EXPECT_EQ(cache.Find(5), nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(NodeCacheTest, GrowsPastTheFirstTableSize) {
+  NodeCache cache;
+  // Sparse ids, as internal nodes sit in the arena, many times the
+  // first table's slots.
+  constexpr ChunkId kNodes = 40 * NodeCache::kInitialSlots;
+  for (ChunkId k = 0; k < kNodes; ++k) {
+    NodeCacheTestPeer::Put(cache, CacheNode(3 + 37 * k, k % 23));
+  }
+  ASSERT_EQ(cache.size(), kNodes);
+  for (ChunkId k = 0; k < kNodes; ++k) {
+    const NodeData* node = cache.Find(3 + 37 * k);
+    ASSERT_NE(node, nullptr) << k;
+    EXPECT_EQ(node->self, 3 + 37 * k);
+    EXPECT_EQ(node->count, k % 23);
+    EXPECT_EQ(cache.Find(4 + 37 * k), nullptr) << k;
+  }
+}
+
+TEST(NodeCacheTest, RefillOverwritesById) {
+  NodeCache cache;
+  NodeCacheTestPeer::Put(cache, CacheNode(9, 1));
+  NodeCacheTestPeer::Put(cache, CacheNode(9, 2));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Find(9)->count, 2);
+  // Also once the table has grown and rehashed around the id.
+  for (ChunkId id = 100; id < 100 + 4 * NodeCache::kInitialSlots; ++id) {
+    NodeCacheTestPeer::Put(cache, CacheNode(id, 1));
+  }
+  NodeCacheTestPeer::Put(cache, CacheNode(9, 3));
+  EXPECT_EQ(cache.size(), 1u + 4 * NodeCache::kInitialSlots);
+  EXPECT_EQ(cache.Find(9)->count, 3);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -317,6 +320,88 @@ TEST(RdmaSimTest, PollManyMatchesRepeatedPoll) {
     for (size_t i = 0; i < got; ++i) EXPECT_EQ(two[i].wr_id, next++);
   }
   EXPECT_EQ(next, 55u);
+}
+
+// Posts resolve rkeys under the node's region lock alone (no node mutex),
+// so the host registering and deregistering regions on the same node —
+// regions_ growing, and so reallocating, under the NIC — must never hand
+// a READ a stale or torn registration. Two client QPs read the first
+// region in batches while a third thread registers kRegistrations more
+// regions and deregisters every third one.
+TEST(RdmaSimTest, RegisterWhileReading) {
+  Fabric fabric{FabricProfile::Instant()};
+  const auto server = fabric.CreateNode("server");
+  constexpr size_t kRegionBytes = 1024;
+  constexpr size_t kReadBytes = 128;
+  constexpr size_t kBatch = kRegionBytes / kReadBytes;
+  std::vector<std::byte> first(kRegionBytes);
+  for (size_t i = 0; i < first.size(); ++i) {
+    first[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
+  }
+  const auto mr = server->RegisterMemory(first);
+
+  constexpr int kRegistrations = 256;
+  constexpr int kMinBatches = 64;
+  std::vector<std::vector<std::byte>> extra(
+      kRegistrations, std::vector<std::byte>(64, std::byte{0xEE}));
+  std::atomic<int> readers_started{0};
+  std::atomic<bool> registered_all{false};
+  std::atomic<uint64_t> good_reads{0};
+  std::atomic<uint64_t> bad_reads{0};
+
+  auto reader = [&](const std::string& name) {
+    const auto client = fabric.CreateNode(name);
+    const auto c_send = client->CreateCq();
+    const auto c_recv = client->CreateCq();
+    const auto s_send = server->CreateCq();
+    const auto s_recv = server->CreateCq();
+    const auto c_qp = client->CreateQp(c_send, c_recv);
+    const auto s_qp = server->CreateQp(s_send, s_recv);
+    QueuePair::Connect(s_qp, c_qp);
+    std::vector<std::byte> local(kRegionBytes);
+    std::vector<WorkRequest> wrs(kBatch);
+    for (size_t i = 0; i < kBatch; ++i) {
+      wrs[i].kind = WorkRequest::Kind::kRead;
+      wrs[i].wr_id = i;
+      wrs[i].dst = std::span<std::byte>(local).subspan(i * kReadBytes,
+                                                      kReadBytes);
+      wrs[i].remote = RemoteAddr{mr.rkey, i * kReadBytes};
+    }
+    WorkCompletion wcs[kBatch];
+    readers_started.fetch_add(1);
+    for (int batch = 0;
+         batch < kMinBatches || !registered_all.load(); ++batch) {
+      std::fill(local.begin(), local.end(), std::byte{0});
+      bool ok[kBatch] = {};
+      const size_t done = c_qp->PostBatch(wrs, ok);
+      const size_t reaped = c_send->PollMany(wcs);
+      bool good = done == kBatch && reaped == kBatch && local == first;
+      for (size_t i = 0; i < reaped; ++i) {
+        good = good && wcs[i].status == WcStatus::kSuccess;
+      }
+      (good ? good_reads : bad_reads).fetch_add(1);
+    }
+  };
+  std::thread r1(reader, "client-1");
+  std::thread r2(reader, "client-2");
+  std::thread registrar([&] {
+    while (readers_started.load() < 2) std::this_thread::yield();
+    std::vector<MemoryRegionHandle> handles;
+    for (int i = 0; i < kRegistrations; ++i) {
+      handles.push_back(server->RegisterMemory(extra[i]));
+      if (i % 3 == 2) server->Deregister(handles[i - 1]);
+    }
+    registered_all.store(true);
+  });
+  registrar.join();
+  r1.join();
+  r2.join();
+
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_GE(good_reads.load(), 2u * kMinBatches);
+  // The last registration got the next rkey: none was lost to the race.
+  const auto last = server->RegisterMemory(extra[0]);
+  EXPECT_EQ(last.rkey, static_cast<uint32_t>(kRegistrations + 2));
 }
 
 // The per-op telemetry policy: a single post counts its doorbell but adds
