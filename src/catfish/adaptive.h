@@ -55,8 +55,6 @@ struct AdaptiveConfig {
   /// Busy threshold T on predicted utilization (paper §V-B: 0.95).
   double busy_threshold = 0.95;
   UtilPredictor predictor = UtilPredictor::kMostRecent;
-  /// EWMA smoothing factor α (only for kEwma).
-  double ewma_alpha = 0.4;
 };
 
 class AdaptiveController {
@@ -155,10 +153,11 @@ class AdaptiveController {
   /// predUtil(·) — §IV-A with the §VI predictor extension.
   double PredictUtil(double most_recent) noexcept {
     switch (cfg_.predictor) {
-      case UtilPredictor::kEwma:
-        ewma_ = cfg_.ewma_alpha * most_recent +
-                (1.0 - cfg_.ewma_alpha) * ewma_;
+      case UtilPredictor::kEwma: {
+        constexpr double kAlpha = 0.4;  // EWMA smoothing factor α
+        ewma_ = kAlpha * most_recent + (1.0 - kAlpha) * ewma_;
         return ewma_;
+      }
       case UtilPredictor::kMostRecent:
       default:
         ewma_ = most_recent;

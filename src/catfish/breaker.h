@@ -7,9 +7,9 @@
 // Closed → Open after a run of overload signals: while Open, fast-path
 // requests fail immediately with kBreakerOpen (no ring write, no
 // wait). After a jittered open window the breaker admits probe
-// requests (Half-open); enough successes close it, another failure
-// re-opens it with an escalated window. The jitter matters: 256
-// clients tripped by the same burst must not re-probe in lockstep.
+// requests (Half-open); one success closes it, a failure re-opens it
+// with an escalated window. The jitter matters: 256 clients tripped by
+// the same burst must not re-probe in lockstep.
 //
 // Like the rest of RTreeClient this is single-threaded — one owner
 // thread calls Admit/OnSuccess/OnFailure in program order.
@@ -34,8 +34,6 @@ struct BreakerConfig {
   /// re-open (capped), jittered to [ceiling/2, ceiling].
   uint64_t open_initial_us = 10'000;
   uint64_t open_max_us = 1'000'000;
-  /// Probe successes required in Half-open before closing again.
-  uint32_t half_open_probes = 1;
 };
 
 class CircuitBreaker {
@@ -56,7 +54,6 @@ class CircuitBreaker {
         return false;
       }
       state_ = State::kHalfOpen;
-      probes_left_ = cfg_.half_open_probes > 0 ? cfg_.half_open_probes : 1;
     }
     return true;  // half-open: let the probe through
   }
@@ -65,7 +62,7 @@ class CircuitBreaker {
   void OnSuccess() noexcept {
     if (!cfg_.enabled) return;
     consecutive_failures_ = 0;
-    if (state_ == State::kHalfOpen && --probes_left_ == 0) {
+    if (state_ == State::kHalfOpen) {  // one probe success closes it
       state_ = State::kClosed;
       open_streak_ = 0;
     }
@@ -119,7 +116,6 @@ class CircuitBreaker {
   JitterState jitter_;
   State state_ = State::kClosed;
   uint32_t consecutive_failures_ = 0;
-  uint32_t probes_left_ = 0;
   uint32_t open_streak_ = 0;  ///< consecutive opens without a close
   uint64_t open_until_us_ = 0;
   uint64_t last_open_window_us_ = 0;

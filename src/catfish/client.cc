@@ -217,8 +217,7 @@ ClientStatus RTreeClient::Reconnect() {
   // arena may belong to a new primary with its own sequence words.
   node_cache_.Clear();
   conn_state_ = ConnState::kConnected;
-  ++stats_.reconnects;
-  CATFISH_COUNT("catfish.client.reconnects");
+  stats_.reconnects.Add();
   CATFISH_EVENT(kReconnect, NowMicros(), boot_.generation,
                 static_cast<double>(old_generation),
                 static_cast<double>(NowMicros() - began));
@@ -228,8 +227,7 @@ ClientStatus RTreeClient::Reconnect() {
 void RTreeClient::FailDeadline(ClientStatus status,
                                [[maybe_unused]] bool ring_stalled,
                                const char* what) {
-  ++stats_.timeouts;
-  CATFISH_COUNT("catfish.client.timeouts");
+  stats_.timeouts.Add();
   CATFISH_EVENT(kRequestTimeout, NowMicros(), 0, ring_stalled ? 1.0 : 0.0,
                 static_cast<double>(cfg_.request_timeout_us));
   // A fast-path timeout is an overload signal like a shed reply: the
@@ -260,8 +258,7 @@ uint64_t RTreeClient::WaitDeadline(uint64_t now) const noexcept {
 }
 
 void RTreeClient::FailDeadlineExpired(const char* what) {
-  ++stats_.deadline_expired;
-  CATFISH_COUNT("overload.client.deadline_expired");
+  stats_.deadline_expired.Add();
   CATFISH_EVENT(kRequestTimeout, NowMicros(), client_gen_, 0.0,
                 static_cast<double>(cur_deadline_us_));
   throw ClientError(ClientStatus::kDeadlineExpired, what);
@@ -269,16 +266,14 @@ void RTreeClient::FailDeadlineExpired(const char* what) {
 
 void RTreeClient::AdmitFastOrThrow() {
   if (breaker_.Admit(NowMicros())) return;
-  ++stats_.breaker_fast_fails;
-  CATFISH_COUNT("breaker.fast_fails");
+  stats_.breaker_fast_fails.Add();
   throw ClientError(ClientStatus::kBreakerOpen,
                     "catfish client: circuit breaker open");
 }
 
 void RTreeClient::NoteFastFailure(uint64_t now_us, uint32_t server_hint_us) {
   if (!breaker_.OnFailure(now_us, server_hint_us)) return;
-  ++stats_.breaker_opens;
-  CATFISH_COUNT("breaker.opens");
+  stats_.breaker_opens.Add();
   CATFISH_EVENT(kBreakerOpen, now_us, client_gen_,
                 static_cast<double>(static_cast<int>(breaker_.state())),
                 static_cast<double>(breaker_.last_open_window_us()));
@@ -334,7 +329,7 @@ void RTreeClient::SendRequest(msg::MsgType type, const Req& req) {
 
 void RTreeClient::OnHeartbeatMessage(const msg::Heartbeat& hb) {
   controller_.OnHeartbeat(hb.cpu_util);
-  ++stats_.heartbeats_received;
+  stats_.heartbeats_received.Add();
   last_heartbeat_us_ = NowMicros();
   // Every field is on the wire; an unsharded, unreplicated server sends
   // zeros, which never advance these.
@@ -353,7 +348,6 @@ void RTreeClient::OnHeartbeatMessage(const msg::Heartbeat& hb) {
     CATFISH_COUNT("catfish.client.watchdog.recovered");
     CATFISH_EVENT(kWatchdogTrip, last_heartbeat_us_, 0, 0.0, 0.0);
   }
-  CATFISH_COUNT("catfish.client.heartbeats");
   CATFISH_EVENT(kHeartbeat, NowMicros(), hb.seq, hb.cpu_util,
                 static_cast<double>(hb.tree_epoch));
 }
@@ -362,8 +356,7 @@ void RTreeClient::OnTraceFrame(const msg::Message& m) {
   const auto tr = msg::DecodeTraceResponse(m.payload);
   if (!tr) return;
   trace_frame_req_ = tr->req_id;
-  ++stats_.trace_frames;
-  CATFISH_COUNT("catfish.client.trace_frames");
+  stats_.trace_frames.Add();
   if (tr->blob.empty()) return;  // tracer-less server: arrival only
   if (auto remote = telemetry::DecodeTrace(tr->blob)) {
     last_remote_tree_ =
@@ -417,8 +410,7 @@ bool RTreeClient::NextFrame(uint64_t req_id) {
     // the tail of an abandoned split search. Dropping it here is what
     // makes retries safe. Malformed payloads still throw.
     if (PayloadReqId(rx_msg_.payload) != req_id || req_id == 0) {
-      ++stats_.stale_responses;
-      CATFISH_COUNT("catfish.client.stale_responses");
+      stats_.stale_responses.Add();
       continue;
     }
     if (type == msg::MsgType::kOverloaded) {
@@ -436,8 +428,7 @@ bool RTreeClient::NextFrame(uint64_t req_id) {
       // Admission control shed this request. Surface it as a typed
       // error and feed the breaker; the retry-after hint steers both
       // the breaker's open window and the write retry backoff.
-      ++stats_.overloaded;
-      CATFISH_COUNT("overload.client.shed_replies");
+      stats_.overloaded.Add();
       NoteFastFailure(NowMicros(), last_retry_after_us_);
       throw ClientError(ClientStatus::kOverloaded,
                         "catfish client: request shed by server");
@@ -569,8 +560,7 @@ bool RTreeClient::CollectFast(uint64_t req_id, msg::MsgType type, bool block,
   const bool sampled = begun_sampled_;
   ResetFast();
   if (sampled) AwaitTraceFrame(req_id);  // tree claimed via TakeRemoteTree
-  ++stats_.fast_searches;
-  CATFISH_COUNT("catfish.client.search.fast");
+  stats_.fast_searches.Add();
   breaker_.OnSuccess();
   return true;
 }
@@ -625,9 +615,7 @@ std::vector<rtree::Entry> RTreeClient::NearestNeighbors(
 void RTreeClient::AccountEngineDelta(const remote::EngineStats& before) {
   const remote::EngineStats& now = engine_->stats();
   stats_.rdma_reads += now.reads - before.reads;
-  const uint64_t retries = now.version_retries - before.version_retries;
-  stats_.version_retries += retries;
-  CATFISH_COUNT_ADD("catfish.client.version_retries", retries);
+  stats_.version_retries.Add(now.version_retries - before.version_retries);
 }
 
 bool RTreeClient::FetchRound() {
@@ -687,11 +675,9 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
   while ((step = walk_.Next()) == rtree::OffloadWalk::Step::kRestart ||
          step == rtree::OffloadWalk::Step::kFetch) {
     if (step == rtree::OffloadWalk::Step::kRestart) {
-      ++stats_.smo_restarts;
-      CATFISH_COUNT("catfish.client.smo_restarts");
+      stats_.smo_restarts.Add();
       if (walk_.dropped_cache()) {
-        ++stats_.cache_invalidations;
-        CATFISH_COUNT("catfish.client.cache_invalidations");
+        stats_.cache_invalidations.Add();
       } else {
         // An SMO in the query's area overlapped the traversal. Only
         // yield: a timed sleep overshoots by the timer slack, and the
@@ -706,8 +692,7 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
     if (cur_deadline_us_ != 0 && NowMicros() >= cur_deadline_us_) {
       FailDeadlineExpired("catfish client: op deadline expired mid-offload");
     }
-    stats_.cache_hits += walk_.round_hits();
-    CATFISH_COUNT_ADD("catfish.client.cache_hits", walk_.round_hits());
+    stats_.cache_hits.Add(walk_.round_hits());
     auto round_span = telemetry::kInvalidSpan;
     remote::EngineStats round_before;
     if (trace_) {
@@ -733,14 +718,12 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
 
   std::vector<rtree::Entry> results;
   if (step == rtree::OffloadWalk::Step::kValid) {
-    ++stats_.offloaded_searches;
-    CATFISH_COUNT("catfish.client.search.offload");
+    stats_.offloaded_searches.Add();
     results = walk_.TakeResults();
   } else {
     // Every attempt overlapped a structure change: the server's own
     // traversal serves the search instead of a possibly partial result.
-    ++stats_.offload_fallbacks;
-    CATFISH_COUNT("catfish.client.offload_fallbacks");
+    stats_.offload_fallbacks.Add();
     // Same op, same deadline: the offload attempts already spent part
     // of it.
     if (cur_deadline_us_ != 0 && NowMicros() >= cur_deadline_us_) {
@@ -767,15 +750,7 @@ std::vector<rtree::Entry> RTreeClient::SearchOffloaded(
   return results;
 }
 
-std::vector<rtree::Entry> RTreeClient::Search(const geo::Rect& rect) {
-  PumpPending();
-  EnsureUsable(/*fast_path=*/false);
-  const TraceGuard own_trace = BeginTrace("search");
-  auto decide_span = telemetry::kInvalidSpan;
-  if (own_trace) {
-    decide_span =
-        trace_->StartSpan(trace_root_, "decide", cfg_.tracer->now_us());
-  }
+AccessMode RTreeClient::DecideSearchMode() {
   AccessMode mode;
   switch (cfg_.mode) {
     case ClientMode::kFastOnly:
@@ -796,10 +771,10 @@ std::vector<rtree::Entry> RTreeClient::Search(const geo::Rect& rect) {
     mode = AccessMode::kRdmaOffloading;
   }
   // Breaker-open routing: an overloaded server is still serving
-  // one-sided READs (they cost it no CPU), so an adaptive search
-  // brownouts to offloading instead of failing fast. Uses the const
-  // peek — the half-open probe slot belongs to callers with no
-  // alternative path (writes, forced SearchFast).
+  // one-sided READs (they cost it no CPU), so a search brownouts to
+  // offloading instead of failing fast. Uses the const peek — the
+  // half-open probe slot belongs to callers with no alternative path
+  // (writes, forced SearchFast).
   if (mode == AccessMode::kFastMessaging &&
       breaker_.WouldReject(NowMicros())) {
     CATFISH_COUNT("breaker.search_brownouts");
@@ -808,6 +783,19 @@ std::vector<rtree::Entry> RTreeClient::Search(const geo::Rect& rect) {
   // Mode-switch counting lives in AdaptiveController::Record (the
   // adaptive.mode_switches counter + kModeSwitch flight-recorder event).
   last_mode_ = mode;
+  return mode;
+}
+
+std::vector<rtree::Entry> RTreeClient::Search(const geo::Rect& rect) {
+  PumpPending();
+  EnsureUsable(/*fast_path=*/false);
+  const TraceGuard own_trace = BeginTrace("search");
+  auto decide_span = telemetry::kInvalidSpan;
+  if (own_trace) {
+    decide_span =
+        trace_->StartSpan(trace_root_, "decide", cfg_.tracer->now_us());
+  }
+  const AccessMode mode = DecideSearchMode();
   if (own_trace) {
     trace_->SetAttr(decide_span, "mode",
                     mode == AccessMode::kRdmaOffloading ? 1 : 0);
@@ -843,11 +831,9 @@ bool RTreeClient::ExecuteWrite(msg::MsgType type, const geo::Rect& rect,
   ArmOpDeadline();
   const uint64_t req_id = ++next_req_id_;
   if (type == msg::MsgType::kInsertReq) {
-    ++stats_.inserts;
-    CATFISH_COUNT("catfish.client.insert");
+    stats_.inserts.Add();
   } else {
-    ++stats_.deletes;
-    CATFISH_COUNT("catfish.client.delete");
+    stats_.deletes.Add();
   }
   const msg::WriteRequest req{req_id, client_gen_, rect, id,
                               TakeStagedContext(), cur_deadline_us_};
@@ -883,8 +869,7 @@ bool RTreeClient::ExecuteWrite(msg::MsgType type, const geo::Rect& rect,
           (e.status() == ClientStatus::kOverloaded &&
            last_retry_after_us_ != 0);
       if (!retryable || attempt >= cfg_.write_attempts) throw;
-      ++stats_.write_retries;
-      CATFISH_COUNT("catfish.client.write_retries");
+      stats_.write_retries.Add();
       // Jittered capped-exponential backoff: a restarting server needs
       // a moment before its acceptor answers, and a fleet retrying a
       // shed burst must not re-arrive in lockstep. The server's

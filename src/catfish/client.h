@@ -34,6 +34,7 @@
 #include "remote/engine.h"
 #include "rtree/offload_walk.h"
 #include "rtree/rstar.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace catfish {
@@ -153,28 +154,46 @@ struct ClientConfig {
   telemetry::Tracer* tracer = nullptr;
 };
 
+/// Per-client counts. A `telemetry::Tally` field also bumps the global
+/// counter named beside it (one statement per event); a `uint64_t` field
+/// has no registry twin, or (rdma_reads) its twin is counted by rdmasim.
 struct ClientStats {
-  uint64_t fast_searches = 0;
-  uint64_t offloaded_searches = 0;
-  uint64_t inserts = 0;
-  uint64_t deletes = 0;
+  using Tally = telemetry::Tally;
+  Tally fast_searches{"catfish.client.search.fast"};
+  Tally offloaded_searches{"catfish.client.search.offload"};
+  Tally inserts{"catfish.client.insert"};
+  Tally deletes{"catfish.client.delete"};
   uint64_t rdma_reads = 0;        ///< node chunks fetched while offloading
-  uint64_t version_retries = 0;   ///< torn-node re-reads (§III-B)
-  uint64_t heartbeats_received = 0;
-  uint64_t cache_hits = 0;        ///< internal nodes served from cache
-  uint64_t cache_invalidations = 0;  ///< cache dropped, not validated
-  uint64_t smo_restarts = 0;      ///< offloaded traversals restarted
-  uint64_t offload_fallbacks = 0;  ///< offloaded searches served by the ring
-  uint64_t timeouts = 0;          ///< fast-path deadline expiries
+  /// Torn-node re-reads (§III-B).
+  Tally version_retries{"catfish.client.version_retries"};
+  Tally heartbeats_received{"catfish.client.heartbeats"};
+  /// Internal nodes served from cache.
+  Tally cache_hits{"catfish.client.cache_hits"};
+  /// Cache dropped, not validated.
+  Tally cache_invalidations{"catfish.client.cache_invalidations"};
+  /// Offloaded traversals restarted.
+  Tally smo_restarts{"catfish.client.smo_restarts"};
+  /// Offloaded searches served by the ring.
+  Tally offload_fallbacks{"catfish.client.offload_fallbacks"};
+  /// Fast-path deadline expiries.
+  Tally timeouts{"catfish.client.timeouts"};
   uint64_t watchdog_trips = 0;    ///< Connected→Suspect/Disconnected edges
-  uint64_t reconnects = 0;        ///< successful re-bootstraps
-  uint64_t write_retries = 0;     ///< Insert/Delete resends after a failure
-  uint64_t stale_responses = 0;   ///< responses for superseded req_ids dropped
-  uint64_t trace_frames = 0;      ///< kTraceResp frames consumed
-  uint64_t overloaded = 0;        ///< kOverloaded replies received
-  uint64_t deadline_expired = 0;  ///< ops abandoned on budget expiry
-  uint64_t breaker_opens = 0;     ///< Closed/Half-open → Open transitions
-  uint64_t breaker_fast_fails = 0;  ///< requests rejected while Open
+  /// Successful re-bootstraps.
+  Tally reconnects{"catfish.client.reconnects"};
+  /// Insert/Delete resends after a failure.
+  Tally write_retries{"catfish.client.write_retries"};
+  /// Responses for superseded req_ids dropped.
+  Tally stale_responses{"catfish.client.stale_responses"};
+  /// kTraceResp frames consumed.
+  Tally trace_frames{"catfish.client.trace_frames"};
+  /// kOverloaded replies received.
+  Tally overloaded{"overload.client.shed_replies"};
+  /// Ops abandoned on budget expiry.
+  Tally deadline_expired{"overload.client.deadline_expired"};
+  /// Closed/Half-open → Open transitions.
+  Tally breaker_opens{"breaker.opens"};
+  /// Requests rejected while Open.
+  Tally breaker_fast_fails{"breaker.fast_fails"};
 };
 
 class RTreeClient {
@@ -200,6 +219,13 @@ class RTreeClient {
   /// Searches with the configured mode (adaptive by default). Returns
   /// all stored entries intersecting `rect`.
   std::vector<rtree::Entry> Search(const geo::Rect& rect);
+
+  /// The path Search takes for its next request, recorded as
+  /// last_mode(): the configured mode (Algorithm 1's controller when
+  /// adaptive), overridden to offloading while the watchdog reports the
+  /// connection down or the breaker is open. A sharded fan-out calls it
+  /// once per shard.
+  AccessMode DecideSearchMode();
 
   /// Forces the fast-messaging path for this request.
   std::vector<rtree::Entry> SearchFast(const geo::Rect& rect);
@@ -489,7 +515,7 @@ class RTreeClient {
   bool FetchRound();
 
   /// Folds the engine's counters accumulated since `before` into
-  /// ClientStats and the legacy `catfish.client.version_retries` metric.
+  /// ClientStats.
   void AccountEngineDelta(const remote::EngineStats& before);
 
   std::shared_ptr<rdma::SimNode> node_;

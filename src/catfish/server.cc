@@ -177,9 +177,10 @@ bool RTreeServer::ShedIfNeeded(Connection& conn, uint64_t req_id,
 
   // Backlog-scaled hint: the deeper this frame sat in the queue, the
   // longer a retry needs before it would find space.
+  constexpr uint64_t kRetryAfterMinUs = 1'000;
+  constexpr uint64_t kRetryAfterMaxUs = 100'000;
   const uint64_t hint =
-      std::clamp(queued_us * 2, cfg_.admission.retry_after_min_us,
-                 cfg_.admission.retry_after_max_us);
+      std::clamp(queued_us * 2, kRetryAfterMinUs, kRetryAfterMaxUs);
   sheds_.fetch_add(1, std::memory_order_relaxed);
   CATFISH_COUNT("overload.server.sheds");
   CATFISH_EVENT(kShed, now, req_id, static_cast<double>(queued_us),

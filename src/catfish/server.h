@@ -64,9 +64,6 @@ struct AdmissionConfig {
   /// …and the utilization window is at least this (both signals must
   /// agree: a one-off slow request under light load is not overload).
   double min_utilization = 0.85;
-  /// Bounds for the retry-after hint (scaled from the observed delay).
-  uint64_t retry_after_min_us = 1'000;
-  uint64_t retry_after_max_us = 100'000;
 };
 
 struct ServerConfig {

@@ -103,7 +103,9 @@ rtree::RStarTree DurabilityManager::Recover(rtree::NodeArena& arena,
       std::max(applied_lsn_,
                decoded.records.empty() ? 0 : decoded.records.back().lsn) +
       1;
-  wal_.emplace(wal_storage_.get(), next_lsn, cfg_.wal_stall_threshold_us);
+  // Commit waits longer than this emit a kWalStall event.
+  constexpr uint64_t kWalStallThresholdUs = 1000;
+  wal_.emplace(wal_storage_.get(), next_lsn, kWalStallThresholdUs);
   published_durable_lsn_.store(wal_->durable_lsn(),
                                std::memory_order_relaxed);
 

@@ -45,8 +45,6 @@ struct DurabilityConfig {
   size_t checkpoint_wal_bytes = 4 << 20;
   /// Per-client-session dedup entries retained (see dedup.h).
   size_t dedup_window = 64;
-  /// Commit waits longer than this emit a kWalStall event.
-  uint64_t wal_stall_threshold_us = 1000;
 };
 
 /// What Recover() did, for telemetry, benches and tests.

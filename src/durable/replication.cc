@@ -126,8 +126,10 @@ void ReplicationShipper::Start() {
   if (followers_.empty()) return;  // nothing to ship, gate stays open
   mgr_->SetCommitSink([this](const WalRecord& rec) {
     const std::scoped_lock lock(buf_mu_);
+    // In-memory record window before falling back to log-storage resync.
+    constexpr size_t kWindowRecords = 16 * 1024;
     window_.push_back(rec);
-    while (window_.size() > cfg_.window_records) window_.pop_front();
+    while (window_.size() > kWindowRecords) window_.pop_front();
   });
   mgr_->SetReplicationGate(&gate_);
   mgr_->SetTruncateFloor(0);  // retain everything until followers ack
@@ -167,8 +169,8 @@ void ReplicationShipper::Loop() {
     }
     PublishProgress();
     if (!progressed) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(cfg_.poll_interval_us));
+      constexpr std::chrono::microseconds kIdlePoll{100};
+      std::this_thread::sleep_for(kIdlePoll);
     }
   }
   // Final drain so follower_acked()/stats are fresh at teardown.
@@ -209,7 +211,9 @@ void ReplicationShipper::DrainAcks(Follower& f) {
 }
 
 bool ReplicationShipper::ShipNext(Follower& f) {
-  if (f.inflight >= cfg_.max_inflight_batches) return false;
+  // Unacked batches allowed per follower before shipping pauses.
+  constexpr size_t kMaxInflightBatches = 4;
+  if (f.inflight >= kMaxInflightBatches) return false;
   const uint64_t now = NowMicros();
   if (now < f.next_send_us) return false;  // backing off
 
@@ -262,8 +266,10 @@ bool ReplicationShipper::ShipNext(Follower& f) {
                            msg::kFlagEnd, frame)) {
     // Ring back-pressure: capped-exponential retry, jittered so
     // followers stalled by the same cause don't retry in lock-step.
+    constexpr uint64_t kRetryInitialUs = 100;
+    constexpr uint64_t kRetryMaxUs = 20'000;
     f.backoff_us = JitteredBackoff(f.jitter, f.retry_streak++,
-                                   cfg_.retry_initial_us, cfg_.retry_max_us);
+                                   kRetryInitialUs, kRetryMaxUs);
     f.next_send_us = now + f.backoff_us;
     const std::scoped_lock lock(stats_mu_);
     ++stats_.retries;
@@ -368,8 +374,8 @@ void FollowerApplier::Loop() {
   msg::Message m;
   while (!stop_.load(std::memory_order_relaxed)) {
     if (!batch_rx_->TryReceive(m)) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(cfg_.poll_interval_us));
+      constexpr std::chrono::microseconds kIdlePoll{50};
+      std::this_thread::sleep_for(kIdlePoll);
       continue;
     }
     if (m.type != static_cast<uint16_t>(msg::MsgType::kReplBatch)) continue;

@@ -121,17 +121,8 @@ struct ReplicationShipperConfig {
   uint32_t shard = 0;
   /// Records per batch frame (≤ msg::kMaxReplBatchRecords).
   size_t max_batch_records = 128;
-  /// Unacked batches allowed per follower before shipping pauses.
-  size_t max_inflight_batches = 4;
   /// Followers that must cover an LSN before the gate releases it.
   size_t ack_followers = 1;
-  /// Capped-exponential backoff on ring back-pressure.
-  uint64_t retry_initial_us = 100;
-  uint64_t retry_max_us = 20'000;
-  /// Idle poll interval of the shipping thread.
-  uint64_t poll_interval_us = 100;
-  /// In-memory record window before falling back to log-storage resync.
-  size_t window_records = 16 * 1024;
   /// Gate wait bound per write (0 = forever).
   uint64_t gate_timeout_us = 2'000'000;
 };
@@ -222,7 +213,6 @@ class ReplicationShipper {
 
 struct FollowerApplierConfig {
   uint32_t shard = 0;
-  uint64_t poll_interval_us = 50;
 };
 
 struct ApplierStats {

@@ -145,8 +145,8 @@ double ClusterSim::HedgeDelayUs() const noexcept {
   if (cfg_.hedge_delay_us != 0) {
     return static_cast<double>(cfg_.hedge_delay_us);
   }
-  // Adaptive: the live client's percentile rule against the sub-query
-  // latencies observed so far; an RTT-derived floor until warmed up.
+  // Adaptive: p95 of every sub-query so far, 20× the base latency until
+  // 32 are in (not the live client's windowed, clamped percentile).
   if (result_.subquery_latency_us.count() >= 32) {
     return result_.subquery_latency_us.p95();
   }
@@ -170,11 +170,9 @@ void ClusterSim::LegDone(const std::shared_ptr<Leg>& leg, bool from_hedge) {
   if (leg->done) return;  // the other leg of a hedge joined first
   if (leg->hedged) {
     if (from_hedge) {
-      ++result_.hedges_won;
-      CATFISH_COUNT("shard.client.hedges_won");
+      result_.hedges_won.Add();
     } else {
-      ++result_.hedges_wasted;
-      CATFISH_COUNT("shard.client.hedges_wasted");
+      result_.hedges_wasted.Add();
     }
     CATFISH_EVENT(kHedge, static_cast<uint64_t>(sched_.now()), leg->shard,
                   leg->hedge_delay_us, from_hedge ? 1.0 : 0.0);
@@ -228,18 +226,15 @@ void ClusterSim::Join(const std::shared_ptr<Query>& q) {
     // A refusal is never a completion: feed the client's breaker and
     // move on.
     if (q->expired) {
-      ++result_.deadline_drops;
-      CATFISH_COUNT("overload.server.deadline_drops");
+      result_.deadline_drops.Add();
     } else {
-      ++result_.sheds;
-      CATFISH_COUNT("overload.server.sheds");
+      result_.sheds.Add();
     }
     CATFISH_EVENT(kShed, now, c.index, 0.0,
                   static_cast<double>(cfg_.overload.retry_after_us));
     if (c.breaker.OnFailure(now,
                             q->expired ? 0 : cfg_.overload.retry_after_us)) {
-      ++result_.breaker_opens;
-      CATFISH_COUNT("breaker.opens");
+      result_.breaker_opens.Add();
       CATFISH_EVENT(kBreakerOpen, now, c.index,
                     static_cast<double>(c.breaker.state()),
                     static_cast<double>(c.breaker.last_open_window_us()));
@@ -251,8 +246,7 @@ void ClusterSim::Join(const std::shared_ptr<Query>& q) {
         latency <= static_cast<double>(cfg_.overload.deadline_us)) {
       ++result_.goodput;
     } else {
-      ++result_.deadline_misses;
-      CATFISH_COUNT("overload.sim.deadline_misses");
+      result_.deadline_misses.Add();
     }
     c.breaker.OnSuccess();
     if (q->op == workload::OpType::kInsert) {
@@ -279,8 +273,7 @@ void ClusterSim::StartNextRequest(Client& c) {
   // ends in Half-open and the next request is the probe.
   if (cfg_.overload.breaker.enabled &&
       !c.breaker.Admit(static_cast<uint64_t>(sched_.now()))) {
-    ++result_.breaker_waits;
-    CATFISH_COUNT("breaker.sim.waits");
+    result_.breaker_waits.Add();
     sched_.At(static_cast<double>(c.breaker.open_until_us()) + 1.0,
               [this, &c]() { StartNextRequest(c); });
     return;
@@ -319,8 +312,7 @@ void ClusterSim::OracleCheck(Query& q, const geo::Rect& rect) {
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());
   if (got != want) {
-    ++result_.oracle_mismatches;
-    CATFISH_COUNT("shard.sim.oracle_mismatches");
+    result_.oracle_mismatches.Add();
   }
 }
 
@@ -432,8 +424,7 @@ void ClusterSim::SubqueryFast(Client& c, std::shared_ptr<Leg> leg,
   }
   const size_t resp_bytes =
       k.response_base_bytes * segments + sst.results * k.per_result_bytes;
-  ++result_.fast_searches;
-  CATFISH_COUNT("catfish.client.search.fast");
+  result_.fast_searches.Add();
 
   // Arm the hedge: if the primary has not joined after the delay,
   // re-issue as an offloaded read against a follower (round-robin).
@@ -443,8 +434,7 @@ void ClusterSim::SubqueryFast(Client& c, std::shared_ptr<Leg> leg,
                  [this, &c, &s, leg]() {
       if (leg->done) return;  // primary answered in time; no hedge
       leg->hedged = true;
-      ++result_.hedges_issued;
-      CATFISH_COUNT("shard.client.hedges_issued");
+      result_.hedges_issued.Add();
       Plane& plane = s.replicas[s.read_rr++ % s.replicas.size()]->plane;
       StartWalk(c, s, plane, leg, /*hedge=*/true, 0.0);
     });
@@ -475,8 +465,7 @@ void ClusterSim::ExecViaServer(Shard& s, double t0, double issue_delay,
     // regardless of cfg_.doorbell_batching.
     CATFISH_COUNT_ADD("rdma.write.posted", 2);
     CATFISH_COUNT_ADD("rdma.write.bytes", req_bytes + resp_bytes);
-    result_.doorbells += 2;
-    CATFISH_COUNT_ADD("rdma.doorbells", 2);
+    result_.doorbells.Add(2);
     CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size", 1.0);
     CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size", 1.0);
   }
@@ -488,8 +477,7 @@ void ClusterSim::ExecViaServer(Shard& s, double t0, double issue_delay,
         if (!tcp) {
           // One recv-CQ reap per response; closed-loop clients have at
           // most one response in flight, so nothing to coalesce here.
-          ++result_.polls;
-          CATFISH_COUNT("rdma.polls");
+          result_.polls.Add();
         }
         sched_.After(
             tcp ? cfg_.costs.tcp_kernel_us : cfg_.costs.verbs_post_us, done);
@@ -534,8 +522,7 @@ void ClusterSim::SubqueryOffloaded(Client& c, std::shared_ptr<Leg> leg,
   if (!s.replicas.empty() && cfg_.follower_read_fraction > 0.0 &&
       c.rng.NextDouble() < cfg_.follower_read_fraction) {
     plane = &s.replicas[s.read_rr++ % s.replicas.size()]->plane;
-    ++result_.follower_reads;
-    CATFISH_COUNT("shard.client.follower_reads");
+    result_.follower_reads.Add();
     if (leg->query->trace) leg->query->trace->SetAttr(leg->span, "follower", 1);
   }
   StartWalk(c, s, *plane, std::move(leg), /*hedge=*/false, issue_delay);
@@ -577,8 +564,7 @@ void ClusterSim::WalkRound(const std::shared_ptr<Walk>& w) {
   rtree::OffloadWalk::Step step;
   // A restart starts the next round at once.
   while ((step = walk.Next()) == rtree::OffloadWalk::Step::kRestart) {
-    ++result_.offload_restarts;
-    CATFISH_COUNT("catfish.client.smo_restarts");
+    result_.offload_restarts.Add();
     if (walk.dropped_cache()) {
       CATFISH_COUNT("catfish.client.cache_invalidations");
     }
@@ -586,23 +572,20 @@ void ClusterSim::WalkRound(const std::shared_ptr<Walk>& w) {
   if (step == rtree::OffloadWalk::Step::kValid) {
     CheckWalk(*w);
     if (!w->hedge) {
-      ++result_.offloaded_searches;
-      CATFISH_COUNT("catfish.client.search.offload");
+      result_.offloaded_searches.Add();
     }
     LegDone(w->leg, w->hedge);
     return;
   }
   if (step == rtree::OffloadWalk::Step::kFallback) {
-    ++result_.offload_fallbacks;
-    CATFISH_COUNT("catfish.client.offload_fallbacks");
+    result_.offload_fallbacks.Add();
     if (!w->hedge) SubqueryFast(*w->client, w->leg, cfg_.costs.verbs_post_us);
     return;
   }
 
   const CostModel& k = cfg_.costs;
   const size_t n = walk.round().size();
-  result_.cache_hits += walk.round_hits();
-  CATFISH_COUNT_ADD("catfish.client.cache_hits", walk.round_hits());
+  result_.cache_hits.Add(walk.round_hits());
   Leg& leg = *w->leg;
   if (!w->hedge) {
     TraceStage(&leg, "offload_round");
@@ -658,8 +641,7 @@ void ClusterSim::WalkRound(const std::shared_ptr<Walk>& w) {
 
 void ClusterSim::PostChain(const std::shared_ptr<Walk>& w, size_t first,
                            size_t m, double delay) {
-  ++result_.doorbells;
-  CATFISH_COUNT("rdma.doorbells");
+  result_.doorbells.Add();
   CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size",
                           static_cast<double>(m));
   for (size_t i = first; i < first + m; ++i) {
@@ -671,8 +653,7 @@ void ClusterSim::PostRead(const std::shared_ptr<Walk>& w, size_t i) {
   const CostModel& k = cfg_.costs;
   const size_t chunk_bytes =
       w->shard->tree->arena().chunk_size() + k.read_response_overhead_bytes;
-  ++result_.rdma_reads;
-  CATFISH_COUNT("rdma.read.posted");
+  result_.rdma_reads.Add();
   CATFISH_COUNT_ADD("rdma.read.bytes", chunk_bytes);
   w->plane->down->Transfer(k.read_request_bytes, [this, w, i, chunk_bytes]() {
     w->plane->nic->Submit(cfg_.costs.nic_read_op_us, [this, w, i,
@@ -682,15 +663,12 @@ void ClusterSim::PostRead(const std::shared_ptr<Walk>& w, size_t i) {
       w->plane->up->Transfer(chunk_bytes, [this, w, i, accepted]() {
         const double p = ReadRetryProbability(*w->shard);
         if (!accepted || (p > 0.0 && w->client->rng.NextDouble() < p)) {
-          ++result_.version_retries;
-          CATFISH_COUNT("catfish.client.version_retries");
+          result_.version_retries.Add();
           // Reaping the torn completion and reposting it alone: retries
           // arrive at their own times, so they don't ride a chain even
           // when doorbell batching is on.
-          ++result_.polls;
-          CATFISH_COUNT("rdma.polls");
-          ++result_.doorbells;
-          CATFISH_COUNT("rdma.doorbells");
+          result_.polls.Add();
+          result_.doorbells.Add();
           CATFISH_TIMER_RECORD_US("rdma.doorbell.batch_size", 1.0);
           if (cfg_.multi_issue) w->bracketed = false;
           PostRead(w, i);  // torn read: fetch again
@@ -710,8 +688,7 @@ void ClusterSim::ReadDone(const std::shared_ptr<Walk>& w, size_t i) {
   double cpu = cfg_.costs.client_node_us;
   if (!(cfg_.multi_issue && cfg_.doorbell_batching) ||
       sched_.now() >= w->client_free_at) {
-    ++result_.polls;
-    CATFISH_COUNT("rdma.polls");
+    result_.polls.Add();
     cpu += cfg_.costs.verbs_reap_us;
   }
   // Serial client CPU: reap (if charged) + decode + intersect.
@@ -737,8 +714,7 @@ void ClusterSim::CheckWalk(const Walk& w) {
   for (const rtree::Entry& e : q.oracle_want) {
     if (map_ && map_->OwnerOf(e.mbr) != w.leg->shard) continue;
     if (!std::binary_search(got.begin(), got.end(), e.id)) {
-      ++result_.oracle_mismatches;
-      CATFISH_COUNT("shard.sim.oracle_mismatches");
+      result_.oracle_mismatches.Add();
       return;
     }
   }

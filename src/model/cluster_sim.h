@@ -64,6 +64,7 @@
 #include "rtree/offload_walk.h"
 #include "rtree/rstar.h"
 #include "shard/partition.h"
+#include "telemetry/metrics.h"
 #include "telemetry/timeseries.h"
 #include "telemetry/trace.h"
 #include "workload/generators.h"
@@ -157,9 +158,11 @@ struct ClusterConfig {
   /// wins and the loser is suppressed — its resources still burn, which
   /// is exactly the duplicate-work overhead hedges_wasted measures.
   bool hedge = false;
-  /// Fixed hedge delay; 0 = adaptive (p95 of sub-query latencies
-  /// observed so far, with an RTT-derived floor until warmed up) —
-  /// the same percentile rule the live ShardedRTreeClient applies.
+  /// Fixed hedge delay; 0 = adaptive: p95 of every sub-query latency
+  /// observed so far once there are 32 of them, 20× the fabric's base
+  /// latency before that. The live ShardedRTreeClient's rule differs:
+  /// HedgeConfig's percentile of a sliding window, clamped to
+  /// [min_delay_us, max_delay_us] (200–20 000 µs by default).
   uint64_t hedge_delay_us = 0;
 
   /// Overload model (bench_overload). The live server's admission gauge
@@ -189,7 +192,12 @@ struct ClusterConfig {
   OverloadModel overload;
 };
 
+/// One run's outcome. A `telemetry::Tally` field also bumps the global
+/// counter the live stack counts the same event under (named beside
+/// it), so a bench cell's registry snapshot reads alike from the DES and
+/// from real client/server objects.
 struct RunResult {
+  using Tally = telemetry::Tally;
   double duration_us = 0.0;
   uint64_t completed = 0;
   double throughput_kops = 0.0;
@@ -215,23 +223,23 @@ struct RunResult {
   double server_rx_gbps = 0.0;
   uint64_t searches = 0;
   /// Sub-queries by path (TCP sub-queries count in neither).
-  uint64_t fast_searches = 0;
-  uint64_t offloaded_searches = 0;
+  Tally fast_searches{"catfish.client.search.fast"};
+  Tally offloaded_searches{"catfish.client.search.offload"};
   uint64_t inserts = 0;
-  uint64_t rdma_reads = 0;
-  uint64_t version_retries = 0;
+  Tally rdma_reads{"rdma.read.posted"};
+  Tally version_retries{"catfish.client.version_retries"};
   /// Offloaded walks: restarts after a failed validation, searches the
   /// fast path served after kMaxRestarts of them, and internal nodes
   /// read from a client cache instead of fetched.
-  uint64_t offload_restarts = 0;
-  uint64_t offload_fallbacks = 0;
-  uint64_t cache_hits = 0;
+  Tally offload_restarts{"catfish.client.smo_restarts"};
+  Tally offload_fallbacks{"catfish.client.offload_fallbacks"};
+  Tally cache_hits{"catfish.client.cache_hits"};
   /// Issue doorbells rung / completion reap passes on the offload path
   /// (plus request-post doorbells on the messaging path). With batching
   /// on, doorbells/op and polls/op drop while rdma_reads/op is
   /// unchanged — the invariant the fig08 bench asserts.
-  uint64_t doorbells = 0;
-  uint64_t polls = 0;
+  Tally doorbells{"rdma.doorbells"};
+  Tally polls{"rdma.polls"};
   /// Summed over every AdaptiveController (Catfish scheme only).
   uint64_t mode_switches = 0;
   uint64_t adaptive_escalations = 0;
@@ -240,22 +248,22 @@ struct RunResult {
   /// requests the server dropped as already-expired, completions past
   /// the deadline, and breaker transitions/parks across all clients.
   uint64_t goodput = 0;
-  uint64_t sheds = 0;
-  uint64_t deadline_drops = 0;
-  uint64_t deadline_misses = 0;
-  uint64_t breaker_opens = 0;
-  uint64_t breaker_waits = 0;
+  Tally sheds{"overload.server.sheds"};
+  Tally deadline_drops{"overload.server.deadline_drops"};
+  Tally deadline_misses{"overload.sim.deadline_misses"};
+  Tally breaker_opens{"breaker.opens"};
+  Tally breaker_waits{"breaker.sim.waits"};
   uint64_t oracle_checks = 0;
-  uint64_t oracle_mismatches = 0;
+  Tally oracle_mismatches{"shard.sim.oracle_mismatches"};
   /// Replication: writes that waited on the semi-sync gate and
   /// offloaded sub-queries a follower served.
   uint64_t replicated_writes = 0;
-  uint64_t follower_reads = 0;
+  Tally follower_reads{"shard.client.follower_reads"};
   /// Hedging: stragglers re-issued against followers, hedges that
   /// answered first, hedges the primary beat (pure duplicate work).
-  uint64_t hedges_issued = 0;
-  uint64_t hedges_won = 0;
-  uint64_t hedges_wasted = 0;
+  Tally hedges_issued{"shard.client.hedges_issued"};
+  Tally hedges_won{"shard.client.hedges_won"};
+  Tally hedges_wasted{"shard.client.hedges_wasted"};
   /// Added write latency from the semi-sync gate (local durability →
   /// quorum follower ack).
   LogHistogram repl_ack_us;

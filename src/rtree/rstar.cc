@@ -444,9 +444,11 @@ void RStarTree::AddEntryToNode(const std::vector<ChunkId>& path,
                        return geo::CenterDistance2(a.mbr, whole) >
                               geo::CenterDistance2(b.mbr, whole);
                      });
+    // Fraction of M entries removed on forced reinsertion (R*: p = 30%).
+    constexpr double kReinsertFraction = 0.3;
     const size_t p = std::max<size_t>(
         1, static_cast<size_t>(
-               std::lround(cfg_.reinsert_fraction *
+               std::lround(kReinsertFraction *
                            static_cast<double>(cfg_.max_entries))));
     std::vector<Entry> removed(all.begin(), all.begin() + p);
     node.count = static_cast<uint16_t>(all.size() - p);

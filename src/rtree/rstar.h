@@ -46,8 +46,6 @@ struct RStarConfig {
   size_t min_entries = kMaxFanout * 2 / 5;
   /// Enable R* forced reinsertion on first overflow per level.
   bool forced_reinsert = true;
-  /// Fraction of M entries removed on forced reinsertion (R*: p = 30%).
-  double reinsert_fraction = 0.3;
 };
 
 struct SearchStats {

@@ -45,22 +45,6 @@ ShardedRTreeClient::ShardedRTreeClient(std::shared_ptr<rdma::SimNode> node,
   replica_clients_.resize(map_.shard_count());
 }
 
-AccessMode ShardedRTreeClient::DecideMode(uint32_t shard) {
-  RTreeClient& c = *clients_[shard];
-  if (c.conn_state() != ConnState::kConnected) {
-    return AccessMode::kRdmaOffloading;
-  }
-  switch (cfg_.client.mode) {
-    case ClientMode::kFastOnly:
-      return AccessMode::kFastMessaging;
-    case ClientMode::kOffloadOnly:
-      return AccessMode::kRdmaOffloading;
-    case ClientMode::kAdaptive:
-    default:
-      return c.controller().NextMode(NowMicros());
-  }
-}
-
 void ShardedRTreeClient::RefreshIfStale(uint32_t shard) {
   RTreeClient& c = *clients_[shard];
   if (c.server_generation() == map_.shards[shard].generation) {
@@ -74,8 +58,7 @@ void ShardedRTreeClient::RefreshIfStale(uint32_t shard) {
       return;
     }
     if (c.Reconnect() != ClientStatus::kOk) return;  // retried next op
-    ++stats_.proactive_refreshes;
-    CATFISH_COUNT("shard.client.proactive_refreshes");
+    stats_.proactive_refreshes.Add();
   }
   // Either the connection outlived our map (the shard restarted and the
   // client re-bootstrapped) or we just re-bootstrapped proactively; the
@@ -108,8 +91,7 @@ void ShardedRTreeClient::RefreshIfStale(uint32_t shard) {
   // them re-dial lazily against the fresh table.
   replica_clients_.clear();
   replica_clients_.resize(map_.shard_count());
-  ++stats_.map_refreshes;
-  CATFISH_COUNT("shard.client.map_refreshes");
+  stats_.map_refreshes.Add();
   CATFISH_EVENT(kShardMapRefresh, NowMicros(), 0,
                 static_cast<double>(map_.version),
                 static_cast<double>(old_version));
@@ -119,8 +101,7 @@ std::vector<rtree::Entry> ShardedRTreeClient::Search(const geo::Rect& rect) {
   PartialResult pr = DoSearch(rect);
   if (!pr.complete()) {
     if (!cfg_.allow_partial) throw pr.errors.front();
-    ++stats_.partial_results;
-    CATFISH_COUNT("shard.client.partial_results");
+    stats_.partial_results.Add();
   }
   return std::move(pr.entries);
 }
@@ -128,8 +109,7 @@ std::vector<rtree::Entry> ShardedRTreeClient::Search(const geo::Rect& rect) {
 PartialResult ShardedRTreeClient::SearchPartial(const geo::Rect& rect) {
   PartialResult pr = DoSearch(rect);
   if (!pr.complete()) {
-    ++stats_.partial_results;
-    CATFISH_COUNT("shard.client.partial_results");
+    stats_.partial_results.Add();
   }
   return pr;
 }
@@ -176,8 +156,7 @@ RTreeClient* ShardedRTreeClient::FollowerFor(uint32_t shard) {
     const uint64_t follower_lsn = conn->advertised_durable_lsn();
     if (primary_lsn > follower_lsn &&
         primary_lsn - follower_lsn > cfg_.max_replica_lag) {
-      ++stats_.follower_lag_skips;
-      CATFISH_COUNT("shard.client.follower_lag_skips");
+      stats_.follower_lag_skips.Add();
       continue;
     }
     // Epoch check: a follower still on an older reign may be feeding off
@@ -228,9 +207,8 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
   for (const uint32_t shard : targets_) RefreshIfStale(shard);
   map_.QueryShards(rect, targets_);  // re-route on the possibly-fresher map
   last_fanout_ = static_cast<uint32_t>(targets_.size());
-  ++stats_.searches;
+  stats_.searches.Add();
   stats_.fanout_subqueries += targets_.size();
-  CATFISH_COUNT("shard.client.searches");
   CATFISH_TIMER_RECORD_US("shard.client.fanout_width", targets_.size());
 
   // Sampled queries build a distributed trace: one subquery span per
@@ -243,12 +221,13 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
                    static_cast<int64_t>(targets_.size()));
   }
 
-  // Phase 1 — stage a fast-path sub-query on every shard whose
-  // controller picks messaging, so all their server-side traversals run
-  // concurrently. Shards picking offload are deferred to phase 2. Each
-  // staged sub-query is one ring doorbell on its shard's QP (even when
-  // the ring wraps, the pad + message WRs ride a single batched post),
-  // so a fan-out of N costs N doorbells, not 2N posts.
+  // Phase 1 — stage a fast-path sub-query on every shard whose client
+  // picks messaging (RTreeClient::DecideSearchMode), so all their
+  // server-side traversals run concurrently. Shards picking offload are
+  // deferred to phase 2. Each staged sub-query is one ring doorbell on
+  // its shard's QP (even when the ring wraps, the pad + message WRs ride
+  // a single batched post), so a fan-out of N costs N doorbells, not 2N
+  // posts.
   struct Pending {
     uint32_t shard;
     uint64_t req_id;
@@ -260,7 +239,7 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
   PartialResult out;
   for (const uint32_t shard : targets_) {
     clients_[shard]->SetOpDeadline(deadline_us);
-    if (DecideMode(shard) != AccessMode::kFastMessaging) {
+    if (clients_[shard]->DecideSearchMode() != AccessMode::kFastMessaging) {
       offload.push_back(shard);
       continue;
     }
@@ -284,8 +263,7 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
         trace->SetAttr(span, "error", 1);
         trace->EndSpan(span, cfg_.tracer->now_us());
       }
-      ++stats_.shard_errors;
-      CATFISH_COUNT("shard.client.subquery_errors");
+      stats_.shard_errors.Add();
       out.errors.push_back(Wrap(shard, e));
     }
   }
@@ -323,11 +301,9 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
       if (follower) {
         try {
           part = follower->SearchOffloaded(rect);
-          ++stats_.follower_reads;
-          CATFISH_COUNT("shard.client.follower_reads");
+          stats_.follower_reads.Add();
         } catch (const ClientError&) {
-          ++stats_.follower_fallbacks;
-          CATFISH_COUNT("shard.client.follower_fallbacks");
+          stats_.follower_fallbacks.Add();
           part = clients_[shard]->SearchOffloaded(rect);
         }
       } else {
@@ -339,8 +315,7 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
       }
     } catch (const ClientError& e) {
       if (trace) trace->SetAttr(span, "error", 1);
-      ++stats_.shard_errors;
-      CATFISH_COUNT("shard.client.subquery_errors");
+      stats_.shard_errors.Add();
       out.errors.push_back(Wrap(shard, e));
     }
     if (trace) trace->EndSpan(span, cfg_.tracer->now_us());
@@ -386,8 +361,7 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
       return r;
     }
     follower->SetOpDeadline(deadline_us);
-    ++stats_.hedges_issued;
-    CATFISH_COUNT("shard.client.hedges_issued");
+    stats_.hedges_issued.Add();
     CATFISH_TIMER_RECORD_US("shard.client.hedge_delay_us", hedge_delay);
     std::vector<rtree::Entry> hedged;
     bool hedge_ok = true;
@@ -407,16 +381,14 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
     }
     if (primary_done) {
       RecordSubLatency(NowMicros() - p.staged_us);
-      ++stats_.hedges_wasted;
-      CATFISH_COUNT("shard.client.hedges_wasted");
+      stats_.hedges_wasted.Add();
       CATFISH_EVENT(kHedge, NowMicros(), p.shard,
                     static_cast<double>(hedge_delay), 0.0);
       return part;
     }
     if (hedge_ok) {
       c.SearchFastAbandon(p.req_id);
-      ++stats_.hedges_won;
-      CATFISH_COUNT("shard.client.hedges_won");
+      stats_.hedges_won.Add();
       CATFISH_EVENT(kHedge, NowMicros(), p.shard,
                     static_cast<double>(hedge_delay), 1.0);
       if (trace && span != telemetry::kInvalidSpan) {
@@ -443,8 +415,7 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
       }
     } catch (const ClientError& e) {
       if (trace) trace->SetAttr(p.span, "error", 1);
-      ++stats_.shard_errors;
-      CATFISH_COUNT("shard.client.subquery_errors");
+      stats_.shard_errors.Add();
       out.errors.push_back(Wrap(p.shard, e));
     }
     if (trace) {
@@ -483,8 +454,7 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
     cfg_.tracer->Finish(trace);  // ends the root; the tree is complete
     if (cfg_.assembler) {
       cfg_.assembler->Assemble(trace, remotes);
-      ++stats_.assembled_traces;
-      CATFISH_COUNT("shard.client.assembled_traces");
+      stats_.assembled_traces.Add();
     }
   }
 
@@ -495,8 +465,7 @@ PartialResult ShardedRTreeClient::DoSearch(const geo::Rect& rect) {
 
 std::vector<rtree::Entry> ShardedRTreeClient::NearestNeighbors(
     const geo::Point& point, uint32_t k) {
-  ++stats_.knn_queries;
-  CATFISH_COUNT("shard.client.knn");
+  stats_.knn_queries.Add();
   const uint64_t deadline_us =
       cfg_.op_budget_us != 0 ? NowMicros() + cfg_.op_budget_us : 0;
   std::vector<rtree::Entry> all;
@@ -507,8 +476,7 @@ std::vector<rtree::Entry> ShardedRTreeClient::NearestNeighbors(
       const auto part = clients_[shard]->NearestNeighbors(point, k);
       all.insert(all.end(), part.begin(), part.end());
     } catch (const ClientError& e) {
-      ++stats_.shard_errors;
-      CATFISH_COUNT("shard.client.subquery_errors");
+      stats_.shard_errors.Add();
       if (!err) err = Wrap(shard, e);
     }
     RefreshIfStale(shard);
@@ -553,8 +521,7 @@ bool ShardedRTreeClient::ExecuteRoutedWrite(
                              clients_[owner]->TakeRemoteTree()};
     if (cfg_.assembler) {
       cfg_.assembler->Assemble(trace, {&rt, rt.tree ? size_t{1} : size_t{0}});
-      ++stats_.assembled_traces;
-      CATFISH_COUNT("shard.client.assembled_traces");
+      stats_.assembled_traces.Add();
     } else if (rt.tree) {
       trace->Graft(span, *rt.tree, {{"shard", rt.shard}});
     }
@@ -566,8 +533,7 @@ bool ShardedRTreeClient::ExecuteRoutedWrite(
     return ok;
   } catch (const ClientError& e) {
     finish(/*error=*/true);
-    ++stats_.shard_errors;
-    CATFISH_COUNT("shard.client.subquery_errors");
+    stats_.shard_errors.Add();
     RefreshIfStale(owner);
     throw Wrap(owner, e);
   }
@@ -575,8 +541,7 @@ bool ShardedRTreeClient::ExecuteRoutedWrite(
 
 bool ShardedRTreeClient::Insert(const geo::Rect& rect, uint64_t id) {
   const uint32_t owner = map_.OwnerOf(rect);
-  ++stats_.inserts;
-  CATFISH_COUNT("shard.client.inserts");
+  stats_.inserts.Add();
   // Exactly-once lives below: the owning shard's client retries with the
   // original (client_gen, req_id); ownership is stable, so the write's
   // destination never moves between attempts.
@@ -587,8 +552,7 @@ bool ShardedRTreeClient::Insert(const geo::Rect& rect, uint64_t id) {
 
 bool ShardedRTreeClient::Delete(const geo::Rect& rect, uint64_t id) {
   const uint32_t owner = map_.OwnerOf(rect);
-  ++stats_.deletes;
-  CATFISH_COUNT("shard.client.deletes");
+  stats_.deletes.Add();
   return ExecuteRoutedWrite("shard.delete", owner, [&](RTreeClient& c) {
     return c.Delete(rect, id);
   });

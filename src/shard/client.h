@@ -140,27 +140,40 @@ struct ShardedClientConfig {
   telemetry::TraceAssembler* assembler = nullptr;
 };
 
+/// Fan-out counts; a `telemetry::Tally` field also bumps the global
+/// counter named beside it, as in catfish::ClientStats.
 struct ShardedClientStats {
-  uint64_t searches = 0;
+  using Tally = telemetry::Tally;
+  Tally searches{"shard.client.searches"};
   uint64_t fanout_subqueries = 0;  ///< sum of fan-out widths
-  uint64_t map_refreshes = 0;      ///< newer routing tables adopted
+  /// Newer routing tables adopted.
+  Tally map_refreshes{"shard.client.map_refreshes"};
   /// Re-bootstraps triggered by a heartbeat advertising a newer table
   /// version (vs. waiting for an op against the restarted shard to fail
   /// its generation check). A healthy connection learns about *another*
   /// shard's restart this way.
-  uint64_t proactive_refreshes = 0;
-  uint64_t inserts = 0;
-  uint64_t deletes = 0;
-  uint64_t knn_queries = 0;
-  uint64_t shard_errors = 0;       ///< failed sub-operations observed
-  uint64_t assembled_traces = 0;   ///< distributed traces joined
-  uint64_t partial_results = 0;    ///< fan-outs delivered incomplete
-  uint64_t follower_reads = 0;     ///< sub-queries served by a follower
-  uint64_t follower_fallbacks = 0; ///< follower failed → primary retried
-  uint64_t follower_lag_skips = 0; ///< follower too stale, primary used
-  uint64_t hedges_issued = 0;      ///< straggler re-issues against followers
-  uint64_t hedges_won = 0;         ///< hedge answered first (primary abandoned)
-  uint64_t hedges_wasted = 0;      ///< primary answered during the hedge
+  Tally proactive_refreshes{"shard.client.proactive_refreshes"};
+  Tally inserts{"shard.client.inserts"};
+  Tally deletes{"shard.client.deletes"};
+  Tally knn_queries{"shard.client.knn"};
+  /// Failed sub-operations observed.
+  Tally shard_errors{"shard.client.subquery_errors"};
+  /// Distributed traces joined.
+  Tally assembled_traces{"shard.client.assembled_traces"};
+  /// Fan-outs delivered incomplete.
+  Tally partial_results{"shard.client.partial_results"};
+  /// Sub-queries served by a follower.
+  Tally follower_reads{"shard.client.follower_reads"};
+  /// Follower failed → primary retried.
+  Tally follower_fallbacks{"shard.client.follower_fallbacks"};
+  /// Follower too stale, primary used.
+  Tally follower_lag_skips{"shard.client.follower_lag_skips"};
+  /// Straggler re-issues against followers.
+  Tally hedges_issued{"shard.client.hedges_issued"};
+  /// Hedge answered first (primary abandoned).
+  Tally hedges_won{"shard.client.hedges_won"};
+  /// Primary answered during the hedge.
+  Tally hedges_wasted{"shard.client.hedges_wasted"};
 };
 
 /// A fan-out answer that tolerates per-shard failures: the union of the
@@ -226,11 +239,6 @@ class ShardedRTreeClient {
   }
 
  private:
-  /// Per-shard adaptive decision, mirroring RTreeClient::Search: the
-  /// configured mode, overridden to offload while that connection is
-  /// degraded (one-sided reads are the only useful work left).
-  AccessMode DecideMode(uint32_t shard);
-
   /// Adopts a newer routing table after `shard`'s connection observed a
   /// generation the map predates. No-op while generations agree.
   void RefreshIfStale(uint32_t shard);

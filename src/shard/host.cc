@@ -13,6 +13,17 @@
 
 namespace catfish::shard {
 
+namespace {
+
+/// One shard's (or follower's) arena. Each shard holds ~1/num_shards of
+/// the data, so this is sized for the shard, not the whole dataset.
+std::unique_ptr<rtree::NodeArena> NewShardArena() {
+  constexpr size_t kArenaChunks = 1 << 13;
+  return std::make_unique<rtree::NodeArena>(rtree::kChunkSize, kArenaChunks);
+}
+
+}  // namespace
+
 ShardHost::ShardHost(rdma::Fabric& fabric, ShardHostConfig cfg)
     : fabric_(&fabric), cfg_(cfg) {
   if (cfg_.num_shards == 0) cfg_.num_shards = 1;
@@ -37,8 +48,7 @@ void ShardHost::Load(std::span<const rtree::Entry> items) {
     auto shard = std::make_unique<Shard>();
     shard->id = i;
     shard->node = fabric_->CreateNode(map.shards[i].node_name);
-    shard->arena = std::make_unique<rtree::NodeArena>(rtree::kChunkSize,
-                                                      cfg_.arena_chunks);
+    shard->arena = NewShardArena();
     auto loaded = rtree::BulkLoad(*shard->arena, buckets[i]);
     if (cfg_.durable) {
       // Bulk load bypasses the WAL; seed the checkpoint store with the
@@ -67,8 +77,7 @@ void ShardHost::Load(std::span<const rtree::Entry> items) {
         rep->wal_disk = std::make_shared<durable::MemLogStorage>();
         rep->ckpt_disk = std::make_shared<durable::MemCheckpointStore>();
         rep->ckpt_disk->Write(seed);
-        rep->arena = std::make_unique<rtree::NodeArena>(rtree::kChunkSize,
-                                                        cfg_.arena_chunks);
+        rep->arena = NewShardArena();
         rep->durability = std::make_unique<durable::DurabilityManager>(
             rep->wal_disk, rep->ckpt_disk, cfg_.durability);
         rep->tree = std::make_unique<rtree::RStarTree>(
@@ -179,8 +188,7 @@ void ShardHost::StopReplicaServer(Replica& r) {
 
 void ShardHost::RecoverState(Shard& s) {
   s.tree.reset();
-  s.arena = std::make_unique<rtree::NodeArena>(rtree::kChunkSize,
-                                               cfg_.arena_chunks);
+  s.arena = NewShardArena();
   s.durability = std::make_unique<durable::DurabilityManager>(
       s.wal_disk, s.ckpt_disk, cfg_.durability);
   s.tree =

@@ -41,9 +41,6 @@ struct ShardHostConfig {
   /// Per-shard server config (heartbeat interval, ring capacity, ...).
   /// The `durability` pointer is managed by the host; leave it null.
   ServerConfig server;
-  /// Chunks per shard arena. Each shard holds ~1/num_shards of the data,
-  /// so this can shrink as the shard count grows.
-  size_t arena_chunks = 1 << 13;
   /// When true each shard gets its own WAL + checkpoint store (both
   /// in-memory "disks" that survive RestartShard), and writes are
   /// exactly-once across shard crashes.

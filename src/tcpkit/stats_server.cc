@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "catfish/server.h"
 #include "telemetry/export.h"
 
 namespace catfish::tcpkit {
@@ -207,10 +208,13 @@ std::string StatsServer::HealthzJson(bool* ready) const {
   // before the probe declares the node unfit for traffic. Cumulative
   // counters are deliberately not part of the verdict — a node that
   // shed an hour ago is not degraded now.
+  // The thresholds are AdmissionConfig's defaults.
+  const AdmissionConfig admission;
   const double util = s.gauge("catfish.server.utilization");
   const double queue_delay = s.gauge("overload.server.queue_delay_us");
-  const bool ok = !(util >= cfg_.healthz_min_utilization &&
-                    queue_delay >= cfg_.healthz_max_queue_delay_us);
+  const bool ok =
+      !(util >= admission.min_utilization &&
+        queue_delay >= static_cast<double>(admission.max_queue_delay_us));
   if (ready != nullptr) *ready = ok;
 
   const uint64_t served = s.counter("catfish.server.search") +

@@ -55,13 +55,6 @@ struct StatsServerConfig {
   /// Optional raw-trace fallback for /traces when no assembler is
   /// attached (single-node traces; critical paths computed on render).
   telemetry::Tracer* tracer = nullptr;
-  /// /healthz readiness thresholds, mirroring AdmissionConfig's
-  /// defaults: the probe goes not-ready exactly when admission control
-  /// would be shedding — utilization at least this…
-  double healthz_min_utilization = 0.85;
-  /// …while the queue-delay EWMA gauge is at least this. Both gauges
-  /// must agree, like the two admission signals.
-  double healthz_max_queue_delay_us = 2'000.0;
 };
 
 class StatsServer {

@@ -14,8 +14,7 @@ namespace {
 std::atomic<uint64_t> g_next_tcp_client_gen{1u << 20};  // disjoint from rdma clients
 }  // namespace
 
-TcpRTreeServer::TcpRTreeServer(rtree::RStarTree& tree, TcpServerConfig cfg)
-    : tree_(&tree), cfg_(cfg) {}
+TcpRTreeServer::TcpRTreeServer(rtree::RStarTree& tree) : tree_(&tree) {}
 
 TcpRTreeServer::~TcpRTreeServer() { Stop(); }
 
@@ -64,8 +63,10 @@ void TcpRTreeServer::Handle(FramedConnection& conn, const msg::Message& m,
       std::vector<rtree::Entry> results;
       tree_->Search(req->rect, results);
       searches_.fetch_add(1, std::memory_order_relaxed);
-      msg::EncodeSearchResponseInto(req->req_id, results,
-                                    cfg_.max_segment_payload, segments);
+      // Largest response-segment payload before CONT/END splitting.
+      constexpr size_t kMaxSegmentPayload = 64 * 1024;
+      msg::EncodeSearchResponseInto(req->req_id, results, kMaxSegmentPayload,
+                                    segments);
       for (size_t i = 0; i < segments.size(); ++i) {
         const uint16_t flags =
             i + 1 < segments.size() ? msg::kFlagCont : msg::kFlagEnd;

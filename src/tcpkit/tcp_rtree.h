@@ -18,14 +18,9 @@
 
 namespace catfish::tcpkit {
 
-struct TcpServerConfig {
-  /// Largest response-segment payload before CONT/END splitting.
-  size_t max_segment_payload = 64 * 1024;
-};
-
 class TcpRTreeServer {
  public:
-  explicit TcpRTreeServer(rtree::RStarTree& tree, TcpServerConfig cfg = {});
+  explicit TcpRTreeServer(rtree::RStarTree& tree);
   ~TcpRTreeServer();
 
   TcpRTreeServer(const TcpRTreeServer&) = delete;
@@ -46,7 +41,6 @@ class TcpRTreeServer {
               std::vector<std::vector<std::byte>>& segments);
 
   rtree::RStarTree* tree_;
-  TcpServerConfig cfg_;
   std::atomic<bool> stop_{false};
   std::mutex workers_mu_;
   std::vector<std::thread> workers_;

@@ -28,7 +28,9 @@
 // below: each site resolves its metric handle once (function-local
 // static) and compiles to nothing when the build disables telemetry
 // (-DCATFISH_TELEMETRY=OFF sets CATFISH_TELEMETRY_ENABLED=0), keeping
-// the hot path byte-identical to an uninstrumented build.
+// the hot path byte-identical to an uninstrumented build. A per-object
+// stats field that also feeds a counter is a Tally (below), so the event
+// is counted by one statement.
 #pragma once
 
 #include <atomic>
@@ -231,6 +233,44 @@ inline void Counter::Add(uint64_t n) noexcept {
   if (id_ >= s.counters.size()) s.Grow(s.counters, id_);
   OwnerAdd(s.counters[id_], n);
 }
+
+/// One object's count of one event, bound at construction to the
+/// Registry::Global() counter named `name` (a string literal: the
+/// pointer is kept until the first Add): Add(n) bumps both, so a
+/// stats field and its registry twin are one statement and cannot
+/// drift. The handle is resolved on the first Add, so an object that
+/// never counts adds no name to snapshots. A copy carries the value but
+/// is bound to nothing, and an assignment takes only the value: a copy
+/// or an aggregate can never count into the registry (there is no +=).
+/// With telemetry compiled out, Add bumps only the object's value.
+class Tally {
+ public:
+  explicit Tally(const char* name) noexcept : name_(name) {}
+  Tally(const Tally& o) noexcept : value_(o.value_) {}
+  Tally& operator=(const Tally& o) noexcept {
+    value_ = o.value_;
+    return *this;
+  }
+
+  void Add(uint64_t n = 1) {
+    value_ += n;
+#if CATFISH_TELEMETRY_ENABLED
+    if (counter_ == nullptr) {
+      if (name_ == nullptr) return;  // a copy
+      counter_ = Registry::Global().counter(name_);
+    }
+    counter_->Add(n);
+#endif
+  }
+
+  uint64_t value() const noexcept { return value_; }
+  operator uint64_t() const noexcept { return value_; }
+
+ private:
+  uint64_t value_ = 0;
+  const char* name_ = nullptr;
+  Counter* counter_ = nullptr;
+};
 
 /// RAII wall-clock timer recording elapsed microseconds at scope exit.
 class ScopedTimer {

@@ -189,7 +189,6 @@ TEST(AdaptiveTest, EwmaPredictorSmoothsSpikes) {
   // trip the EWMA predictor, but a sustained busy period must.
   AdaptiveConfig cfg = DefaultCfg();
   cfg.predictor = UtilPredictor::kEwma;
-  cfg.ewma_alpha = 0.4;
   AdaptiveController c(cfg, 29);
   uint64_t t = 0;
 

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "common/spsc_queue.h"
 #include "common/stats.h"
 
 namespace catfish {
@@ -115,42 +113,6 @@ TEST(LogHistogramTest, MergePreservesQuantiles) {
   a.Merge(b);
   EXPECT_EQ(a.count(), 1000u);
   EXPECT_NEAR(a.p50(), 500, 25);
-}
-
-TEST(SpscQueueTest, FifoOrder) {
-  SpscQueue<int> q(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.TryPush(i));
-  EXPECT_FALSE(q.TryPush(99));  // full
-  for (int i = 0; i < 8; ++i) {
-    auto v = q.TryPop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(SpscQueueTest, CapacityRoundsUp) {
-  SpscQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-}
-
-TEST(SpscQueueTest, CrossThreadTransfer) {
-  SpscQueue<uint64_t> q(64);
-  constexpr uint64_t kCount = 200000;
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kCount; ++i) {
-      while (!q.TryPush(i)) std::this_thread::yield();
-    }
-  });
-  uint64_t expect = 0;
-  while (expect < kCount) {
-    if (auto v = q.TryPop()) {
-      ASSERT_EQ(*v, expect);
-      ++expect;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(q.Empty());
 }
 
 TEST(BytesTest, WriterReaderRoundTrip) {

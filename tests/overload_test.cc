@@ -41,7 +41,6 @@ BreakerConfig TestBreaker(uint32_t threshold = 3) {
   cfg.failure_threshold = threshold;
   cfg.open_initial_us = 10'000;
   cfg.open_max_us = 200'000;
-  cfg.half_open_probes = 1;
   return cfg;
 }
 
@@ -263,7 +262,6 @@ TEST_F(OverloadTest, BreakerOpensOnShedsAndRecloses) {
   cfg.breaker.failure_threshold = 2;
   cfg.breaker.open_initial_us = 20'000;
   cfg.breaker.open_max_us = 40'000;
-  cfg.breaker.half_open_probes = 1;
   // Search always picks fast messaging, so the brownout below is
   // deterministic.
   cfg.mode = ClientMode::kFastOnly;

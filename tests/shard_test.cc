@@ -316,6 +316,55 @@ TEST_F(ShardStackTest, NearestNeighborsMergeAcrossShards) {
   }
 }
 
+TEST(ShardBreakerTest, FastOnlyFanOutBrownsOutTheOpenShard) {
+  // One shard sheds every fast request; the others never do. A lone
+  // RTreeClient would brown a search out to offloading while its breaker
+  // is open, and each shard of a fan-out must decide the same way
+  // instead of reporting kBreakerOpen as a shard error.
+  rdma::Fabric fabric(rdma::FabricProfile::Instant());
+  shard::ShardHostConfig host_cfg;
+  host_cfg.num_shards = 4;
+  host_cfg.server.heartbeat_interval_us = 1'000;
+  host_cfg.server.admission.enabled = true;
+  host_cfg.server.admission.max_queue_delay_us = 0;  // utilization decides
+  host_cfg.server.admission.min_utilization = 0.5;
+  shard::ShardHost host(fabric, host_cfg);
+  BruteForceIndex oracle;
+  host.Load(MakeItems(2'000, 0.01, 53, &oracle));
+  constexpr uint32_t kShedding = 2;
+  for (uint32_t s = 0; s < 4; ++s) {
+    host.server(s).OverrideUtilization(s == kShedding ? 1.0 : 0.0);
+  }
+
+  shard::ShardedClientConfig cfg;
+  cfg.client.mode = ClientMode::kFastOnly;
+  cfg.client.breaker.enabled = true;
+  cfg.client.breaker.failure_threshold = 2;
+  cfg.client.breaker.open_initial_us = 10'000'000;  // open for the test
+  cfg.client.breaker.open_max_us = 10'000'000;
+  shard::ShardedRTreeClient client(
+      fabric.CreateNode("client-breaker"),
+      [&host](uint32_t s) { return host.Dial(s); }, cfg);
+
+  RTreeClient& shedding = client.shard_client(kShedding);
+  for (int i = 0; i < 2; ++i) {
+    try {
+      shedding.SearchFast(geo::Rect{0.0, 0.0, 1.0, 1.0});
+      FAIL() << "expected kOverloaded";
+    } catch (const ClientError& e) {
+      EXPECT_EQ(e.status(), ClientStatus::kOverloaded);
+    }
+  }
+  ASSERT_EQ(shedding.breaker().state(), CircuitBreaker::State::kOpen);
+
+  const geo::Rect all{0.0, 0.0, 1.0, 1.0};
+  const shard::PartialResult got = client.SearchPartial(all);
+  EXPECT_TRUE(got.complete()) << got.errors.front().what();
+  EXPECT_EQ(Ids(got.entries), oracle.Search(all));
+  EXPECT_EQ(client.stats().shard_errors, 0u);
+  EXPECT_EQ(shedding.last_mode(), AccessMode::kRdmaOffloading);
+}
+
 // ---------------------------------------------------------------------------
 // DES acceptance: 4 shards, 256 simulated clients, built-in oracle.
 // ---------------------------------------------------------------------------

@@ -359,6 +359,81 @@ TEST(RegistryTest, MacrosReportToGlobal) {
 }
 
 // ---------------------------------------------------------------------------
+// Tally: a per-object count bound to one global counter
+// ---------------------------------------------------------------------------
+
+uint64_t GlobalCount(std::string_view name) {
+  return Registry::Global().TakeSnapshot().counter(name);
+}
+
+// What one unit of Tally::Add moves its bound counter by: nothing when
+// telemetry is compiled out.
+constexpr uint64_t kBound = CATFISH_TELEMETRY_ENABLED ? 1 : 0;
+
+bool GlobalHas(std::string_view name) {
+  const Snapshot snap = Registry::Global().TakeSnapshot();
+  for (const auto& [n, v] : snap.counters) {
+    if (n == name) return true;
+  }
+  return false;
+}
+
+TEST(TallyTest, AddMovesValueAndBoundCounter) {
+  Tally t("tally.test.add");
+  EXPECT_FALSE(GlobalHas("tally.test.add"));  // bound on first Add
+  const uint64_t before = GlobalCount("tally.test.add");
+  t.Add();
+  t.Add(4);
+  EXPECT_EQ(t.value(), 5u);
+  const uint64_t as_int = t;
+  EXPECT_EQ(as_int, 5u);
+  EXPECT_EQ(GlobalCount("tally.test.add") - before, 5 * kBound);
+}
+
+TEST(TallyTest, ObjectsBoundToOneNameSum) {
+  Tally a("tally.test.shared");
+  Tally b("tally.test.shared");
+  const uint64_t before = GlobalCount("tally.test.shared");
+  a.Add(2);
+  b.Add(3);
+  a.Add();
+  EXPECT_EQ(a.value(), 3u);
+  EXPECT_EQ(b.value(), 3u);
+  EXPECT_EQ(GlobalCount("tally.test.shared") - before, 6 * kBound);
+}
+
+TEST(TallyTest, CopyKeepsValueAndNeverCounts) {
+  Tally live("tally.test.copy");
+  live.Add(3);
+  const uint64_t before = GlobalCount("tally.test.copy");
+  Tally copy = live;
+  EXPECT_EQ(copy.value(), 3u);
+  copy.Add(2);
+  EXPECT_EQ(copy.value(), 5u);
+  EXPECT_EQ(live.value(), 3u);
+  EXPECT_EQ(GlobalCount("tally.test.copy"), before);
+
+  // Assignment takes the value only; each side keeps its own binding.
+  Tally other("tally.test.copy.other");
+  other = live;
+  EXPECT_EQ(other.value(), 3u);
+  live = copy;
+  EXPECT_EQ(live.value(), 5u);
+  EXPECT_EQ(GlobalCount("tally.test.copy"), before);
+  live.Add();
+  EXPECT_EQ(GlobalCount("tally.test.copy"), before + kBound);
+}
+
+TEST(TallyTest, CountsWithTelemetryCompiledOut) {
+  // Runs in both builds: the object's own count never depends on the
+  // registry, and with telemetry compiled out the registry sees nothing.
+  Tally t("tally.test.off");
+  t.Add(7);
+  EXPECT_EQ(t.value(), 7u);
+  EXPECT_EQ(GlobalHas("tally.test.off"), CATFISH_TELEMETRY_ENABLED != 0);
+}
+
+// ---------------------------------------------------------------------------
 // Tracing
 // ---------------------------------------------------------------------------
 
