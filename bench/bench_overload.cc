@@ -77,7 +77,7 @@ model::ClusterConfig HedgeConfig(bool hedge, bool slow,
     cfg.slow_shard = 0;
     cfg.slow_factor = 8.0;
   }
-  cfg.hedge = hedge;  // hedge_delay_us = 0: adaptive p95
+  cfg.hedge = hedge;  // adaptive p95 delay
   return cfg;
 }
 

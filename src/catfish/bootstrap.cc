@@ -142,7 +142,6 @@ void BootstrapAcceptor::Serve(std::shared_ptr<tcpkit::Stream> endpoint) {
   while (!stop_.load(std::memory_order_relaxed)) {
     m = conn.RecvFrame(1ms);
     if (m) break;
-    if (conn.closed()) return;
   }
   if (!m || m->type != kClientHelloFrame) return;
   const auto hello = DecodeClientHello(m->payload);
@@ -198,9 +197,7 @@ ServerBootstrap HelloRoundTrip(tcpkit::FramedConnection& conn,
   hello.response_ring_rkey = mine.response_ring.rkey;
   hello.response_ring_capacity = mine.response_ring_capacity;
   hello.request_ack_rkey = mine.request_ack_cell.rkey;
-  if (!conn.SendFrame(kClientHelloFrame, 0, Encode(hello))) {
-    throw std::runtime_error("bootstrap: hello send failed");
-  }
+  conn.SendFrame(kClientHelloFrame, 0, Encode(hello));
   const auto reply = conn.RecvFrame(10s);
   if (!reply || reply->type != kServerHelloFrame) {
     throw std::runtime_error("bootstrap: no server hello");

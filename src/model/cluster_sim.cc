@@ -142,11 +142,8 @@ double ClusterSim::ReadRetryProbability(const Shard& s) const noexcept {
 }
 
 double ClusterSim::HedgeDelayUs() const noexcept {
-  if (cfg_.hedge_delay_us != 0) {
-    return static_cast<double>(cfg_.hedge_delay_us);
-  }
-  // Adaptive: p95 of every sub-query so far, 20× the base latency until
-  // 32 are in (not the live client's windowed, clamped percentile).
+  // p95 of every sub-query so far, 20× the base latency until 32 are in
+  // (not the live client's windowed, clamped percentile).
   if (result_.subquery_latency_us.count() >= 32) {
     return result_.subquery_latency_us.p95();
   }

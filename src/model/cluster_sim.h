@@ -157,13 +157,12 @@ struct ClusterConfig {
   /// shard's followers (needs num_replicas > 0); the first completion
   /// wins and the loser is suppressed — its resources still burn, which
   /// is exactly the duplicate-work overhead hedges_wasted measures.
+  /// The hedge delay is p95 of every sub-query latency observed so far
+  /// once there are 32 of them, 20× the fabric's base latency before
+  /// that. The live ShardedRTreeClient's rule differs: HedgeConfig's
+  /// percentile of a sliding window, clamped to [min_delay_us,
+  /// max_delay_us] (200–20 000 µs by default).
   bool hedge = false;
-  /// Fixed hedge delay; 0 = adaptive: p95 of every sub-query latency
-  /// observed so far once there are 32 of them, 20× the fabric's base
-  /// latency before that. The live ShardedRTreeClient's rule differs:
-  /// HedgeConfig's percentile of a sliding window, clamped to
-  /// [min_delay_us, max_delay_us] (200–20 000 µs by default).
-  uint64_t hedge_delay_us = 0;
 
   /// Overload model (bench_overload). The live server's admission gauge
   /// is dequeue latency; the DES approximates it with the worker pool's
@@ -456,7 +455,7 @@ class ClusterSim {
   /// copies a chunk between writes, so its images are never torn by
   /// themselves: this is its only torn-read source.
   double ReadRetryProbability(const Shard& s) const noexcept;
-  /// Current hedge delay: the fixed knob, or the adaptive percentile.
+  /// Current hedge delay (see ClusterConfig::hedge).
   double HedgeDelayUs() const noexcept;
 
   ClusterConfig cfg_;

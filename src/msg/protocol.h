@@ -215,9 +215,9 @@ std::optional<TraceResponse> DecodeTraceResponse(
 std::optional<uint64_t> DecodeSearchResponseInto(
     std::span<const std::byte> payload, std::vector<rtree::Entry>& out);
 
-/// The collect step every ring and socket client shares: checks that
-/// frame `m` is a `type` segment answering `req_id`, appends its entries
-/// to `out` and returns whether it was the END segment. Any other frame
+/// The ring client's collect step: checks that frame `m` is a `type`
+/// segment answering `req_id`, appends its entries to `out` and returns
+/// whether it was the END segment. Any other frame
 /// throws std::logic_error — on a FIFO per-connection channel it is a
 /// protocol violation, not a race.
 bool AppendResponseSegment(const Message& m, MsgType type, uint64_t req_id,

@@ -47,46 +47,40 @@ void ShardHost::Load(std::span<const rtree::Entry> items) {
   for (uint32_t i = 0; i < cfg_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->id = i;
-    shard->node = fabric_->CreateNode(map.shards[i].node_name);
-    shard->arena = NewShardArena();
-    auto loaded = rtree::BulkLoad(*shard->arena, buckets[i]);
+    shard->primary = std::make_unique<Stack>();
+    Stack& p = *shard->primary;
+    p.node = fabric_->CreateNode(map.shards[i].node_name);
+    p.arena = NewShardArena();
+    auto loaded = rtree::BulkLoad(*p.arena, buckets[i]);
     if (cfg_.durable) {
       // Bulk load bypasses the WAL; seed the checkpoint store with the
       // loaded tree so the first incarnation already serves
       // durably-backed state, then bring it up through the same
-      // recovery path a restart uses.
-      shard->wal_disk = std::make_shared<durable::MemLogStorage>();
-      shard->ckpt_disk = std::make_shared<durable::MemCheckpointStore>();
+      // recovery path a restart uses. Followers start from the same
+      // checkpoint image: bulk-loaded state never travels through the
+      // log, so it must be seeded.
       durable::CheckpointMeta meta;
       meta.applied_lsn = 0;
       meta.tree_size = loaded.size();
       meta.tree_height = loaded.height();
       meta.write_epoch = loaded.write_epoch();
       const auto seed = durable::EncodeCheckpoint(
-          *shard->arena, durable::DedupTable(cfg_.durability.dedup_window),
-          meta);
-      shard->ckpt_disk->Write(seed);
-      // Followers start from the same checkpoint image: bulk-loaded
-      // state never travels through the log, so it must be seeded.
+          *p.arena, durable::DedupTable(cfg_.durability.dedup_window), meta);
       for (uint32_t j = 0; j < cfg_.num_replicas; ++j) {
-        auto rep = std::make_unique<Replica>();
-        rep->shard = i;
-        rep->idx = j;
-        rep->node = fabric_->CreateNode(map.shards[i].node_name + "-r" +
-                                        std::to_string(j));
-        rep->wal_disk = std::make_shared<durable::MemLogStorage>();
-        rep->ckpt_disk = std::make_shared<durable::MemCheckpointStore>();
-        rep->ckpt_disk->Write(seed);
-        rep->arena = NewShardArena();
-        rep->durability = std::make_unique<durable::DurabilityManager>(
-            rep->wal_disk, rep->ckpt_disk, cfg_.durability);
-        rep->tree = std::make_unique<rtree::RStarTree>(
-            rep->durability->Recover(*rep->arena));
-        shard->replicas.push_back(std::move(rep));
+        shard->replicas.push_back(std::make_unique<Stack>());
+        shard->replicas.back()->node = fabric_->CreateNode(
+            map.shards[i].node_name + "-r" + std::to_string(j));
       }
-      RecoverState(*shard);
+      const auto boot = [&](Stack& st) {
+        st.wal_disk = std::make_shared<durable::MemLogStorage>();
+        st.ckpt_disk = std::make_shared<durable::MemCheckpointStore>();
+        st.ckpt_disk->Write(seed);
+        RecoverState(st);
+      };
+      for (auto& rp : shard->replicas) boot(*rp);
+      boot(p);
     } else {
-      shard->tree = std::make_unique<rtree::RStarTree>(std::move(loaded));
+      p.tree = std::make_unique<rtree::RStarTree>(std::move(loaded));
     }
     shards_.push_back(std::move(shard));
   }
@@ -96,16 +90,11 @@ void ShardHost::Load(std::span<const rtree::Entry> items) {
     // Shipper before server: no write may Execute before the gate and
     // commit sink are installed.
     RewireReplication(s);
-    StartServer(s);
-    for (auto& rp : s.replicas) StartReplicaServer(s, *rp);
-    map.shards[i].generation = s.node->generation();
-    map.shards[i].arena_rkey = s.server->arena_mr().rkey;
-    if (s.durability) map.shards[i].epoch = s.durability->epoch();
+    StartStack(s, *s.primary, msg::ReplRole::kPrimary);
     for (auto& rp : s.replicas) {
-      map.shards[i].followers.push_back(ReplicaInfo{
-          rp->node->name(), rp->node->generation(),
-          rp->server->arena_mr().rkey});
+      StartStack(s, *rp, msg::ReplRole::kFollower);
     }
+    Describe(s, map.shards[i]);
   }
   {
     const std::scoped_lock lock(map_mu_);
@@ -125,143 +114,50 @@ void ShardHost::Load(std::span<const rtree::Entry> items) {
   }
 }
 
-void ShardHost::StartServer(Shard& s) {
-  const std::scoped_lock lock(s.boot_mu);
-  ServerConfig scfg = cfg_.server;
-  scfg.durability = s.durability.get();
-  scfg.map_version = &published_version_;
-  if (!s.replicas.empty() && s.durability) {
-    scfg.repl_role = static_cast<uint8_t>(msg::ReplRole::kPrimary);
-    scfg.repl_epoch = &s.durability->epoch_cell();
-    scfg.repl_durable_lsn = &s.durability->durable_lsn_cell();
-  }
-  s.server = std::make_unique<RTreeServer>(s.node, *s.tree, scfg);
-  s.acceptor = std::make_unique<BootstrapAcceptor>(*s.server, *fabric_);
-  s.acceptor->SetHelloExtension(s.id, [this] {
-    const std::scoped_lock map_lock(map_mu_);
-    return EncodeShardMap(map_);
-  });
-}
-
-void ShardHost::StopServer(Shard& s) {
-  std::unique_ptr<BootstrapAcceptor> acceptor;
-  std::unique_ptr<RTreeServer> server;
-  {
-    const std::scoped_lock lock(s.boot_mu);
-    acceptor = std::move(s.acceptor);
-    server = std::move(s.server);
-  }
-  if (acceptor) acceptor->Stop();
-  if (server) server->Stop();
-}
-
-void ShardHost::StartReplicaServer(Shard& s, Replica& r) {
-  const std::scoped_lock lock(r.boot_mu);
+void ShardHost::StartStack(Shard& s, Stack& st, msg::ReplRole role) {
+  if (s.replicas.empty()) role = msg::ReplRole::kNone;
   ServerConfig scfg = cfg_.server;
   // Followers never Execute client writes — mutations arrive only as
   // shipped WAL records through the applier — so the server gets no
   // durability hook (its monitor must not checkpoint under the applier).
-  scfg.durability = nullptr;
+  if (role != msg::ReplRole::kFollower) scfg.durability = st.durability.get();
   scfg.map_version = &published_version_;
-  scfg.repl_role = static_cast<uint8_t>(msg::ReplRole::kFollower);
-  scfg.repl_epoch = &r.durability->epoch_cell();
-  scfg.repl_durable_lsn = &r.durability->durable_lsn_cell();
-  r.server = std::make_unique<RTreeServer>(r.node, *r.tree, scfg);
-  r.acceptor = std::make_unique<BootstrapAcceptor>(*r.server, *fabric_);
-  r.acceptor->SetHelloExtension(s.id, [this] {
+  if (role != msg::ReplRole::kNone) {
+    scfg.repl_role = static_cast<uint8_t>(role);
+    scfg.repl_epoch = &st.durability->epoch_cell();
+    scfg.repl_durable_lsn = &st.durability->durable_lsn_cell();
+  }
+  const std::scoped_lock lock(s.boot_mu);
+  st.server = std::make_unique<RTreeServer>(st.node, *st.tree, scfg);
+  st.acceptor = std::make_unique<BootstrapAcceptor>(*st.server, *fabric_);
+  st.acceptor->SetHelloExtension(s.id, [this] {
     const std::scoped_lock map_lock(map_mu_);
     return EncodeShardMap(map_);
   });
 }
 
-void ShardHost::StopReplicaServer(Replica& r) {
+void ShardHost::StopStack(Shard& s, Stack& st) {
   std::unique_ptr<BootstrapAcceptor> acceptor;
   std::unique_ptr<RTreeServer> server;
   {
-    const std::scoped_lock lock(r.boot_mu);
-    acceptor = std::move(r.acceptor);
-    server = std::move(r.server);
+    const std::scoped_lock lock(s.boot_mu);
+    acceptor = std::move(st.acceptor);
+    server = std::move(st.server);
   }
   if (acceptor) acceptor->Stop();
   if (server) server->Stop();
 }
 
-void ShardHost::RecoverState(Shard& s) {
-  s.tree.reset();
-  s.arena = NewShardArena();
-  s.durability = std::make_unique<durable::DurabilityManager>(
-      s.wal_disk, s.ckpt_disk, cfg_.durability);
-  s.tree =
-      std::make_unique<rtree::RStarTree>(s.durability->Recover(*s.arena));
+void ShardHost::RecoverState(Stack& st) {
+  st.tree.reset();
+  st.arena = NewShardArena();
+  st.durability = std::make_unique<durable::DurabilityManager>(
+      st.wal_disk, st.ckpt_disk, cfg_.durability);
+  st.tree =
+      std::make_unique<rtree::RStarTree>(st.durability->Recover(*st.arena));
 }
 
-void ShardHost::AttachFollower(Shard& s, Replica& r) {
-  r.channel = std::make_unique<durable::ReplChannel>(s.node, r.node);
-  r.applier = std::make_unique<durable::FollowerApplier>(
-      *r.durability, *r.tree, &r.channel->batch_rx(), &r.channel->ack_tx(),
-      durable::FollowerApplierConfig{s.id});
-  s.shipper->AddFollower(&r.channel->batch_tx(), &r.channel->ack_rx());
-  r.applier->Start();
-}
-
-void ShardHost::RewireReplication(Shard& s) {
-  if (s.shipper) {
-    s.shipper->Stop();
-    s.shipper.reset();
-  }
-  for (auto& rp : s.replicas) {
-    if (rp->applier) {
-      rp->applier->Stop();
-      rp->applier.reset();
-    }
-    rp->channel.reset();
-  }
-  bool any_live = false;
-  for (auto& rp : s.replicas) any_live |= !rp->dead;
-  if (!any_live || !s.durability) return;
-  durable::ReplicationShipperConfig rcfg = cfg_.replication;
-  rcfg.shard = s.id;
-  s.shipper = std::make_unique<durable::ReplicationShipper>(*s.durability,
-                                                            rcfg);
-  for (auto& rp : s.replicas) {
-    if (!rp->dead) AttachFollower(s, *rp);
-  }
-  s.shipper->Start();
-}
-
-void ShardHost::RestartShard(uint32_t shard) {
-  const std::scoped_lock repl_lock(repl_mu_);
-  Shard& s = *shards_[shard];
-  // Server first: joining the workers drains any in-flight write while
-  // the shipper is still alive to ack it — stopping the shipper first
-  // would tear the replication gate out from under a blocked Execute.
-  // Then the rest of the replication plane quiesces before the node
-  // dies, so no thread touches a dead QP.
-  StopServer(s);
-  if (s.shipper) {
-    s.shipper->Stop();
-    s.shipper.reset();
-  }
-  for (auto& rp : s.replicas) {
-    if (rp->applier) {
-      rp->applier->Stop();
-      rp->applier.reset();
-    }
-    rp->channel.reset();
-  }
-  const std::string name = s.node->name();
-  s.node = fabric_->RestartNode(name);
-  if (cfg_.durable) RecoverState(s);
-  RewireReplication(s);
-  StartServer(s);
-  Republish(shard);
-  CATFISH_COUNT("shard.host.restarts");
-}
-
-void ShardHost::KillPrimary(uint32_t shard) {
-  const std::scoped_lock repl_lock(repl_mu_);
-  Shard& s = *shards_[shard];
-  StopServer(s);
+void ShardHost::StopReplication(Shard& s) {
   if (s.shipper) {
     s.shipper->Stop();  // fences the gate: no in-flight write false-acks
     s.shipper.reset();
@@ -273,9 +169,59 @@ void ShardHost::KillPrimary(uint32_t shard) {
     }
     rp->channel.reset();
   }
+}
+
+void ShardHost::AttachFollower(Shard& s, Stack& r) {
+  r.channel = std::make_unique<durable::ReplChannel>(s.primary->node, r.node);
+  r.applier = std::make_unique<durable::FollowerApplier>(
+      *r.durability, *r.tree, &r.channel->batch_rx(), &r.channel->ack_tx(),
+      durable::FollowerApplierConfig{s.id});
+  s.shipper->AddFollower(&r.channel->batch_tx(), &r.channel->ack_rx());
+  r.applier->Start();
+}
+
+void ShardHost::RewireReplication(Shard& s) {
+  StopReplication(s);
+  bool any_live = false;
+  for (auto& rp : s.replicas) any_live |= !rp->dead;
+  if (!any_live || !s.primary->durability) return;
+  durable::ReplicationShipperConfig rcfg = cfg_.replication;
+  rcfg.shard = s.id;
+  s.shipper = std::make_unique<durable::ReplicationShipper>(
+      *s.primary->durability, rcfg);
+  for (auto& rp : s.replicas) {
+    if (!rp->dead) AttachFollower(s, *rp);
+  }
+  s.shipper->Start();
+}
+
+void ShardHost::RestartShard(uint32_t shard) {
+  const std::scoped_lock repl_lock(repl_mu_);
+  Shard& s = *shards_[shard];
+  Stack& p = *s.primary;
+  // Server first: joining the workers drains any in-flight write while
+  // the shipper is still alive to ack it — stopping the shipper first
+  // would tear the replication gate out from under a blocked Execute.
+  // Then the rest of the replication plane quiesces before the node
+  // dies, so no thread touches a dead QP.
+  StopStack(s, p);
+  StopReplication(s);
+  p.node = fabric_->RestartNode(p.node->name());
+  if (cfg_.durable) RecoverState(p);
+  RewireReplication(s);
+  StartStack(s, p, msg::ReplRole::kPrimary);
+  Republish(shard);
+  CATFISH_COUNT("shard.host.restarts");
+}
+
+void ShardHost::KillPrimary(uint32_t shard) {
+  const std::scoped_lock repl_lock(repl_mu_);
+  Shard& s = *shards_[shard];
+  StopStack(s, *s.primary);
+  StopReplication(s);
   // Kill the fabric node: stale rkeys and QPNs die with it. Nothing
   // restarts — heartbeat silence is what trips the client watchdog.
-  s.node = fabric_->RestartNode(s.node->name());
+  s.primary->node = fabric_->RestartNode(s.primary->node->name());
   s.primary_down_since_us.store(NowMicros(), std::memory_order_release);
   CATFISH_COUNT("shard.host.primary_kills");
 }
@@ -286,7 +232,7 @@ uint32_t ShardHost::Promote(uint32_t shard) {
   uint32_t best = UINT32_MAX;
   uint64_t best_lsn = 0;
   for (uint32_t j = 0; j < s.replicas.size(); ++j) {
-    Replica& r = *s.replicas[j];
+    const Stack& r = *s.replicas[j];
     if (r.dead || !r.durability) continue;
     const uint64_t lsn = r.durability->durable_lsn();
     if (best == UINT32_MAX || lsn > best_lsn) {
@@ -298,39 +244,27 @@ uint32_t ShardHost::Promote(uint32_t shard) {
 
   // Quiesce the old plane (no-op after KillPrimary; on a planned
   // failover this is what demotes the still-live old primary).
-  StopServer(s);
-  if (s.shipper) {
-    s.shipper->Stop();
-    s.shipper.reset();
-  }
-  for (auto& rp : s.replicas) {
-    if (rp->applier) {
-      rp->applier->Stop();
-      rp->applier.reset();
-    }
-    rp->channel.reset();
-  }
-
-  Replica& w = *s.replicas[best];
-  StopReplicaServer(w);  // its role is changing; restarted as primary
+  StopStack(s, *s.primary);
+  StopReplication(s);
+  Stack& w = *s.replicas[best];
+  StopStack(s, w);  // its role is changing; restarted as primary
   const uint64_t fence_from = std::max(
-      {w.durability->epoch(), s.durability ? s.durability->epoch() : 0,
+      {w.durability->epoch(),
+       s.primary->durability ? s.primary->durability->epoch() : 0,
        map().shards[shard].epoch});
   // Swap the winner's whole stack into the primary slot; the old
   // primary's corpse parks in the replica slot, marked dead (its disks
   // are kept — a future rejoin path could resync it as a follower).
-  std::swap(s.node, w.node);
-  std::swap(s.arena, w.arena);
-  std::swap(s.tree, w.tree);
-  std::swap(s.wal_disk, w.wal_disk);
-  std::swap(s.ckpt_disk, w.ckpt_disk);
-  std::swap(s.durability, w.durability);
-  w.dead = true;
+  {
+    const std::scoped_lock lock(s.boot_mu);
+    std::swap(s.primary, s.replicas[best]);
+  }
+  s.replicas[best]->dead = true;
   // Epoch fence: the new reign is strictly above anything the old
   // primary ever stamped, so its zombie's late batches bounce.
-  s.durability->SetEpoch(fence_from + 1);
+  s.primary->durability->SetEpoch(fence_from + 1);
   RewireReplication(s);
-  StartServer(s);
+  StartStack(s, *s.primary, msg::ReplRole::kPrimary);
   s.primary_down_since_us.store(0, std::memory_order_release);
   Republish(shard);
   promotions_.fetch_add(1, std::memory_order_relaxed);
@@ -353,21 +287,24 @@ void ShardHost::FailoverLoop() {
   }
 }
 
-void ShardHost::Republish(uint32_t shard) {
-  Shard& s = *shards_[shard];
-  const std::scoped_lock lock(map_mu_);
-  ShardInfo& info = map_.shards[shard];
-  info.node_name = s.node->name();
-  info.generation = s.node->generation();
-  info.arena_rkey = s.server->arena_mr().rkey;
-  info.epoch = s.durability ? s.durability->epoch() : 0;
+void ShardHost::Describe(const Shard& s, ShardInfo& info) {
+  const Stack& p = *s.primary;
+  info.node_name = p.node->name();
+  info.generation = p.node->generation();
+  info.arena_rkey = p.server->arena_mr().rkey;
+  info.epoch = p.durability ? p.durability->epoch() : 0;
   info.followers.clear();
-  for (auto& rp : s.replicas) {
+  for (const auto& rp : s.replicas) {
     if (rp->dead || !rp->server) continue;
     info.followers.push_back(ReplicaInfo{
         rp->node->name(), rp->node->generation(),
         rp->server->arena_mr().rkey});
   }
+}
+
+void ShardHost::Republish(uint32_t shard) {
+  const std::scoped_lock lock(map_mu_);
+  Describe(*shards_[shard], map_.shards[shard]);
   ++map_.version;
   published_version_.store(map_.version, std::memory_order_relaxed);
   CATFISH_GAUGE_SET("shard.map.version", map_.version);
@@ -376,16 +313,17 @@ void ShardHost::Republish(uint32_t shard) {
 std::shared_ptr<tcpkit::Stream> ShardHost::Dial(uint32_t shard) {
   Shard& s = *shards_[shard];
   const std::scoped_lock lock(s.boot_mu);
-  if (!s.acceptor) {
+  if (!s.primary->acceptor) {
     throw std::runtime_error("ShardHost: shard has no live acceptor");
   }
-  return s.acceptor->Dial();
+  return s.primary->acceptor->Dial();
 }
 
 std::shared_ptr<tcpkit::Stream> ShardHost::DialReplica(uint32_t shard,
                                                        uint32_t replica) {
-  Replica& r = *shards_[shard]->replicas[replica];
-  const std::scoped_lock lock(r.boot_mu);
+  Shard& s = *shards_[shard];
+  const std::scoped_lock lock(s.boot_mu);
+  const Stack& r = *s.replicas[replica];
   if (!r.acceptor) {
     throw std::runtime_error("ShardHost: replica has no live acceptor");
   }
@@ -397,20 +335,9 @@ void ShardHost::Stop() {
     if (failover_thread_.joinable()) failover_thread_.join();
   }
   for (auto& s : shards_) {
-    if (!s) continue;
-    StopServer(*s);
-    for (auto& rp : s->replicas) StopReplicaServer(*rp);
-    if (s->shipper) {
-      s->shipper->Stop();
-      s->shipper.reset();
-    }
-    for (auto& rp : s->replicas) {
-      if (rp->applier) {
-        rp->applier->Stop();
-        rp->applier.reset();
-      }
-      rp->channel.reset();
-    }
+    StopStack(*s, *s->primary);
+    for (auto& rp : s->replicas) StopStack(*s, *rp);
+    StopReplication(*s);
   }
 }
 

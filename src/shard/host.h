@@ -29,6 +29,7 @@
 #include "durable/manager.h"
 #include "durable/replication.h"
 #include "durable/storage.h"
+#include "msg/protocol.h"
 #include "rdmasim/rdma.h"
 #include "rtree/arena.h"
 #include "rtree/rstar.h"
@@ -121,13 +122,17 @@ class ShardHost {
   uint32_t replica_count(uint32_t shard) const {
     return static_cast<uint32_t>(shards_[shard]->replicas.size());
   }
-  RTreeServer& server(uint32_t shard) { return *shards_[shard]->server; }
-  rtree::RStarTree& tree(uint32_t shard) { return *shards_[shard]->tree; }
+  RTreeServer& server(uint32_t shard) {
+    return *shards_[shard]->primary->server;
+  }
+  rtree::RStarTree& tree(uint32_t shard) {
+    return *shards_[shard]->primary->tree;
+  }
   rtree::RStarTree& replica_tree(uint32_t shard, uint32_t replica) {
     return *shards_[shard]->replicas[replica]->tree;
   }
   durable::DurabilityManager& durability(uint32_t shard) {
-    return *shards_[shard]->durability;
+    return *shards_[shard]->primary->durability;
   }
   const durable::ReplicationShipper* shipper(uint32_t shard) const {
     return shards_[shard]->shipper.get();
@@ -138,62 +143,61 @@ class ShardHost {
   }
 
  private:
-  /// One follower replica: a full server stack on its own fabric node.
-  /// Reads are served exactly like a primary's (one-sided offload against
-  /// its arena, epoch-stamped by its VersionedFetchEngine); writes only
-  /// ever arrive through the applier, as shipped WAL records.
-  struct Replica {
-    uint32_t shard = 0;
-    uint32_t idx = 0;  ///< stable index within the shard ("shard-<i>-r<j>")
-    bool dead = false;  ///< former primary corpse parked after failover
+  /// One served node: a full server stack on its own fabric node. A
+  /// shard's primary and each of its followers are one of these. A
+  /// follower serves reads exactly like a primary (one-sided offload
+  /// against its arena, epoch-stamped by its VersionedFetchEngine); its
+  /// writes only ever arrive through the applier, as shipped WAL records.
+  struct Stack {
     std::shared_ptr<rdma::SimNode> node;
     std::unique_ptr<rtree::NodeArena> arena;
     std::unique_ptr<rtree::RStarTree> tree;
+    /// Durable mode: the node's "disks", surviving incarnations.
     std::shared_ptr<durable::MemLogStorage> wal_disk;
     std::shared_ptr<durable::MemCheckpointStore> ckpt_disk;
     std::unique_ptr<durable::DurabilityManager> durability;
     std::unique_ptr<RTreeServer> server;
     std::unique_ptr<BootstrapAcceptor> acceptor;
+    /// Follower only: the log-shipping link from the current primary.
     std::unique_ptr<durable::ReplChannel> channel;
     std::unique_ptr<durable::FollowerApplier> applier;
-    std::mutex boot_mu;  ///< server/acceptor swap vs dialing threads
+    bool dead = false;  ///< former primary corpse parked after failover
   };
 
   struct Shard {
     uint32_t id = 0;
-    std::shared_ptr<rdma::SimNode> node;
-    std::unique_ptr<rtree::NodeArena> arena;
-    std::unique_ptr<rtree::RStarTree> tree;
-    /// Durable mode: the shard's "disks", surviving incarnations.
-    std::shared_ptr<durable::MemLogStorage> wal_disk;
-    std::shared_ptr<durable::MemCheckpointStore> ckpt_disk;
-    std::unique_ptr<durable::DurabilityManager> durability;
-    std::unique_ptr<RTreeServer> server;
-    std::unique_ptr<BootstrapAcceptor> acceptor;
-    std::mutex boot_mu;  ///< server/acceptor swap vs dialing threads
-    /// Replication (num_replicas > 0): the primary's shipper plus the
-    /// follower stacks. Protected by the host-level repl_mu_ for
-    /// promotion vs accessor races.
+    /// Promote swaps a follower into `primary` under boot_mu; the old
+    /// primary parks in the follower's slot, marked dead.
+    std::unique_ptr<Stack> primary;
+    std::vector<std::unique_ptr<Stack>> replicas;
+    /// Replication (num_replicas > 0): the primary's shipper. Rebuilt
+    /// under the host-level repl_mu_.
     std::unique_ptr<durable::ReplicationShipper> shipper;
-    std::vector<std::unique_ptr<Replica>> replicas;
     /// Microsecond timestamp of KillPrimary, 0 while the primary is up.
     /// The auto-failover watchdog promotes once now - this > grace.
     std::atomic<uint64_t> primary_down_since_us{0};
+    /// Every stack's server/acceptor swap and the primary slot swap vs
+    /// dialing threads.
+    std::mutex boot_mu;
   };
 
-  void StartServer(Shard& s);
-  void StopServer(Shard& s);
-  void StartReplicaServer(Shard& s, Replica& r);
-  void StopReplicaServer(Replica& r);
-  /// Rebuilds arena + manager + tree from the shard's disks (the crash
+  /// Starts `st`'s server and bootstrap acceptor in `role` (kPrimary or
+  /// kFollower; an unreplicated primary advertises kNone).
+  void StartStack(Shard& s, Stack& st, msg::ReplRole role);
+  void StopStack(Shard& s, Stack& st);
+  /// Rebuilds arena + manager + tree from the stack's disks (the crash
   /// recovery path; durable mode only).
-  void RecoverState(Shard& s);
+  void RecoverState(Stack& st);
+  /// Stops the shipper, then each follower's applier and channel.
+  void StopReplication(Shard& s);
   /// Wires channel + applier from the shard's current primary to `r` and
   /// registers it with the shard's shipper.
-  void AttachFollower(Shard& s, Replica& r);
+  void AttachFollower(Shard& s, Stack& r);
   /// Tears down and rebuilds the shard's whole replication plane
   /// (shipper + channels + appliers) against the current primary.
   void RewireReplication(Shard& s);
+  /// Writes the shard's current primary and live followers into `info`.
+  static void Describe(const Shard& s, ShardInfo& info);
   /// Re-encodes and republishes the map after `shard`'s identity
   /// changed; bumps the version.
   void Republish(uint32_t shard);

@@ -12,7 +12,6 @@ struct Stream::Shared {
   std::mutex mu;
   std::condition_variable cv;
   std::deque<std::byte> buf[2];  // buf[i] holds bytes flowing toward side i
-  bool closed = false;
 };
 
 std::pair<std::shared_ptr<Stream>, std::shared_ptr<Stream>>
@@ -23,24 +22,21 @@ Stream::CreatePair() {
   return {std::move(a), std::move(b)};
 }
 
-bool Stream::Send(std::span<const std::byte> data) {
+void Stream::Send(std::span<const std::byte> data) {
   {
     const std::scoped_lock lock(shared_->mu);
-    if (shared_->closed) return false;
     auto& peer_buf = shared_->buf[1 - side_];
     peer_buf.insert(peer_buf.end(), data.begin(), data.end());
   }
   shared_->cv.notify_all();
-  return true;
 }
 
 size_t Stream::Recv(std::span<std::byte> out,
                     std::chrono::microseconds timeout) {
   std::unique_lock lock(shared_->mu);
   auto& my_buf = shared_->buf[side_];
-  if (!shared_->cv.wait_for(lock, timeout, [&] {
-        return !my_buf.empty() || shared_->closed;
-      })) {
+  if (!shared_->cv.wait_for(lock, timeout,
+                            [&] { return !my_buf.empty(); })) {
     return 0;
   }
   const size_t n = std::min(out.size(), my_buf.size());
@@ -51,32 +47,16 @@ size_t Stream::Recv(std::span<std::byte> out,
   return n;
 }
 
-void Stream::Close() {
-  {
-    const std::scoped_lock lock(shared_->mu);
-    shared_->closed = true;
-  }
-  shared_->cv.notify_all();
-}
-
-bool Stream::closed() const {
-  const std::scoped_lock lock(shared_->mu);
-  return shared_->closed;
-}
-
-bool FramedConnection::SendFrame(uint16_t type, uint16_t flags,
+void FramedConnection::SendFrame(uint16_t type, uint16_t flags,
                                  std::span<const std::byte> payload) {
   std::vector<std::byte> frame(8 + payload.size());
   StorePod(frame, 0, static_cast<uint32_t>(payload.size()));
   StorePod(frame, 4, type);
   StorePod(frame, 6, flags);
   std::memcpy(frame.data() + 8, payload.data(), payload.size());
-  const bool ok = stream_->Send(frame);
-  if (ok) {
-    CATFISH_COUNT("tcp.frames_sent");
-    CATFISH_COUNT_ADD("tcp.bytes_sent", frame.size());
-  }
-  return ok;
+  stream_->Send(frame);
+  CATFISH_COUNT("tcp.frames_sent");
+  CATFISH_COUNT_ADD("tcp.bytes_sent", frame.size());
 }
 
 bool FramedConnection::RecvExact(std::span<std::byte> out,
@@ -90,9 +70,7 @@ bool FramedConnection::RecvExact(std::span<std::byte> out,
     if (now >= deadline) return false;
     const auto remain =
         std::chrono::duration_cast<std::chrono::microseconds>(deadline - now);
-    const size_t n = stream_->Recv(out.subspan(got), remain);
-    if (n == 0 && stream_->closed()) return false;
-    got += n;
+    got += stream_->Recv(out.subspan(got), remain);
   }
   return true;
 }

@@ -1,11 +1,10 @@
 // In-process TCP-like byte streams and message framing.
 //
-// This is the transport of the paper's TCP/IP baseline (§III): a
-// connected, reliable, ordered duplex byte stream with blocking receive
-// — the same abstraction a kernel socket gives, minus the kernel. The
-// performance characteristics of kernel TCP (per-message CPU cost, wire
-// latency) are modeled in the discrete-event benchmarks; this layer
-// provides the functional baseline server/client for tests and examples.
+// The bootstrap channel's transport (catfish/bootstrap.h): a connected,
+// reliable, ordered duplex byte stream with blocking receive — the same
+// abstraction a kernel socket gives, minus the kernel. The paper's
+// TCP/IP baseline is not served over it; its kernel costs are charged in
+// the discrete-event model (CostModel::tcp_kernel_us).
 #pragma once
 
 #include <chrono>
@@ -31,17 +30,12 @@ class Stream {
   static std::pair<std::shared_ptr<Stream>, std::shared_ptr<Stream>>
   CreatePair();
 
-  /// Appends bytes to the peer's receive buffer. Returns false when the
-  /// connection is closed.
-  bool Send(std::span<const std::byte> data);
+  /// Appends bytes to the peer's receive buffer.
+  void Send(std::span<const std::byte> data);
 
   /// Blocking read of up to out.size() bytes; returns the count read,
-  /// 0 on timeout or when the stream is closed and drained.
+  /// 0 on timeout.
   size_t Recv(std::span<std::byte> out, std::chrono::microseconds timeout);
-
-  /// Half-close from this side; both directions stop accepting sends.
-  void Close();
-  bool closed() const;
 
  private:
   struct Shared;
@@ -59,14 +53,11 @@ class FramedConnection {
   explicit FramedConnection(std::shared_ptr<Stream> stream)
       : stream_(std::move(stream)) {}
 
-  bool SendFrame(uint16_t type, uint16_t flags,
+  void SendFrame(uint16_t type, uint16_t flags,
                  std::span<const std::byte> payload);
 
-  /// Receives one whole frame; nullopt on timeout/close.
+  /// Receives one whole frame; nullopt on timeout.
   std::optional<msg::Message> RecvFrame(std::chrono::microseconds timeout);
-
-  void Close() { stream_->Close(); }
-  bool closed() const { return stream_->closed(); }
 
  private:
   bool RecvExact(std::span<std::byte> out, std::chrono::microseconds timeout);

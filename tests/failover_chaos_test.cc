@@ -11,6 +11,8 @@
 //    errors instead of failing the whole fan-out;
 //  * a crash-looping shard (restarted repeatedly mid-burst) neither
 //    loses nor duplicates acked writes, and clients re-converge.
+//  * a promoted primary restarts from its own disks, keeping every
+//    acked write exactly once, and follower reads re-converge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -375,6 +377,56 @@ TEST_F(FailoverChaosTest, CrashLoopKeepsWritesExactlyOnceAndReconverges) {
   for (const auto& [rect, id] : loaded_) {
     ASSERT_EQ(count_of(id), 1u) << "bulk-loaded id " << id;
   }
+}
+
+TEST_F(FailoverChaosTest, PromotedPrimaryRestartsFromItsOwnDisks) {
+  StartHost(/*num_replicas=*/2);
+  constexpr uint32_t kVictim = 1;
+  auto writer = Connect("writer");
+  auto reader = Connect("reader", FollowerReadConfig());
+  (void)ScanAll(*reader);  // connected to the followers before failover
+
+  // Sequential writes: each one rides out the promotion or restart
+  // before it (the per-shard session retries under its original req_id),
+  // so every write is acked.
+  std::vector<uint64_t> expected;
+  for (const auto& [rect, id] : loaded_) expected.push_back(id);
+  Xoshiro256 rng(61);
+  uint64_t next_id = 20'000;
+  const auto write = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const uint64_t id = next_id++;
+      ASSERT_TRUE(writer->Insert(RandomRect(rng, 0.01), id)) << id;
+      expected.push_back(id);
+    }
+  };
+  write(100);
+  ASSERT_NE(host_->Promote(kVictim), UINT32_MAX);
+  write(100);
+  // The promoted primary is the former follower's stack: it restarts
+  // and recovers from that follower's own WAL and checkpoint disks.
+  host_->RestartShard(kVictim);
+  write(50);
+  std::sort(expected.begin(), expected.end());
+
+  auto checker = Connect("checker");
+  EXPECT_EQ(ScanAll(*checker), expected);
+  EXPECT_EQ(host_->map().shards[kVictim].followers.size(), 1u);
+
+  // The follower-routed reader converges on the same set once the
+  // surviving follower has the shipped tail.
+  std::vector<uint64_t> seen;
+  EXPECT_TRUE(WaitUntil(
+      [&] {
+        try {
+          seen = ScanAll(*reader);
+        } catch (const shard::ShardError&) {
+          return false;
+        }
+        return seen == expected;
+      },
+      10s))
+      << seen.size() << " ids seen, " << expected.size() << " expected";
 }
 
 TEST_F(FailoverChaosTest, AllowPartialSurfacesPerShardErrors) {

@@ -12,7 +12,6 @@
 #include "catfish/server.h"
 #include "msg/ring.h"
 #include "rtree/bulk_load.h"
-#include "tcpkit/tcp_rtree.h"
 #include "test_util.h"
 
 namespace catfish {
@@ -206,26 +205,6 @@ TEST(FailureTest, ReceiverIgnoresPaddingGarbageAfterZeroing) {
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->type, 7);
   EXPECT_EQ(m->payload, payload);
-}
-
-TEST(FailureTest, TcpServerSurvivesAbruptClientClose) {
-  rtree::NodeArena arena(rtree::kChunkSize, 1 << 12);
-  Xoshiro256 rng(5);
-  std::vector<rtree::Entry> items;
-  for (uint64_t i = 0; i < 200; ++i) {
-    items.push_back({RandomRect(rng, 0.01), i});
-  }
-  rtree::RStarTree tree = rtree::BulkLoad(arena, items);
-  tcpkit::TcpRTreeServer server(tree);
-  {
-    tcpkit::TcpRTreeClient doomed(server);
-    doomed.Search(geo::Rect{0, 0, 1, 1});
-  }  // destructor: the stream closes abruptly
-
-  // The server keeps serving other clients.
-  tcpkit::TcpRTreeClient survivor(server);
-  EXPECT_EQ(survivor.Search(geo::Rect{0, 0, 1, 1}).size(), 200u);
-  server.Stop();
 }
 
 TEST(FailureTest, ArenaExhaustionSurfacesDuringInsert) {

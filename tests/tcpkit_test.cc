@@ -1,32 +1,25 @@
-#include "tcpkit/tcp_rtree.h"
+#include "tcpkit/stream.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
-
 #include "common/rng.h"
-#include "rtree/bulk_load.h"
-#include "test_util.h"
+#include "msg/protocol.h"
 
 namespace catfish::tcpkit {
 namespace {
 
 using namespace std::chrono_literals;
-using testutil::BruteForceIndex;
-using testutil::RandomRect;
 
 TEST(StreamTest, BytesFlowBothWays) {
   auto [a, b] = Stream::CreatePair();
   const std::vector<std::byte> ping{std::byte{1}, std::byte{2}};
-  ASSERT_TRUE(a->Send(ping));
+  a->Send(ping);
   std::byte buf[8];
   EXPECT_EQ(b->Recv(buf, 100ms), 2u);
   EXPECT_EQ(buf[1], std::byte{2});
 
   const std::vector<std::byte> pong{std::byte{9}};
-  ASSERT_TRUE(b->Send(pong));
+  b->Send(pong);
   EXPECT_EQ(a->Recv(buf, 100ms), 1u);
   EXPECT_EQ(buf[0], std::byte{9});
 }
@@ -38,22 +31,12 @@ TEST(StreamTest, RecvTimesOutWhenEmpty) {
   EXPECT_EQ(b->Recv(buf, 5ms), 0u);
 }
 
-TEST(StreamTest, CloseStopsTraffic) {
-  auto [a, b] = Stream::CreatePair();
-  a->Close();
-  EXPECT_TRUE(b->closed());
-  const std::vector<std::byte> data{std::byte{1}};
-  EXPECT_FALSE(b->Send(data));
-  std::byte buf[4];
-  EXPECT_EQ(a->Recv(buf, 5ms), 0u);
-}
-
 TEST(StreamTest, PartialReads) {
   auto [a, b] = Stream::CreatePair();
   std::vector<std::byte> data(100);
   for (size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<std::byte>(i);
-  ASSERT_TRUE(a->Send(data));
+  a->Send(data);
   std::byte buf[30];
   size_t total = 0;
   while (total < 100) {
@@ -71,7 +54,7 @@ TEST(FramedConnectionTest, FrameRoundTrip) {
   FramedConnection ca(a);
   FramedConnection cb(b);
   std::vector<std::byte> payload(500, std::byte{0x7});
-  ASSERT_TRUE(ca.SendFrame(3, msg::kFlagEnd, payload));
+  ca.SendFrame(3, msg::kFlagEnd, payload);
   const auto m = cb.RecvFrame(100ms);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->type, 3);
@@ -87,98 +70,11 @@ TEST(FramedConnectionTest, ManyFramesKeepBoundaries) {
   for (int i = 0; i < 500; ++i) {
     std::vector<std::byte> payload(rng.NextBounded(300));
     for (auto& x : payload) x = static_cast<std::byte>(i);
-    ASSERT_TRUE(ca.SendFrame(static_cast<uint16_t>(i & 0xffff), 0, payload));
+    ca.SendFrame(static_cast<uint16_t>(i & 0xffff), 0, payload);
     const auto m = cb.RecvFrame(100ms);
     ASSERT_TRUE(m.has_value());
     ASSERT_EQ(m->type, i & 0xffff);
     ASSERT_EQ(m->payload, payload);
-  }
-}
-
-class TcpRTreeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    arena_ = std::make_unique<rtree::NodeArena>(rtree::kChunkSize, 1 << 14);
-    Xoshiro256 rng(7);
-    std::vector<rtree::Entry> items;
-    for (uint64_t i = 0; i < 2000; ++i) {
-      const auto r = RandomRect(rng, 0.01);
-      items.push_back({r, i});
-      oracle_.Insert(r, i);
-    }
-    tree_ = std::make_unique<rtree::RStarTree>(
-        rtree::BulkLoad(*arena_, items));
-    server_ = std::make_unique<TcpRTreeServer>(*tree_);
-  }
-
-  void TearDown() override { server_->Stop(); }
-
-  std::unique_ptr<rtree::NodeArena> arena_;
-  std::unique_ptr<rtree::RStarTree> tree_;
-  std::unique_ptr<TcpRTreeServer> server_;
-  BruteForceIndex oracle_;
-};
-
-std::vector<uint64_t> Ids(std::vector<rtree::Entry> entries) {
-  std::vector<uint64_t> ids;
-  for (const auto& e : entries) ids.push_back(e.id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-TEST_F(TcpRTreeTest, SearchMatchesOracle) {
-  TcpRTreeClient client(*server_);
-  Xoshiro256 rng(8);
-  for (int i = 0; i < 50; ++i) {
-    const auto q = RandomRect(rng, 0.05);
-    EXPECT_EQ(Ids(client.Search(q)), oracle_.Search(q));
-  }
-  EXPECT_EQ(server_->searches(), 50u);
-}
-
-TEST_F(TcpRTreeTest, InsertDeleteRoundTrip) {
-  TcpRTreeClient client(*server_);
-  const geo::Rect r{0.2, 0.2, 0.21, 0.21};
-  EXPECT_TRUE(client.Insert(r, 99999));
-  auto ids = Ids(client.Search(r));
-  EXPECT_NE(std::find(ids.begin(), ids.end(), 99999u), ids.end());
-  EXPECT_TRUE(client.Delete(r, 99999));
-  EXPECT_FALSE(client.Delete(r, 99999));
-}
-
-TEST_F(TcpRTreeTest, LargeSegmentedResponse) {
-  TcpRTreeClient client(*server_);
-  const auto all = client.Search(geo::Rect{0, 0, 1, 1});
-  EXPECT_EQ(all.size(), 2000u);
-}
-
-TEST_F(TcpRTreeTest, ConcurrentClients) {
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      TcpRTreeClient client(*server_);
-      Xoshiro256 rng(100 + static_cast<uint64_t>(t));
-      for (int i = 0; i < 30; ++i) {
-        const auto q = RandomRect(rng, 0.03);
-        if (Ids(client.Search(q)) != oracle_.Search(q)) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
-TEST_F(TcpRTreeTest, ParityWithRdmaResults) {
-  // The TCP baseline and the RDMA paths serve identical results — the
-  // protocol payloads are shared.
-  TcpRTreeClient client(*server_);
-  Xoshiro256 rng(9);
-  for (int i = 0; i < 20; ++i) {
-    const auto q = RandomRect(rng, 0.05);
-    std::vector<rtree::Entry> direct;
-    tree_->Search(q, direct);
-    EXPECT_EQ(Ids(client.Search(q)), Ids(direct));
   }
 }
 
