@@ -111,9 +111,14 @@ BootstrapAcceptor::~BootstrapAcceptor() { Stop(); }
 void BootstrapAcceptor::Stop() {
   if (stop_.exchange(true)) return;
   const std::scoped_lock lock(threads_mu_);
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
+  for (auto& h : threads_) {
+    if (h.thread.joinable()) h.thread.join();
   }
+}
+
+size_t BootstrapAcceptor::handshake_threads() const {
+  const std::scoped_lock lock(threads_mu_);
+  return threads_.size();
 }
 
 void BootstrapAcceptor::SetHelloExtension(
@@ -129,29 +134,48 @@ std::shared_ptr<tcpkit::Stream> BootstrapAcceptor::Dial() {
   if (stop_.load()) {
     throw std::runtime_error("BootstrapAcceptor: dial after stop");
   }
-  threads_.emplace_back([this, endpoint = std::move(server_end)]() mutable {
-    Serve(std::move(endpoint));
+  // Reap finished handshakes: their threads exit right after `done`,
+  // so these joins wait at most for one reply send.
+  std::erase_if(threads_, [](HandshakeThread& h) {
+    if (!h.done.load(std::memory_order_acquire)) return false;
+    h.thread.join();
+    return true;
   });
+  HandshakeThread& h = threads_.emplace_back();
+  h.thread = std::thread(
+      [this, endpoint = std::move(server_end), &done = h.done]() mutable {
+        Serve(std::move(endpoint), done);
+      });
   return client_end;
 }
 
-void BootstrapAcceptor::Serve(std::shared_ptr<tcpkit::Stream> endpoint) {
+void BootstrapAcceptor::Serve(std::shared_ptr<tcpkit::Stream> endpoint,
+                              std::atomic<bool>& done) {
   tcpkit::FramedConnection conn(std::move(endpoint));
+  const auto reply = Handshake(conn);
+  // Marked before the reply goes out, so a dialer holding its server
+  // hello finds this thread reapable on its next Dial.
+  done.store(true, std::memory_order_release);
+  if (reply) conn.SendFrame(kServerHelloFrame, 0, *reply);
+}
+
+std::optional<std::vector<std::byte>> BootstrapAcceptor::Handshake(
+    tcpkit::FramedConnection& conn) {
   // One handshake per connection; bail out politely on malformed input.
   std::optional<msg::Message> m;
   while (!stop_.load(std::memory_order_relaxed)) {
     m = conn.RecvFrame(1ms);
     if (m) break;
   }
-  if (!m || m->type != kClientHelloFrame) return;
+  if (!m || m->type != kClientHelloFrame) return std::nullopt;
   const auto hello = DecodeClientHello(m->payload);
-  if (!hello) return;
+  if (!hello) return std::nullopt;
 
   // Connection-manager role: resolve the peer's QP from its (node, QPN).
   const auto client_node = fabric_->FindNode(hello->node_name);
-  if (!client_node) return;
+  if (!client_node) return std::nullopt;
   const auto client_qp = client_node->FindQp(hello->qp_num);
-  if (!client_qp) return;
+  if (!client_qp) return std::nullopt;
 
   ClientBootstrap boot;
   boot.qp = client_qp;
@@ -180,7 +204,7 @@ void BootstrapAcceptor::Serve(std::shared_ptr<tcpkit::Stream> endpoint) {
       reply.extension = ext_provider_();
     }
   }
-  conn.SendFrame(kServerHelloFrame, 0, Encode(reply));
+  return Encode(reply);
 }
 
 namespace {

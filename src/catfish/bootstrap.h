@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -95,6 +96,8 @@ class BootstrapAcceptor {
 
   /// "Dials" the bootstrap endpoint: returns the client side of a fresh
   /// TCP stream whose server side is being served by a handshake thread.
+  /// First joins the threads of handshakes that have finished, so a
+  /// long-lived acceptor holds one thread per handshake still running.
   std::shared_ptr<tcpkit::Stream> Dial();
 
   /// Installs the hello-extension hook: every subsequent server hello
@@ -110,9 +113,24 @@ class BootstrapAcceptor {
   uint64_t handshakes() const noexcept {
     return handshakes_.load(std::memory_order_relaxed);
   }
+  /// Handshake threads not yet joined (running, or finished since the
+  /// last Dial).
+  size_t handshake_threads() const;
 
  private:
-  void Serve(std::shared_ptr<tcpkit::Stream> endpoint);
+  struct HandshakeThread {
+    std::thread thread;
+    /// Set once the handshake needs nothing more from the acceptor;
+    /// the thread then only sends its reply and exits.
+    std::atomic<bool> done{false};
+  };
+
+  void Serve(std::shared_ptr<tcpkit::Stream> endpoint,
+             std::atomic<bool>& done);
+  /// The server half of one hello exchange: the encoded server hello,
+  /// or nothing when the client hello is missing or malformed.
+  std::optional<std::vector<std::byte>> Handshake(
+      tcpkit::FramedConnection& conn);
 
   RTreeServer* server_;
   rdma::Fabric* fabric_;
@@ -120,8 +138,9 @@ class BootstrapAcceptor {
   uint32_t ext_shard_id_ = 0;
   std::function<std::vector<std::byte>()> ext_provider_;
   std::atomic<bool> stop_{false};
-  std::mutex threads_mu_;
-  std::vector<std::thread> threads_;
+  mutable std::mutex threads_mu_;
+  /// A list, so each running thread's `done` keeps its address.
+  std::list<HandshakeThread> threads_;
   std::atomic<uint64_t> handshakes_{0};
 };
 

@@ -4,6 +4,8 @@
 #include <array>
 #include <chrono>
 
+#include <pthread.h>
+
 #include "common/clock.h"
 #include "durable/manager.h"
 #include "telemetry/events.h"
@@ -246,7 +248,8 @@ void RTreeServer::HandleMessage(Connection& conn, const msg::Message& m,
                          const auto& run) {
     if (ShedIfNeeded(conn, req_id, picked_up_us, deadline_us)) return;
     start_trace(c, req_id);
-    std::vector<rtree::Entry> results;
+    std::vector<rtree::Entry>& results = conn.results;
+    results.clear();
     const auto traverse = span_begin("traverse");
     maybe_delay();
     run(results);
@@ -354,6 +357,11 @@ void RTreeServer::HandleMessage(Connection& conn, const msg::Message& m,
 }
 
 void RTreeServer::WorkerLoop(Connection& conn) {
+#ifdef __linux__
+  // Named so `top -H`, debuggers and tests/alloc_test.cc can single the
+  // workers out.
+  pthread_setname_np(pthread_self(), kWorkerThreadName);
+#endif
   // One Message reused across the loop: together with the connection's
   // reply scratch this keeps the steady-state request path off the
   // allocator entirely.
@@ -507,9 +515,15 @@ void RTreeServer::MonitorLoop() {
       const std::scoped_lock send_lock(conn->send_mu);
       // Best effort: a full response ring drops this heartbeat; the next
       // one is 10 ms away (the paper tolerates delayed heartbeats, §IV-A).
-      if (conn->response_tx->TrySend(
-              static_cast<uint16_t>(msg::MsgType::kHeartbeat),
-              msg::kFlagEnd, hb)) {
+      // A WRITE the link dropped is posted once more at once: with lazy
+      // ring acks the ops between heartbeats can repeat with the period
+      // of a flaky link's drops, which would otherwise hit every beat.
+      const auto send = [&] {
+        return conn->response_tx->TrySend(
+            static_cast<uint16_t>(msg::MsgType::kHeartbeat), msg::kFlagEnd,
+            hb);
+      };
+      if (send() || send()) {
         heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
         CATFISH_COUNT("catfish.server.heartbeats");
       }

@@ -66,6 +66,9 @@ struct AdmissionConfig {
   double min_utilization = 0.85;
 };
 
+/// The thread name of every connection's worker (Linux; ≤ 15 chars).
+inline constexpr char kWorkerThreadName[] = "catfish-worker";
+
 struct ServerConfig {
   NotifyMode mode = NotifyMode::kEventDriven;
   /// Heartbeat interval Inv (paper: 10 ms).
@@ -240,11 +243,13 @@ class RTreeServer {
     std::mutex send_mu;  ///< worker (responses) vs monitor (heartbeats)
     std::thread worker;
     std::atomic<uint64_t> busy_ns{0};
-    /// Worker-private reply scratch: the steady-state request loop
-    /// encodes every response into these instead of fresh vectors, so
-    /// it never touches the allocator (tests/alloc_test.cc). Acks, shed
-    /// replies and trace frames share `reply_scratch`: each is sent
-    /// before the next is encoded.
+    /// Worker-private query and reply scratch: the steady-state request
+    /// loop collects matches into `results` and encodes every response
+    /// into these instead of fresh vectors, so it never touches the
+    /// allocator (tests/alloc_test.cc). Acks, shed replies and trace
+    /// frames share `reply_scratch`: each is sent before the next is
+    /// encoded.
+    std::vector<rtree::Entry> results;
     std::vector<std::vector<std::byte>> seg_scratch;
     std::vector<std::byte> reply_scratch;
     msg::TraceResponse trace_reply;

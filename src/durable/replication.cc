@@ -108,6 +108,14 @@ ReplicationShipper::~ReplicationShipper() { Stop(); }
 
 void ReplicationShipper::AddFollower(msg::RingSender* batch_tx,
                                      msg::RingReceiver* ack_rx) {
+  // Every batch must fit its ring in one message: a full
+  // kMaxReplBatchRecords batch fits the default 64 KiB ring, a smaller
+  // caller-sized ring caps the batch for every follower.
+  const size_t ring_records =
+      (batch_tx->MaxPayload() - msg::kReplBatchOverheadBytes) /
+      msg::kReplRecordBytes;
+  cfg_.max_batch_records =
+      std::max<size_t>(1, std::min(cfg_.max_batch_records, ring_records));
   Follower f;
   f.batch_tx = batch_tx;
   f.ack_rx = ack_rx;

@@ -119,7 +119,8 @@ class ReplChannel {
 
 struct ReplicationShipperConfig {
   uint32_t shard = 0;
-  /// Records per batch frame (≤ msg::kMaxReplBatchRecords).
+  /// Records per batch frame (≤ msg::kMaxReplBatchRecords, and ≤ what
+  /// the smallest follower batch ring's MaxPayload holds).
   size_t max_batch_records = 128;
   /// Followers that must cover an LSN before the gate releases it.
   size_t ack_followers = 1;

@@ -50,9 +50,10 @@ uint64_t RingSender::acked_head() const noexcept {
 }
 
 size_t RingSender::MaxPayload() const noexcept {
-  // A message of wire size W is guaranteed sendable (once the ring
-  // drains) iff W plus a worst-case PAD record fits: 2W ≤ capacity.
-  return capacity_ / 2 - kMsgHeaderBytes - 1;
+  // A message of wire size W is guaranteed sendable once the ring
+  // drains iff W plus a worst-case PAD record fits beside the bytes the
+  // receiver may still hold unacked: 2W ≤ capacity - AckSlack.
+  return (capacity_ - AckSlack(capacity_)) / 2 - kMsgHeaderBytes - 1;
 }
 
 bool RingSender::TrySend(uint16_t type, uint16_t flags,
@@ -155,13 +156,17 @@ RingReceiver::RingReceiver(std::span<std::byte> ring,
                            std::shared_ptr<rdma::QueuePair> qp,
                            rdma::RemoteAddr remote_ack_cell)
     : ring_(ring), qp_(std::move(qp)), remote_ack_(remote_ack_cell),
-      ack_buf_(sizeof(uint64_t)) {
+      ack_slack_(AckSlack(ring.size())), ack_buf_(sizeof(uint64_t)) {
   assert(ring_.size() % kMsgAlign == 0 && ring_.size() >= 64);
 }
 
-void RingReceiver::Ack() {
+void RingReceiver::MaybeAck() {
+  const uint64_t unacked = head_ - acked_;
+  if (unacked == 0 || unacked < ack_slack_) return;
   StorePod(ack_buf_, 0, head_);
-  qp_->PostWrite(++wr_id_, ack_buf_, remote_ack_, /*signaled=*/false);
+  if (qp_->PostWrite(++wr_id_, ack_buf_, remote_ack_, /*signaled=*/false)) {
+    acked_ = head_;
+  }
 }
 
 std::optional<Message> RingReceiver::TryReceive() {
@@ -174,13 +179,15 @@ bool RingReceiver::TryReceive(Message& out) {
   for (;;) {
     const size_t pos = static_cast<size_t>(head_ % ring_.size());
     const uint32_t size_word = ReadSizeWord(ring_.data() + pos);
-    if (size_word == 0) return false;
+    if (size_word == 0) {
+      MaybeAck();  // retries an ack whose post failed
+      return false;
+    }
 
     if (size_word == kPadMarker) {
       const size_t contiguous = ring_.size() - pos;
       RelaxedZero(ring_.data() + pos, sizeof(uint32_t));
       head_ += contiguous;
-      Ack();
       continue;  // the real message is at offset 0
     }
 
@@ -193,6 +200,7 @@ bool RingReceiver::TryReceive(Message& out) {
     }
     if (ReadCommitByte(ring_.data() + pos + size_word - 1) != kCommitByte) {
       // Header landed but the WRITE has not fully arrived yet.
+      MaybeAck();  // as on an empty ring; a PAD may have crossed the slack
       return false;
     }
 
@@ -213,7 +221,7 @@ bool RingReceiver::TryReceive(Message& out) {
     // the ack lands, and the poll protocol relies on reading zeroes.
     RelaxedZero(ring_.data() + pos, size_word);
     head_ += size_word;
-    Ack();
+    MaybeAck();
     CATFISH_COUNT("msg.ring.msgs_received");
     return true;
   }

@@ -7,6 +7,15 @@
 // small ack cell in the *sender's* memory — exactly the two-pointer
 // scheme of the paper.
 //
+// Acks are lazy: the receiver writes its head back only once it has
+// consumed AckSlack(capacity) bytes past the last ack — 1/16 of the
+// ring, so one ack WRITE per 16 KiB on a 256 KiB ring instead of one per
+// message. A failed ack post is retried by the next TryReceive, even one
+// that finds the ring empty. Holding bytes back never deadlocks: once
+// the receiver has drained, fewer than AckSlack bytes stay unacked, and
+// MaxPayload leaves exactly that much room beside a maximal message and
+// its worst-case PAD record.
+//
 // Wire format of one message (sizes rounded up to 8 bytes):
 //
 //   u32 size          total padded size; 0xffffffff marks a PAD record
@@ -59,6 +68,14 @@ constexpr size_t WireSize(size_t payload_len) noexcept {
   return (raw + kMsgAlign - 1) / kMsgAlign * kMsgAlign;
 }
 
+/// Bytes a receiver may consume before it must write its head back:
+/// capacity / 16, rounded down to kMsgAlign. Rings too small for that to
+/// cover one minimum frame get 0 and ack every message.
+constexpr size_t AckSlack(size_t capacity) noexcept {
+  const size_t slack = capacity / 16 / kMsgAlign * kMsgAlign;
+  return slack < WireSize(0) ? 0 : slack;
+}
+
 /// Sender half. Lives on the node that produces messages; writes into the
 /// remote ring via `qp` and reads acknowledgements from a local ack cell
 /// the peer updates.
@@ -78,7 +95,8 @@ class RingSender {
                std::span<const std::byte> payload,
                std::optional<uint32_t> imm = std::nullopt);
 
-  /// Largest payload a single message can carry on this ring.
+  /// Largest payload a single message can carry on this ring:
+  /// (capacity - AckSlack(capacity)) / 2 - kMsgHeaderBytes - 1.
   size_t MaxPayload() const noexcept;
 
   size_t capacity() const noexcept { return capacity_; }
@@ -99,30 +117,37 @@ class RingSender {
 };
 
 /// Receiver half. Owns the local ring memory and writes head
-/// acknowledgements back to the sender's ack cell.
+/// acknowledgements back to the sender's ack cell, once per AckSlack.
 class RingReceiver {
  public:
   RingReceiver(std::span<std::byte> ring,
                std::shared_ptr<rdma::QueuePair> qp,
                rdma::RemoteAddr remote_ack_cell);
 
-  /// Non-blocking: consumes the next complete message if one is ready.
-  /// The reference form reuses `out.payload`'s capacity — a caller that
-  /// keeps one Message across its receive loop makes the steady state
-  /// allocation-free. The optional form is a convenience wrapper that
-  /// pays one payload allocation per message.
+  /// Non-blocking: consumes the next complete message if one is ready,
+  /// then acks if AckSlack bytes are unacked (which also retries a
+  /// failed ack when the ring is empty). The reference form reuses
+  /// `out.payload`'s capacity — a caller that keeps one Message across
+  /// its receive loop makes the steady state allocation-free. The
+  /// optional form is a convenience wrapper that pays one payload
+  /// allocation per message.
   bool TryReceive(Message& out);
   std::optional<Message> TryReceive();
 
   uint64_t head() const noexcept { return head_; }
 
  private:
-  void Ack();
+  /// Posts the head WRITE when AckSlack bytes (or, on a ring with no
+  /// slack, any bytes) are unacked; a failed post leaves acked_ behind
+  /// so the next call retries.
+  void MaybeAck();
 
   std::span<std::byte> ring_;
   std::shared_ptr<rdma::QueuePair> qp_;
   rdma::RemoteAddr remote_ack_;
-  uint64_t head_ = 0;  // absolute byte counter
+  uint64_t head_ = 0;   // absolute byte counter
+  uint64_t acked_ = 0;  // head value of the last successful ack post
+  size_t ack_slack_;
   uint64_t wr_id_ = 0;
   /// Reusable frame copy: ring memory is racily shared with the remote
   /// QP, so frames are lifted out atomically before parsing.

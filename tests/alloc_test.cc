@@ -1,10 +1,11 @@
 // Allocation regression harness for the messaging, search and offload
 // hot paths: after warm-up, the steady-state ring send/receive loop, the
 // client's request encode, the server's reply codecs, the remote fetch
-// engine's loop, the R-tree's own search and the client's cached
-// offloaded search must not touch the global allocator
+// engine's loop, the R-tree's own search, the client's cached
+// offloaded search and the server worker's side of a matching fast
+// search must not touch the global allocator
 // (RingSender::frame_, RingReceiver::scratch_, the client's request
-// scratch, per-connection reply scratch, trace_wire's
+// scratch, per-connection results and reply scratch, trace_wire's
 // append-into-capacity encoder, the engine's reused staging members, the
 // per-thread search frontiers and the client's traversal members).
 // Counting is done by replacing the global operator new; disabled under
@@ -15,9 +16,12 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <vector>
+
+#include <pthread.h>
 
 #include "catfish/client.h"
 #include "catfish/server.h"
@@ -40,6 +44,19 @@ namespace {
 std::atomic<size_t> g_allocs{0};
 std::atomic<bool> g_counting{false};
 thread_local bool t_counting = false;
+/// Counts server worker threads (known by their thread name) while set;
+/// each thread checks its name once, on its first allocation after.
+std::atomic<bool> g_counting_workers{false};
+thread_local int t_is_worker = -1;
+
+bool OnServerWorker() noexcept {
+  if (t_is_worker < 0) {
+    char name[16] = {};
+    pthread_getname_np(pthread_self(), name, sizeof(name));
+    t_is_worker = std::strcmp(name, catfish::kWorkerThreadName) == 0;
+  }
+  return t_is_worker == 1;
+}
 }  // namespace
 
 // The replaced new is malloc-backed, so free() in the deletes below is
@@ -50,7 +67,9 @@ thread_local bool t_counting = false;
 #endif
 
 void* operator new(std::size_t n) {
-  if (t_counting || g_counting.load(std::memory_order_relaxed)) {
+  if (t_counting || g_counting.load(std::memory_order_relaxed) ||
+      (g_counting_workers.load(std::memory_order_relaxed) &&
+       OnServerWorker())) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(n)) return p;
@@ -91,6 +110,20 @@ class ThreadAllocCounter {
     t_counting = true;
   }
   ~ThreadAllocCounter() { t_counting = false; }
+  size_t count() const { return g_allocs.load(std::memory_order_relaxed); }
+};
+
+/// Counts only server worker threads' operator new calls within a
+/// scope: for server paths that a client thread drives.
+class WorkerAllocCounter {
+ public:
+  WorkerAllocCounter() {
+    g_allocs.store(0, std::memory_order_relaxed);
+    g_counting_workers.store(true, std::memory_order_relaxed);
+  }
+  ~WorkerAllocCounter() {
+    g_counting_workers.store(false, std::memory_order_relaxed);
+  }
   size_t count() const { return g_allocs.load(std::memory_order_relaxed); }
 };
 
@@ -404,6 +437,45 @@ TEST(AllocTest, WarmCachedOffloadedSearchIsAllocationFree) {
   EXPECT_EQ(client.stats().offloaded_searches - before.offloaded_searches,
             1000u);
   EXPECT_EQ(allocs, 0u) << "a warm cached offloaded search hit the allocator";
+  server.Stop();
+}
+
+TEST(AllocTest, WarmServerQueryIsAllocationFreeOnTheWorker) {
+  // The worker collects matches into its connection's results vector
+  // and encodes the reply into the connection's segment scratch. A
+  // polling worker runs the same query body but never blocks: an
+  // event-driven one registers its CQ wake-up timer the first time
+  // load makes it block, which could land inside the counted loop.
+  rdma::Fabric fabric{rdma::FabricProfile::Instant()};
+  rtree::NodeArena arena(rtree::kChunkSize, 1 << 12);
+  rtree::RStarTree tree = rtree::BulkLoad(arena, UnitSquareItems());
+  ServerConfig server_cfg;
+  server_cfg.mode = NotifyMode::kPolling;
+  RTreeServer server(fabric.CreateNode("server"), tree, server_cfg);
+  RTreeClient client(fabric.CreateNode("client"), server, ClientConfig{});
+  constexpr geo::Rect kQuery{0.4, 0.4, 0.5, 0.5};
+  const size_t matches = client.SearchFast(kQuery).size();
+  ASSERT_GT(matches, 0u);
+  // A slow sample would grow the worker's service-time histogram: one
+  // deliberately slow request grows it past any the counted loop takes.
+  server.SetServiceDelayForTest(200'000);
+  ASSERT_EQ(client.SearchFast(kQuery).size(), matches);
+  server.SetServiceDelayForTest(0);
+  // Warm past the worker's first response-ring wrap, request-ring ack
+  // and stale-completion drain: each registers its counters on first use.
+  for (int i = 0; i < 1000; ++i) client.SearchFast(kQuery);
+
+  const uint64_t searches_before = server.stats().searches;
+  size_t allocs = 0;
+  size_t results = 0;
+  {
+    const WorkerAllocCounter counter;
+    for (int i = 0; i < 1000; ++i) results += client.SearchFast(kQuery).size();
+    allocs = counter.count();
+  }
+  EXPECT_EQ(results, 1000 * matches);
+  EXPECT_EQ(server.stats().searches - searches_before, 1000u);
+  EXPECT_EQ(allocs, 0u) << "a warm server query hit the allocator";
   server.Stop();
 }
 

@@ -268,6 +268,23 @@ TEST_F(BootstrapTest, ScratchPoolSurvivesReconnectWithoutLeaks) {
   }
 }
 
+TEST_F(BootstrapTest, FinishedHandshakeThreadsAreReaped) {
+  // Every client reconnect dials again; a long-lived acceptor must not
+  // keep one finished thread per handshake until Stop().
+  auto node = fabric_->CreateNode("client-redialer");
+  auto client = ConnectViaBootstrap(
+      [this] { return acceptor_->Dial(); }, node);
+  constexpr int kHandshakes = 64;
+  for (int i = 1; i < kHandshakes; ++i) {
+    ASSERT_EQ(client->Reconnect(), ClientStatus::kOk) << "handshake " << i;
+  }
+  EXPECT_EQ(acceptor_->handshakes(), static_cast<uint64_t>(kHandshakes));
+  EXPECT_LE(acceptor_->handshake_threads(), 1u);
+  Xoshiro256 rng(13);
+  const auto q = RandomRect(rng, 0.05);
+  EXPECT_EQ(Ids(client->SearchFast(q)), oracle_.Search(q));
+}
+
 TEST_F(BootstrapTest, DialRacingStopDoesNotLeakOrHang) {
   // Threads hammer Dial() while the main thread Stops the acceptor: each
   // dial either completes a handshake or throws "dial after stop". Stop

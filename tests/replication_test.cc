@@ -455,6 +455,48 @@ TEST_F(ReplicationStackTest, LateFollowerResyncsFromLogStorage) {
   applier.Stop();
 }
 
+TEST_F(ReplicationStackTest, SmallBatchRingCapsEveryBatch) {
+  // 512 records queued before the follower attaches: a full
+  // kMaxReplBatchRecords batch (29 218 bytes) would overrun this ring's
+  // MaxPayload, so the shipper must cut the resync into ring-sized
+  // batches.
+  Stack primary = MakeStack("primary");
+  constexpr uint64_t kWrites = msg::kMaxReplBatchRecords;
+  Xoshiro256 rng(41);
+  for (uint64_t req = 1; req <= kWrites; ++req) {
+    ASSERT_TRUE(primary.mgr
+                    ->ExecuteInsert(*primary.tree, 1, req,
+                                    RandomRect(rng, 0.03), req)
+                    .ok);
+  }
+
+  Stack follower = MakeStack("follower");
+  constexpr size_t kBatchRing = 8 * 1024;
+  ReplChannel ch(primary.node, follower.node, kBatchRing);
+  ASSERT_LT(ch.batch_tx().MaxPayload(),
+            msg::kReplBatchOverheadBytes +
+                msg::kMaxReplBatchRecords * msg::kReplRecordBytes);
+  FollowerApplier applier(*follower.mgr, *follower.tree, &ch.batch_rx(),
+                          &ch.ack_tx(), {/*shard=*/0});
+  ReplicationShipperConfig cfg;
+  cfg.max_batch_records = msg::kMaxReplBatchRecords;
+  ReplicationShipper shipper(*primary.mgr, cfg);
+  shipper.AddFollower(&ch.batch_tx(), &ch.ack_rx());
+  applier.Start();
+  shipper.Start();
+
+  ASSERT_TRUE(
+      WaitUntil([&] { return follower.mgr->durable_lsn() >= kWrites; }));
+  EXPECT_GE(shipper.stats().records_shipped, kWrites);
+  EXPECT_GE(shipper.stats().batches_sent,
+            kWrites * msg::kReplRecordBytes / ch.batch_tx().MaxPayload());
+  EXPECT_EQ(applier.stats().records_applied, kWrites);
+  EXPECT_EQ(applier.stats().decode_errors, 0u);
+  EXPECT_EQ(ScanIds(*follower.tree), ScanIds(*primary.tree));
+  shipper.Stop();
+  applier.Stop();
+}
+
 TEST_F(ReplicationStackTest, TruncateFloorPinsLogUntilFollowersAck) {
   Stack primary = MakeStack("primary");
   Stack follower = MakeStack("follower");

@@ -129,14 +129,121 @@ TEST(RingTest, WrapAroundWithPad) {
   }
 }
 
+TEST(RingTest, AckSlackIsOneSixteenthOfTheRing) {
+  EXPECT_EQ(AckSlack(256 * 1024), 16u * 1024);
+  EXPECT_EQ(AckSlack(64 * 1024), 4u * 1024);
+  EXPECT_EQ(AckSlack(4096), 256u);
+  EXPECT_EQ(AckSlack(1000), 56u);  // 62.5 rounds down to kMsgAlign
+  EXPECT_EQ(AckSlack(256), 16u);   // one minimum frame
+  EXPECT_EQ(AckSlack(248), 0u);    // under one frame: ack every message
+  EXPECT_EQ(AckSlack(64), 0u);
+}
+
 TEST(RingTest, MaxPayloadMessageFits) {
   RingPair p(1024);
   const size_t max = p.tx->MaxPayload();
-  EXPECT_EQ(max, 1024 / 2 - kMsgHeaderBytes - 1);
+  EXPECT_EQ(max, (1024 - AckSlack(1024)) / 2 - kMsgHeaderBytes - 1);
   ASSERT_TRUE(p.tx->TrySend(2, kFlagEnd, Payload(max, 0xee)));
   const auto m = p.rx->TryReceive();
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->payload.size(), max);
+}
+
+TEST(RingTest, SmallestRingKeepsItsMaxPayload) {
+  RingPair p(64);
+  EXPECT_EQ(p.tx->MaxPayload(), 64 / 2 - kMsgHeaderBytes - 1);
+}
+
+// Lock-step round trips: the receiver's node posts one ack WRITE each
+// time its head has moved AckSlack bytes past the last ack, PADs
+// included, and no other WRITE.
+TEST(RingTest, AcksOncePerSlack) {
+  constexpr size_t kCapacity = 4096;
+  constexpr size_t kPayload = 56;  // wire 72: 4096 is no multiple, so PADs
+  constexpr int kRoundTrips = 200;
+  RingPair p(kCapacity);
+  const size_t wire = WireSize(kPayload);
+  const size_t slack = AckSlack(kCapacity);
+  uint64_t tail = 0, acked = 0, expected_acks = 0;
+  for (int i = 0; i < kRoundTrips; ++i) {
+    const size_t pos = tail % kCapacity;
+    if (kCapacity - pos < wire) tail += kCapacity - pos;
+    tail += wire;
+    if (tail - acked >= slack) {
+      acked = tail;
+      ++expected_acks;
+    }
+  }
+  ASSERT_LE(expected_acks, static_cast<uint64_t>(kRoundTrips) / 4);
+
+  const uint64_t before = p.b->stats().writes_posted;
+  for (int i = 0; i < kRoundTrips; ++i) {
+    ASSERT_TRUE(p.tx->TrySend(1, kFlagEnd, Payload(kPayload, 3)));
+    ASSERT_TRUE(p.rx->TryReceive().has_value()) << "round trip " << i;
+  }
+  EXPECT_EQ(p.b->stats().writes_posted - before, expected_acks);
+  EXPECT_EQ(p.tx->acked_head(), acked);
+  EXPECT_EQ(p.rx->head(), tail);
+}
+
+// The tightest case for MaxPayload: the drained receiver holds
+// AckSlack - 8 bytes unacked and the maximal message needs a PAD that
+// leaves only 8 bytes of its own frame short of the ring's end.
+TEST(RingTest, HeldBackSlackNeverBlocksAMaxMessage) {
+  constexpr size_t kCapacity = 4096;
+  RingPair p(kCapacity);
+  const size_t slack = AckSlack(kCapacity);
+  const size_t max_wire = WireSize(p.tx->MaxPayload());
+  const size_t held = slack - 8;
+  // Acked prefix + held-back tail end where the maximal frame needs a
+  // PAD covering max_wire - 8 bytes. Two acked messages of 968 wire
+  // bytes (payload 955), then one unacked one of `held` wire bytes.
+  const size_t pos = kCapacity - (max_wire - 8);
+  ASSERT_EQ(pos, 2 * WireSize(955) + held);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(p.tx->TrySend(1, kFlagEnd, Payload(955, 1)));
+    ASSERT_TRUE(p.rx->TryReceive().has_value());
+  }
+  const size_t held_payload = held - kMsgHeaderBytes - 1;
+  ASSERT_EQ(WireSize(held_payload), held);
+  ASSERT_TRUE(p.tx->TrySend(2, kFlagEnd, Payload(held_payload, 2)));
+  ASSERT_TRUE(p.rx->TryReceive().has_value());
+  EXPECT_FALSE(p.rx->TryReceive().has_value());  // drained
+  ASSERT_EQ(p.tx->tail(), pos);
+  ASSERT_EQ(p.tx->tail() - p.tx->acked_head(), held);
+
+  const auto big = Payload(p.tx->MaxPayload(), 0x5a);
+  ASSERT_TRUE(p.tx->TrySend(3, kFlagEnd, big));
+  const auto m = p.rx->TryReceive();
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->type, 3);
+  EXPECT_EQ(m->payload, big);
+}
+
+// A dropped ack WRITE is reposted by the next TryReceive, even one that
+// finds the ring empty, so a drained ring never stays short of space.
+TEST(RingTest, DroppedAckIsRetried) {
+  constexpr size_t kCapacity = 4096;
+  RingPair p(kCapacity);
+  const size_t wire = WireSize(51);
+  ASSERT_EQ(AckSlack(kCapacity) % wire, 0u);
+  const size_t per_ack = AckSlack(kCapacity) / wire;
+  for (size_t i = 0; i < per_ack; ++i) {
+    ASSERT_TRUE(p.tx->TrySend(1, kFlagEnd, Payload(51, 1)));
+  }
+  // The next op on the link is the ack the last receive posts.
+  p.fabric.faults().SetDropPlan("sender", "receiver", {.first = 1});
+  for (size_t i = 0; i < per_ack; ++i) {
+    ASSERT_TRUE(p.rx->TryReceive().has_value());
+  }
+  EXPECT_EQ(p.fabric.faults().dropped_ops(), 1u);
+  EXPECT_EQ(p.tx->acked_head(), 0u);
+
+  EXPECT_FALSE(p.rx->TryReceive().has_value());
+  EXPECT_EQ(p.tx->acked_head(), p.tx->tail());
+  EXPECT_EQ(p.tx->capacity() - (p.tx->tail() - p.tx->acked_head()),
+            kCapacity);
+  p.fabric.faults().Clear();
 }
 
 TEST(RingTest, RandomizedSizesSurviveManyWraps) {
