@@ -113,9 +113,9 @@ int Run() {
   ccfg.request_timeout_us = 2'000'000;
   ccfg.write_attempts = 50;  // writes may race checkpoints and restarts
   auto client = ConnectViaBootstrap(
-      [&] {
+      [&](std::span<const std::byte> hello) {
         if (!acceptor) throw std::runtime_error("no acceptor");
-        return acceptor->Dial();
+        return acceptor->Exchange(hello);
       },
       fabric.CreateNode("client"), ccfg);
 

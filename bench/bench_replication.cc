@@ -184,7 +184,7 @@ void Failover(telemetry::JsonLinesWriter* out) {
     ccfg.client.write_attempts = 50;
     shard::ShardedRTreeClient client(
         fabric.CreateNode("client"),
-        [&](uint32_t s) { return host.Dial(s); }, ccfg);
+        [&](uint32_t s, auto hello) { return host.Dial(s, hello); }, ccfg);
 
     // Write burst: the followers must have a shipped log tail to apply,
     // or promotion would be measured against an idle shard.

@@ -1,13 +1,10 @@
 #include "catfish/bootstrap.h"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "common/bytes.h"
 
 namespace catfish {
-
-using namespace std::chrono_literals;
 
 namespace {
 
@@ -106,76 +103,35 @@ BootstrapAcceptor::BootstrapAcceptor(RTreeServer& server,
                                      rdma::Fabric& fabric)
     : server_(&server), fabric_(&fabric) {}
 
-BootstrapAcceptor::~BootstrapAcceptor() { Stop(); }
-
 void BootstrapAcceptor::Stop() {
-  if (stop_.exchange(true)) return;
-  const std::scoped_lock lock(threads_mu_);
-  for (auto& h : threads_) {
-    if (h.thread.joinable()) h.thread.join();
-  }
-}
-
-size_t BootstrapAcceptor::handshake_threads() const {
-  const std::scoped_lock lock(threads_mu_);
-  return threads_.size();
+  const std::scoped_lock lock(mu_);
+  stopped_ = true;
 }
 
 void BootstrapAcceptor::SetHelloExtension(
     uint32_t shard_id, std::function<std::vector<std::byte>()> provider) {
-  const std::scoped_lock lock(ext_mu_);
+  const std::scoped_lock lock(mu_);
   ext_shard_id_ = shard_id;
   ext_provider_ = std::move(provider);
 }
 
-std::shared_ptr<tcpkit::Stream> BootstrapAcceptor::Dial() {
-  auto [server_end, client_end] = tcpkit::Stream::CreatePair();
-  const std::scoped_lock lock(threads_mu_);
-  if (stop_.load()) {
-    throw std::runtime_error("BootstrapAcceptor: dial after stop");
+std::vector<std::byte> BootstrapAcceptor::Exchange(
+    std::span<const std::byte> client_hello) {
+  const std::scoped_lock lock(mu_);
+  if (stopped_) throw std::runtime_error("bootstrap: acceptor stopped");
+  const auto hello = DecodeClientHello(client_hello);
+  if (!hello) throw std::runtime_error("bootstrap: malformed client hello");
+  // The response ring must be one the worker's sender can frame into.
+  const uint64_t ring = hello->response_ring_capacity;
+  if (ring < 64 || ring % msg::kMsgAlign != 0) {
+    throw std::runtime_error("bootstrap: bad response ring capacity");
   }
-  // Reap finished handshakes: their threads exit right after `done`,
-  // so these joins wait at most for one reply send.
-  std::erase_if(threads_, [](HandshakeThread& h) {
-    if (!h.done.load(std::memory_order_acquire)) return false;
-    h.thread.join();
-    return true;
-  });
-  HandshakeThread& h = threads_.emplace_back();
-  h.thread = std::thread(
-      [this, endpoint = std::move(server_end), &done = h.done]() mutable {
-        Serve(std::move(endpoint), done);
-      });
-  return client_end;
-}
-
-void BootstrapAcceptor::Serve(std::shared_ptr<tcpkit::Stream> endpoint,
-                              std::atomic<bool>& done) {
-  tcpkit::FramedConnection conn(std::move(endpoint));
-  const auto reply = Handshake(conn);
-  // Marked before the reply goes out, so a dialer holding its server
-  // hello finds this thread reapable on its next Dial.
-  done.store(true, std::memory_order_release);
-  if (reply) conn.SendFrame(kServerHelloFrame, 0, *reply);
-}
-
-std::optional<std::vector<std::byte>> BootstrapAcceptor::Handshake(
-    tcpkit::FramedConnection& conn) {
-  // One handshake per connection; bail out politely on malformed input.
-  std::optional<msg::Message> m;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    m = conn.RecvFrame(1ms);
-    if (m) break;
-  }
-  if (!m || m->type != kClientHelloFrame) return std::nullopt;
-  const auto hello = DecodeClientHello(m->payload);
-  if (!hello) return std::nullopt;
 
   // Connection-manager role: resolve the peer's QP from its (node, QPN).
   const auto client_node = fabric_->FindNode(hello->node_name);
-  if (!client_node) return std::nullopt;
-  const auto client_qp = client_node->FindQp(hello->qp_num);
-  if (!client_qp) return std::nullopt;
+  const auto client_qp =
+      client_node ? client_node->FindQp(hello->qp_num) : nullptr;
+  if (!client_qp) throw std::runtime_error("bootstrap: unknown client QP");
 
   ClientBootstrap boot;
   boot.qp = client_qp;
@@ -197,79 +153,44 @@ std::optional<std::vector<std::byte>> BootstrapAcceptor::Handshake(
   reply.generation = sb.generation;
   reply.repl_role = sb.repl_role;
   reply.repl_epoch = sb.repl_epoch;
-  {
-    const std::scoped_lock lock(ext_mu_);
-    if (ext_provider_) {
-      reply.shard_id = ext_shard_id_;
-      reply.extension = ext_provider_();
-    }
+  if (ext_provider_) {
+    reply.shard_id = ext_shard_id_;
+    reply.extension = ext_provider_();
   }
   return Encode(reply);
-}
-
-namespace {
-
-/// The client half of one hello round trip: send our wiring, receive and
-/// deserialize the server's. Throws on any transport or decode failure
-/// (the recovery path catches and reports kReconnectFailed).
-ServerBootstrap HelloRoundTrip(tcpkit::FramedConnection& conn,
-                               const std::string& node_name,
-                               const ClientBootstrap& mine) {
-  WireClientHello hello;
-  hello.node_name = node_name;
-  hello.qp_num = mine.qp->qp_num();
-  hello.response_ring_rkey = mine.response_ring.rkey;
-  hello.response_ring_capacity = mine.response_ring_capacity;
-  hello.request_ack_rkey = mine.request_ack_cell.rkey;
-  conn.SendFrame(kClientHelloFrame, 0, Encode(hello));
-  const auto reply = conn.RecvFrame(10s);
-  if (!reply || reply->type != kServerHelloFrame) {
-    throw std::runtime_error("bootstrap: no server hello");
-  }
-  const auto sh = DecodeServerHello(reply->payload);
-  if (!sh) throw std::runtime_error("bootstrap: malformed server hello");
-
-  ServerBootstrap boot;
-  boot.arena_mr = rdma::MemoryRegionHandle{sh->arena_rkey, sh->arena_length};
-  boot.request_ring = rdma::RemoteAddr{sh->request_ring_rkey, 0};
-  boot.request_ring_capacity = sh->request_ring_capacity;
-  boot.response_ack_cell = rdma::RemoteAddr{sh->response_ack_rkey, 0};
-  boot.root = sh->root;
-  boot.chunk_size = sh->chunk_size;
-  boot.tree_height = sh->tree_height;
-  boot.generation = sh->generation;
-  boot.shard_id = sh->shard_id;
-  boot.hello_extension = sh->extension;
-  boot.repl_role = sh->repl_role;
-  boot.repl_epoch = sh->repl_epoch;
-  return boot;
-}
-
-}  // namespace
-
-std::unique_ptr<RTreeClient> ConnectViaBootstrap(
-    std::shared_ptr<tcpkit::Stream> stream,
-    std::shared_ptr<rdma::SimNode> node, ClientConfig cfg) {
-  tcpkit::FramedConnection conn(std::move(stream));
-  const auto shake =
-      [&conn, &node](const ClientBootstrap& mine) -> ServerBootstrap {
-    return HelloRoundTrip(conn, node->name(), mine);
-  };
-  return std::make_unique<RTreeClient>(node, shake, cfg);
 }
 
 std::unique_ptr<RTreeClient> ConnectViaBootstrap(
     BootstrapDialFn dial, std::shared_ptr<rdma::SimNode> node,
     ClientConfig cfg) {
-  // Unlike the one-shot overload, this handshake owns no stream: it
-  // dials a fresh one per invocation, so the client can keep it for
-  // re-bootstrap after the watchdog declares the server dead.
-  const std::string name = node->name();
-  const auto shake =
-      [dial = std::move(dial),
-       name](const ClientBootstrap& mine) -> ServerBootstrap {
-    tcpkit::FramedConnection conn(dial());
-    return HelloRoundTrip(conn, name, mine);
+  // The client half of one hello round trip: send our wiring, decode the
+  // server's. Throws on any dial or decode failure (the recovery path
+  // catches and reports kReconnectFailed).
+  const auto shake = [dial = std::move(dial), name = node->name()](
+                         const ClientBootstrap& mine) -> ServerBootstrap {
+    WireClientHello hello;
+    hello.node_name = name;
+    hello.qp_num = mine.qp->qp_num();
+    hello.response_ring_rkey = mine.response_ring.rkey;
+    hello.response_ring_capacity = mine.response_ring_capacity;
+    hello.request_ack_rkey = mine.request_ack_cell.rkey;
+    const auto sh = DecodeServerHello(dial(Encode(hello)));
+    if (!sh) throw std::runtime_error("bootstrap: malformed server hello");
+
+    ServerBootstrap boot;
+    boot.arena_mr = rdma::MemoryRegionHandle{sh->arena_rkey, sh->arena_length};
+    boot.request_ring = rdma::RemoteAddr{sh->request_ring_rkey, 0};
+    boot.request_ring_capacity = sh->request_ring_capacity;
+    boot.response_ack_cell = rdma::RemoteAddr{sh->response_ack_rkey, 0};
+    boot.root = sh->root;
+    boot.chunk_size = sh->chunk_size;
+    boot.tree_height = sh->tree_height;
+    boot.generation = sh->generation;
+    boot.shard_id = sh->shard_id;
+    boot.hello_extension = sh->extension;
+    boot.repl_role = sh->repl_role;
+    boot.repl_epoch = sh->repl_epoch;
+    return boot;
   };
   auto client = std::make_unique<RTreeClient>(std::move(node), shake, cfg);
   client->SetReconnectHandshake(shake);

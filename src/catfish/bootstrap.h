@@ -4,7 +4,9 @@
 //
 // The hello messages carry names and numbers only — node name, QP
 // number, rkeys, ring geometry — exactly what a real deployment ships
-// over its out-of-band socket before RDMA traffic can flow. QP pairing
+// over its out-of-band socket before RDMA traffic can flow. Both hellos
+// stay serialized, but the exchange itself is one function call: the
+// client's encoded hello goes in, the server's comes back. QP pairing
 // happens on the server side by resolving the client's (node, QPN)
 // through the fabric registry, the role the RDMA connection manager
 // plays on real hardware.
@@ -13,17 +15,15 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "catfish/client.h"
 #include "catfish/server.h"
-#include "tcpkit/stream.h"
 
 namespace catfish {
 
@@ -74,31 +74,24 @@ std::optional<WireClientHello> DecodeClientHello(
 std::optional<WireServerHello> DecodeServerHello(
     std::span<const std::byte> payload);
 
-/// Frame types on the bootstrap channel (distinct from the data-plane
-/// msg::MsgType space).
-inline constexpr uint16_t kClientHelloFrame = 100;
-inline constexpr uint16_t kServerHelloFrame = 101;
-
 /// Upper bound on the hello extension blob; a decoder must reject a
 /// claimed length above this before allocating.
 inline constexpr uint32_t kMaxHelloExtensionBytes = 1 << 20;
 
-/// Server side of the bootstrap channel: accepts TCP connections, runs
-/// one handshake per connection (resolve the client QP, wire the rings,
-/// spawn the worker), and replies with the server hello.
+/// Server side of the bootstrap channel: each Exchange wires one
+/// connection (resolve the client QP, wire the rings, spawn the worker)
+/// and answers with the server hello.
 class BootstrapAcceptor {
  public:
   BootstrapAcceptor(RTreeServer& server, rdma::Fabric& fabric);
-  ~BootstrapAcceptor();
 
-  BootstrapAcceptor(const BootstrapAcceptor&) = delete;
-  BootstrapAcceptor& operator=(const BootstrapAcceptor&) = delete;
-
-  /// "Dials" the bootstrap endpoint: returns the client side of a fresh
-  /// TCP stream whose server side is being served by a handshake thread.
-  /// First joins the threads of handshakes that have finished, so a
-  /// long-lived acceptor holds one thread per handshake still running.
-  std::shared_ptr<tcpkit::Stream> Dial();
+  /// One hello exchange, on the caller's thread: decodes `client_hello`,
+  /// resolves the client's QP by (node name, QPN) through the fabric,
+  /// accepts the connection and returns the encoded server hello.
+  /// Exchanges run one at a time. Throws std::runtime_error after Stop(),
+  /// on a malformed hello, or when the node or QP is unknown; nothing is
+  /// wired then.
+  std::vector<std::byte> Exchange(std::span<const std::byte> client_hello);
 
   /// Installs the hello-extension hook: every subsequent server hello
   /// carries `shard_id` and the bytes `provider` returns at handshake
@@ -109,60 +102,39 @@ class BootstrapAcceptor {
   void SetHelloExtension(uint32_t shard_id,
                          std::function<std::vector<std::byte>()> provider);
 
+  /// Refuses every later Exchange; waits out one already running.
   void Stop();
   uint64_t handshakes() const noexcept {
     return handshakes_.load(std::memory_order_relaxed);
   }
-  /// Handshake threads not yet joined (running, or finished since the
-  /// last Dial).
-  size_t handshake_threads() const;
 
  private:
-  struct HandshakeThread {
-    std::thread thread;
-    /// Set once the handshake needs nothing more from the acceptor;
-    /// the thread then only sends its reply and exits.
-    std::atomic<bool> done{false};
-  };
-
-  void Serve(std::shared_ptr<tcpkit::Stream> endpoint,
-             std::atomic<bool>& done);
-  /// The server half of one hello exchange: the encoded server hello,
-  /// or nothing when the client hello is missing or malformed.
-  std::optional<std::vector<std::byte>> Handshake(
-      tcpkit::FramedConnection& conn);
-
   RTreeServer* server_;
   rdma::Fabric* fabric_;
-  mutable std::mutex ext_mu_;
+  /// Serializes exchanges, the extension hook and Stop.
+  std::mutex mu_;
+  bool stopped_ = false;
   uint32_t ext_shard_id_ = 0;
   std::function<std::vector<std::byte>()> ext_provider_;
-  std::atomic<bool> stop_{false};
-  mutable std::mutex threads_mu_;
-  /// A list, so each running thread's `done` keeps its address.
-  std::list<HandshakeThread> threads_;
   std::atomic<uint64_t> handshakes_{0};
 };
 
-/// Client side: performs the hello round trip over `stream` and returns
-/// a connected RTreeClient on `node`. The node must have been created
-/// through the same fabric the acceptor resolves against. One-shot: the
-/// stream is consumed, so the resulting client cannot re-bootstrap.
-std::unique_ptr<RTreeClient> ConnectViaBootstrap(
-    std::shared_ptr<tcpkit::Stream> stream,
-    std::shared_ptr<rdma::SimNode> node, ClientConfig cfg = {});
-
-/// Produces a fresh bootstrap stream per call — typically a closure over
-/// BootstrapAcceptor::Dial (possibly through an indirection that tracks
-/// the *current* acceptor across server restarts). May throw when no
-/// endpoint is reachable; the recovery path treats that as a failed
+/// One hello round trip: takes the encoded client hello and returns the
+/// encoded server hello — typically a closure over
+/// BootstrapAcceptor::Exchange, possibly through an indirection that
+/// tracks the *current* acceptor across server restarts. May throw when
+/// no endpoint is reachable; the recovery path treats that as a failed
 /// re-bootstrap attempt.
-using BootstrapDialFn = std::function<std::shared_ptr<tcpkit::Stream>()>;
+using BootstrapDialFn = std::function<std::vector<std::byte>(
+    std::span<const std::byte> client_hello)>;
 
-/// Re-dialable variant: every handshake (the initial one and each
-/// recovery re-bootstrap) dials a fresh stream. The returned client has
-/// its reconnect handshake installed, so the liveness watchdog's
-/// Disconnected state can heal itself (see RTreeClient::Reconnect).
+/// Client side: runs the hello round trip through `dial` and returns a
+/// connected RTreeClient on `node`. The node must have been created
+/// through the same fabric the acceptor resolves against. Every
+/// handshake (the initial one and each recovery re-bootstrap) dials
+/// again, so the returned client has its reconnect handshake installed
+/// and the liveness watchdog's Disconnected state can heal itself (see
+/// RTreeClient::Reconnect).
 std::unique_ptr<RTreeClient> ConnectViaBootstrap(
     BootstrapDialFn dial, std::shared_ptr<rdma::SimNode> node,
     ClientConfig cfg = {});

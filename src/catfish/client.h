@@ -80,8 +80,8 @@ enum class ConnState : uint8_t { kConnected, kSuspect, kDisconnected };
 /// fail fast with kDisconnected instead of burning the request timeout;
 /// offloaded reads keep serving from the last-known arena (one-sided
 /// READs need no server CPU). With a reconnect handshake installed
-/// (see ConnectViaBootstrap's dial overload), Disconnected triggers a
-/// re-bootstrap at the next operation.
+/// (see ConnectViaBootstrap), Disconnected triggers a re-bootstrap at
+/// the next operation.
 struct WatchdogConfig {
   /// Off by default: clients without heartbeat traffic (fast-only test
   /// rigs, idle periods) must not spuriously disconnect.
@@ -199,9 +199,9 @@ struct ClientStats {
 class RTreeClient {
  public:
   /// The bootstrap exchange (§II-B): given the client's half of the
-  /// handshake, returns the server's. In-process this is a direct call
-  /// into RTreeServer::AcceptConnection; over the TCP bootstrap channel
-  /// (catfish/bootstrap.h) it is a serialized hello round trip.
+  /// handshake, returns the server's. Either a direct call into
+  /// RTreeServer::AcceptConnection, or a round trip of serialized hellos
+  /// through the bootstrap channel (catfish/bootstrap.h).
   using HandshakeFn = std::function<ServerBootstrap(const ClientBootstrap&)>;
 
   /// Connects through an arbitrary handshake transport.
@@ -335,8 +335,8 @@ class RTreeClient {
   void Poll();
 
   /// Installs (or replaces) the handshake used for re-bootstrap after
-  /// the watchdog reaches Disconnected. ConnectViaBootstrap's dial
-  /// overload installs one automatically.
+  /// the watchdog reaches Disconnected. ConnectViaBootstrap installs
+  /// one automatically.
   void SetReconnectHandshake(HandshakeFn shake) {
     reconnect_shake_ = std::move(shake);
   }

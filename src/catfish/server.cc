@@ -149,9 +149,11 @@ bool RTreeServer::ShedIfNeeded(Connection& conn, uint64_t req_id,
   const uint64_t now = NowMicros();
   const uint64_t queued_us = now > picked_up_us ? now - picked_up_us : 0;
   // Pending-work gauge: EWMA (α = 1/8) of the dequeue delay, fed by
-  // every request whether or not shedding is armed.
-  const uint64_t prev = queue_delay_ewma_us_.load(std::memory_order_relaxed);
-  queue_delay_ewma_us_.store(prev - prev / 8 + queued_us / 8,
+  // every request whether or not shedding is armed. Kept scaled by 8:
+  // unscaled, both integer divisions truncate to 0 below 8 µs and the
+  // gauge stops decaying there.
+  const uint64_t s = queue_delay_ewma_x8_.load(std::memory_order_relaxed);
+  queue_delay_ewma_x8_.store(s + queued_us - s / 8,
                              std::memory_order_relaxed);
 
   // An expired deadline is dead work regardless of load: the client
@@ -499,8 +501,7 @@ void RTreeServer::MonitorLoop() {
     CATFISH_GAUGE_SET("catfish.server.utilization", util);
     CATFISH_GAUGE_SET(
         "overload.server.queue_delay_us",
-        static_cast<double>(
-            queue_delay_ewma_us_.load(std::memory_order_relaxed)));
+        static_cast<double>(queue_delay_ewma_us()));
 
     const double overridden = util_override_.load(std::memory_order_relaxed);
     const double advertised = overridden >= 0.0 ? overridden : util;

@@ -194,7 +194,7 @@ class RTreeServer {
 
   /// Smoothed ring-dequeue delay (µs) — the admission gauge.
   uint64_t queue_delay_ewma_us() const noexcept {
-    return queue_delay_ewma_us_.load(std::memory_order_relaxed);
+    return queue_delay_ewma_x8_.load(std::memory_order_relaxed) / 8;
   }
 
   /// Test hook: when set, heartbeats advertise this value instead of the
@@ -298,10 +298,11 @@ class RTreeServer {
   std::atomic<uint64_t> spurious_wakeups_{0};
   std::atomic<uint64_t> spin_pickups_{0};
   std::atomic<uint64_t> blocks_{0};
-  /// EWMA of per-request ring-dequeue delay (µs) — the pending-work
-  /// gauge exported as overload.server.queue_delay_us and served by
-  /// /healthz.
-  std::atomic<uint64_t> queue_delay_ewma_us_{0};
+  /// EWMA of per-request ring-dequeue delay, in µs scaled by 8 (as TCP
+  /// keeps its srtt), so whole-µs updates keep decaying to 0 — the
+  /// pending-work gauge exported as overload.server.queue_delay_us and
+  /// served by /healthz.
+  std::atomic<uint64_t> queue_delay_ewma_x8_{0};
   std::atomic<uint64_t> next_conn_id_{1};
 };
 

@@ -136,9 +136,12 @@ double ClusterSim::PollingPickupUs() const noexcept {
 }
 
 double ClusterSim::ReadRetryProbability(const Shard& s) const noexcept {
+  // Paper-calibrated: the chance that an offloaded READ races a
+  // concurrent insert, per unit of writer-lock busy share (DESIGN.md §5).
+  constexpr double kConflictFactor = 0.2;
   const double now = std::max(sched_.now(), 1.0);
   const double write_busy = std::min(1.0, s.insert_service_cum_us / now);
-  return std::min(0.5, write_busy * cfg_.conflict_factor);
+  return std::min(0.5, write_busy * kConflictFactor);
 }
 
 double ClusterSim::HedgeDelayUs() const noexcept {

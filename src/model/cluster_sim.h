@@ -109,9 +109,6 @@ struct ClusterConfig {
   uint64_t requests_per_client = 1000;
   workload::RequestGen::Config workload;
   uint64_t seed = 1;
-  /// Scales the modeled probability that an offloaded chunk read races a
-  /// concurrent insert and must retry (see DESIGN.md §5).
-  double conflict_factor = 0.2;
   /// When set, the sim drives this sampler on *virtual* time: one
   /// Tick per `sampler->config().window_us` simulated microseconds plus
   /// a final flush, so --timeline-json gets the same window shape a

@@ -100,8 +100,8 @@ struct NicStats {
 /// region barrier is taken, so a stalled op never blocks Deregister).
 class FaultController {
  public:
-  /// Which per-link op ordinals a flaky link drops (same shape as the
-  /// transport-level remote::FaultPlan, counted per node pair here).
+  /// Which per-link op ordinals a flaky link drops, counted per node
+  /// pair (remote::FaultInjectingTransport reuses it per transport).
   struct DropPlan {
     uint64_t first = 0;  ///< drop the first `first` ops
     uint64_t every = 0;  ///< additionally drop every `every`-th op (0 = off)

@@ -19,28 +19,19 @@
 #include <cstdint>
 #include <deque>
 
+#include "rdmasim/rdma.h"
 #include "remote/transport.h"
 #include "rtree/layout.h"
 
 namespace catfish::remote {
 
-/// Which fetch ordinals a fault applies to.
-struct FaultPlan {
-  /// Fault the first `first` fetches (then stop).
-  uint64_t first = 0;
-  /// Additionally fault every `every`-th fetch (0 = off).
-  uint64_t every = 0;
-
-  bool Hits(uint64_t ordinal) const noexcept {
-    if (ordinal < first) return true;
-    return every != 0 && (ordinal + 1) % every == 0;
-  }
-};
-
 class FaultInjectingTransport final : public FetchTransport {
  public:
   explicit FaultInjectingTransport(FetchTransport* inner) : inner_(inner) {}
 
+  /// Which fetch ordinals each fault hits: the flaky-link plan of
+  /// rdmasim, counted per transport here.
+  using FaultPlan = rdma::FaultController::DropPlan;
   FaultPlan drop;   ///< fail these fetches outright
   FaultPlan tear;   ///< deliver these fetches with a torn version word
   uint64_t delay_polls = 0;  ///< withhold each completion this many polls

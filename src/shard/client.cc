@@ -27,8 +27,9 @@ ShardedRTreeClient::ShardedRTreeClient(std::shared_ptr<rdma::SimNode> node,
     : node_(std::move(node)), dial_(std::move(dial)), cfg_(cfg) {
   // Shard 0 first: its hello extension is the routing table. Without a
   // decodable map nothing can be routed, so this is fatal.
-  auto first = ConnectViaBootstrap([this] { return dial_(0); }, node_,
-                                   cfg_.client);
+  auto first = ConnectViaBootstrap(
+      [this](std::span<const std::byte> hello) { return dial_(0, hello); },
+      node_, cfg_.client);
   const MapDecodeStatus st = DecodeShardMap(first->hello_extension(), map_);
   if (st != MapDecodeStatus::kOk) {
     throw std::runtime_error(
@@ -40,7 +41,10 @@ ShardedRTreeClient::ShardedRTreeClient(std::shared_ptr<rdma::SimNode> node,
   clients_[0] = std::move(first);
   for (uint32_t i = 1; i < map_.shard_count(); ++i) {
     clients_[i] = ConnectViaBootstrap(
-        [this, i] { return dial_(i); }, node_, cfg_.client);
+        [this, i](std::span<const std::byte> hello) {
+          return dial_(i, hello);
+        },
+        node_, cfg_.client);
   }
   replica_clients_.resize(map_.shard_count());
 }
@@ -132,8 +136,10 @@ RTreeClient* ShardedRTreeClient::FollowerFor(uint32_t shard) {
     if (!conn) {
       try {
         conn = ConnectViaBootstrap(
-            [this, shard, j] { return cfg_.replica_dial(shard, j); }, node_,
-            cfg_.client);
+            [this, shard, j](std::span<const std::byte> hello) {
+              return cfg_.replica_dial(shard, j, hello);
+            },
+            node_, cfg_.client);
       } catch (const std::exception&) {
         continue;  // follower down or between incarnations; try the next
       }

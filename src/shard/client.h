@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "catfish/bootstrap.h"
@@ -57,11 +58,11 @@ class ShardError : public std::runtime_error {
   ClientStatus status_;
 };
 
-/// Dials follower `replica` of `shard` (typically a closure over
-/// ShardHost::DialReplica). Re-invoked on every lazy follower connect.
-using ReplicaDialFn =
-    std::function<std::shared_ptr<tcpkit::Stream>(uint32_t shard,
-                                                  uint32_t replica)>;
+/// One hello exchange with follower `replica` of `shard` (typically a
+/// closure over ShardHost::DialReplica). Re-invoked on every lazy
+/// follower connect.
+using ReplicaDialFn = std::function<std::vector<std::byte>(
+    uint32_t shard, uint32_t replica, std::span<const std::byte> hello)>;
 
 /// Straggler hedging for fan-out reads. A fast-path sub-query that has
 /// not answered after an adaptive delay (a percentile of recently
@@ -187,11 +188,12 @@ struct PartialResult {
 
 class ShardedRTreeClient {
  public:
-  /// Dials shard `i`'s bootstrap endpoint (typically a closure over
-  /// ShardHost::Dial). Re-invoked on every per-shard re-bootstrap, so it
-  /// must resolve the *current* acceptor of that shard.
-  using ShardDialFn =
-      std::function<std::shared_ptr<tcpkit::Stream>(uint32_t shard)>;
+  /// One hello exchange with shard `i`'s bootstrap endpoint (typically a
+  /// closure over ShardHost::Dial). Re-invoked on every per-shard
+  /// re-bootstrap, so it must resolve the *current* acceptor of that
+  /// shard.
+  using ShardDialFn = std::function<std::vector<std::byte>(
+      uint32_t shard, std::span<const std::byte> hello)>;
 
   /// Connects to every shard: shard 0's hello supplies the initial
   /// routing table (throws std::runtime_error if the hello carries none

@@ -310,24 +310,26 @@ void ShardHost::Republish(uint32_t shard) {
   CATFISH_GAUGE_SET("shard.map.version", map_.version);
 }
 
-std::shared_ptr<tcpkit::Stream> ShardHost::Dial(uint32_t shard) {
+std::vector<std::byte> ShardHost::Dial(
+    uint32_t shard, std::span<const std::byte> client_hello) {
   Shard& s = *shards_[shard];
   const std::scoped_lock lock(s.boot_mu);
   if (!s.primary->acceptor) {
     throw std::runtime_error("ShardHost: shard has no live acceptor");
   }
-  return s.primary->acceptor->Dial();
+  return s.primary->acceptor->Exchange(client_hello);
 }
 
-std::shared_ptr<tcpkit::Stream> ShardHost::DialReplica(uint32_t shard,
-                                                       uint32_t replica) {
+std::vector<std::byte> ShardHost::DialReplica(
+    uint32_t shard, uint32_t replica,
+    std::span<const std::byte> client_hello) {
   Shard& s = *shards_[shard];
   const std::scoped_lock lock(s.boot_mu);
   const Stack& r = *s.replicas[replica];
   if (!r.acceptor) {
     throw std::runtime_error("ShardHost: replica has no live acceptor");
   }
-  return r.acceptor->Dial();
+  return r.acceptor->Exchange(client_hello);
 }
 
 void ShardHost::Stop() {

@@ -82,9 +82,11 @@ class ShardHost {
   /// and starts all servers + bootstrap acceptors. Call once.
   void Load(std::span<const rtree::Entry> items);
 
-  /// Dials shard `i`'s bootstrap endpoint (thread-safe against
-  /// RestartShard; throws while the shard is between incarnations).
-  std::shared_ptr<tcpkit::Stream> Dial(uint32_t shard);
+  /// Runs one hello exchange against shard `i`'s current primary
+  /// (thread-safe against RestartShard and Promote; throws while the
+  /// shard is between incarnations).
+  std::vector<std::byte> Dial(uint32_t shard,
+                              std::span<const std::byte> client_hello);
 
   /// Full crash/reboot of one shard: stop serving, kill the fabric node
   /// (stale rkeys/QPNs die, generation bumps), rebuild state — from the
@@ -114,9 +116,10 @@ class ShardHost {
   /// promoted replica had, or UINT32_MAX if no live follower exists.
   uint32_t Promote(uint32_t shard);
 
-  /// Dials follower `replica` of `shard` for read bootstraps.
-  std::shared_ptr<tcpkit::Stream> DialReplica(uint32_t shard,
-                                              uint32_t replica);
+  /// Runs one hello exchange against follower `replica` of `shard`, for
+  /// read bootstraps.
+  std::vector<std::byte> DialReplica(uint32_t shard, uint32_t replica,
+                                     std::span<const std::byte> client_hello);
 
   uint32_t shard_count() const noexcept { return cfg_.num_shards; }
   uint32_t replica_count(uint32_t shard) const {
@@ -177,7 +180,8 @@ class ShardHost {
     /// The auto-failover watchdog promotes once now - this > grace.
     std::atomic<uint64_t> primary_down_since_us{0};
     /// Every stack's server/acceptor swap and the primary slot swap vs
-    /// dialing threads.
+    /// dialing threads; held across each hello exchange. Taken before
+    /// map_mu_ (the hello extension reads the map), never after it.
     std::mutex boot_mu;
   };
 

@@ -1,8 +1,8 @@
 // Live stats endpoint: scrape a running server or bench over HTTP.
 //
-// The in-process Streams beside it carry only the bootstrap handshake;
-// an external scraper (curl, Prometheus) needs a real socket — so this
-// is the one place in the tree that opens one. A single acceptor thread
+// Everything else in the tree, the bootstrap hello exchange included,
+// runs in-process; an external scraper (curl, Prometheus) needs a real
+// socket — so this is the one place in the tree that opens one. A single acceptor thread
 // serves tiny HTTP/1.0 responses, each rendered from the telemetry
 // layer at request time:
 //

@@ -147,6 +147,12 @@ class BootstrapTest : public ::testing::Test {
     server_->Stop();
   }
 
+  BootstrapDialFn Dialer() {
+    return [this](std::span<const std::byte> hello) {
+      return acceptor_->Exchange(hello);
+    };
+  }
+
   std::unique_ptr<rtree::NodeArena> arena_;
   std::unique_ptr<rtree::RStarTree> tree_;
   std::unique_ptr<rdma::Fabric> fabric_;
@@ -163,9 +169,9 @@ std::vector<uint64_t> Ids(std::vector<rtree::Entry> entries) {
   return ids;
 }
 
-TEST_F(BootstrapTest, HandshakeOverTcpThenAllPathsWork) {
+TEST_F(BootstrapTest, HelloExchangeThenAllPathsWork) {
   auto node = fabric_->CreateNode("client-0");
-  auto client = ConnectViaBootstrap(acceptor_->Dial(), node);
+  auto client = ConnectViaBootstrap(Dialer(), node);
   ASSERT_EQ(acceptor_->handshakes(), 1u);
   EXPECT_EQ(server_->connection_count(), 1u);
 
@@ -186,7 +192,7 @@ TEST_F(BootstrapTest, ManyClientsHandshakeConcurrently) {
   for (int i = 0; i < kClients; ++i) {
     threads.emplace_back([&, i] {
       auto node = fabric_->CreateNode("client-" + std::to_string(i));
-      auto client = ConnectViaBootstrap(acceptor_->Dial(), node);
+      auto client = ConnectViaBootstrap(Dialer(), node);
       Xoshiro256 rng(static_cast<uint64_t>(i) + 10);
       for (int q = 0; q < 10; ++q) {
         const auto rect = RandomRect(rng, 0.03);
@@ -202,32 +208,36 @@ TEST_F(BootstrapTest, ManyClientsHandshakeConcurrently) {
   EXPECT_EQ(server_->connection_count(), static_cast<size_t>(kClients));
 }
 
-TEST_F(BootstrapTest, UnknownNodeNameIsRejected) {
-  // Craft a hello naming a node the fabric has never seen: the acceptor
-  // must drop the handshake without wiring anything.
-  auto stream = acceptor_->Dial();
-  tcpkit::FramedConnection conn(stream);
+TEST_F(BootstrapTest, UnknownNodeOrQpIsRejected) {
+  // A hello naming a node the fabric has never seen, or a QP its node
+  // never created: the exchange throws without wiring anything.
   WireClientHello hello;
   hello.node_name = "ghost";
   hello.qp_num = 1;
-  conn.SendFrame(kClientHelloFrame, 0, Encode(hello));
-  EXPECT_FALSE(conn.RecvFrame(std::chrono::milliseconds(100)).has_value());
+  EXPECT_THROW(acceptor_->Exchange(Encode(hello)), std::runtime_error);
+  hello.node_name = fabric_->CreateNode("client-noqp")->name();
+  EXPECT_THROW(acceptor_->Exchange(Encode(hello)), std::runtime_error);
+  EXPECT_EQ(server_->connection_count(), 0u);
+  EXPECT_EQ(acceptor_->handshakes(), 0u);
+}
+
+TEST_F(BootstrapTest, GarbageHelloIsRejected) {
+  const std::vector<std::byte> junk(16, std::byte{0xab});
+  EXPECT_THROW(acceptor_->Exchange(junk), std::runtime_error);
+  // Decodable, but naming a response ring no sender can frame into.
+  auto node = fabric_->CreateNode("client-badring");
+  const auto cq = node->CreateCq();
+  const auto qp = node->CreateQp(cq, cq);
+  WireClientHello hello;
+  hello.node_name = node->name();
+  hello.qp_num = qp->qp_num();
+  EXPECT_THROW(acceptor_->Exchange(Encode(hello)), std::runtime_error);
   EXPECT_EQ(server_->connection_count(), 0u);
 }
 
-TEST_F(BootstrapTest, GarbageFrameIsIgnored) {
-  auto stream = acceptor_->Dial();
-  tcpkit::FramedConnection conn(stream);
-  std::vector<std::byte> junk(16, std::byte{0xab});
-  conn.SendFrame(kClientHelloFrame, 0, junk);
-  EXPECT_FALSE(conn.RecvFrame(std::chrono::milliseconds(100)).has_value());
-  EXPECT_EQ(server_->connection_count(), 0u);
-}
-
-TEST_F(BootstrapTest, DialOverloadConnectsAndReportsGeneration) {
+TEST_F(BootstrapTest, ConnectsAndReportsGeneration) {
   auto node = fabric_->CreateNode("client-redial");
-  auto client = ConnectViaBootstrap(
-      [this] { return acceptor_->Dial(); }, node);
+  auto client = ConnectViaBootstrap(Dialer(), node);
   EXPECT_EQ(client->server_generation(), server_node_->generation());
   Xoshiro256 rng(9);
   const auto q = RandomRect(rng, 0.05);
@@ -241,8 +251,7 @@ TEST_F(BootstrapTest, DialOverloadConnectsAndReportsGeneration) {
 
 TEST_F(BootstrapTest, ScratchPoolSurvivesReconnectWithoutLeaks) {
   auto node = fabric_->CreateNode("client-scratch");
-  auto client = ConnectViaBootstrap(
-      [this] { return acceptor_->Dial(); }, node);
+  auto client = ConnectViaBootstrap(Dialer(), node);
   Xoshiro256 rng(11);
   for (int i = 0; i < 4; ++i) {
     const auto q = RandomRect(rng, 0.05);
@@ -268,59 +277,51 @@ TEST_F(BootstrapTest, ScratchPoolSurvivesReconnectWithoutLeaks) {
   }
 }
 
-TEST_F(BootstrapTest, FinishedHandshakeThreadsAreReaped) {
-  // Every client reconnect dials again; a long-lived acceptor must not
-  // keep one finished thread per handshake until Stop().
-  auto node = fabric_->CreateNode("client-redialer");
-  auto client = ConnectViaBootstrap(
-      [this] { return acceptor_->Dial(); }, node);
-  constexpr int kHandshakes = 64;
-  for (int i = 1; i < kHandshakes; ++i) {
-    ASSERT_EQ(client->Reconnect(), ClientStatus::kOk) << "handshake " << i;
-  }
-  EXPECT_EQ(acceptor_->handshakes(), static_cast<uint64_t>(kHandshakes));
-  EXPECT_LE(acceptor_->handshake_threads(), 1u);
-  Xoshiro256 rng(13);
-  const auto q = RandomRect(rng, 0.05);
-  EXPECT_EQ(Ids(client->SearchFast(q)), oracle_.Search(q));
-}
-
-TEST_F(BootstrapTest, DialRacingStopDoesNotLeakOrHang) {
-  // Threads hammer Dial() while the main thread Stops the acceptor: each
-  // dial either completes a handshake or throws "dial after stop". Stop
-  // must join every handshake thread (leaks show up under TSan/ASan).
-  constexpr int kDialers = 6;
-  std::atomic<int> dialed{0}, refused{0};
+TEST_F(BootstrapTest, ExchangeRacingStopCompletesOrThrows) {
+  // Threads run exchanges while the main thread Stops the acceptor: each
+  // exchange either returns a server hello or throws, and Stop waits out
+  // an exchange already running, so nothing is wired once it returns.
+  constexpr int kDialers = 4;
+  constexpr int kExchanges = 16;
+  std::atomic<int> completed{0};
   std::vector<std::thread> threads;
   for (int i = 0; i < kDialers; ++i) {
     threads.emplace_back([&, i] {
-      for (int n = 0; n < 20; ++n) {
+      auto node = fabric_->CreateNode("dialer-" + std::to_string(i));
+      const auto cq = node->CreateCq();
+      const auto qp = node->CreateQp(cq, cq);
+      WireClientHello hello;
+      hello.node_name = node->name();
+      hello.qp_num = qp->qp_num();
+      hello.response_ring_capacity = 4096;
+      const auto bytes = Encode(hello);
+      for (int n = 0; n < kExchanges; ++n) {
         try {
-          auto stream = acceptor_->Dial();
-          ++dialed;
-          // Abandon the stream without handshaking: the serve thread
-          // must notice the close / stop flag and exit on its own.
+          const auto reply = acceptor_->Exchange(bytes);
+          EXPECT_TRUE(DecodeServerHello(reply).has_value());
+          ++completed;
         } catch (const std::runtime_error&) {
-          ++refused;
-          return;
+          return;  // refused: the acceptor has stopped
         }
       }
     });
   }
   // Under load the dialer threads can take longer than any fixed sleep
-  // to start; the race under test needs at least one dial to land
+  // to start; the race under test needs at least one exchange to land
   // before Stop flips further ones to refusal.
-  while (dialed.load() == 0) {
+  while (completed.load() == 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
   acceptor_->Stop();
+  const size_t wired = server_->connection_count();
   for (auto& t : threads) t.join();
-  EXPECT_GT(dialed.load(), 0);
-  // Stop() already joined every handshake thread; a second Stop is a
-  // no-op and further dials are refused.
+  EXPECT_GT(completed.load(), 0);
+  EXPECT_EQ(server_->connection_count(), wired);
+  EXPECT_EQ(acceptor_->handshakes(), static_cast<uint64_t>(completed.load()));
+  // A second Stop is a no-op, and further exchanges are refused.
   acceptor_->Stop();
-  EXPECT_THROW(acceptor_->Dial(), std::runtime_error);
+  const std::vector<std::byte> junk(16, std::byte{0xab});
+  EXPECT_THROW(acceptor_->Exchange(junk), std::runtime_error);
 }
 
 }  // namespace

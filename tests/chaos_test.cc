@@ -157,10 +157,10 @@ class ChaosTest : public ::testing::Test {
                                        ClientConfig cfg) {
     auto node = fabric_->CreateNode(name);
     return ConnectViaBootstrap(
-        [this] {
+        [this](std::span<const std::byte> hello) {
           const std::scoped_lock lock(boot_mu_);
           if (!acceptor_) throw std::runtime_error("no acceptor");
-          return acceptor_->Dial();
+          return acceptor_->Exchange(hello);
         },
         node, cfg);
   }

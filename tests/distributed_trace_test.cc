@@ -92,7 +92,9 @@ class DistributedTraceTest : public ::testing::Test {
       cfg.assembler = &assembler_;
     }
     clients_.push_back(std::make_unique<shard::ShardedRTreeClient>(
-        node, [this](uint32_t s) { return host_->Dial(s); }, cfg));
+        node,
+        [this](uint32_t s, auto hello) { return host_->Dial(s, hello); },
+        cfg));
     return *clients_.back();
   }
 

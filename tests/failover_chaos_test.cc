@@ -87,7 +87,9 @@ class FailoverChaosTest : public ::testing::Test {
       const std::string& name, shard::ShardedClientConfig cfg) {
     auto node = fabric_->CreateNode(name);
     return std::make_unique<shard::ShardedRTreeClient>(
-        node, [this](uint32_t s) { return host_->Dial(s); }, cfg);
+        node,
+        [this](uint32_t s, auto hello) { return host_->Dial(s, hello); },
+        cfg);
   }
 
   std::unique_ptr<shard::ShardedRTreeClient> Connect(const std::string& name) {
@@ -100,8 +102,8 @@ class FailoverChaosTest : public ::testing::Test {
     cfg.client.mode = ClientMode::kOffloadOnly;
     cfg.read_from_followers = true;
     cfg.max_replica_lag = 64;
-    cfg.replica_dial = [this](uint32_t s, uint32_t r) {
-      return host_->DialReplica(s, r);
+    cfg.replica_dial = [this](uint32_t s, uint32_t r, auto hello) {
+      return host_->DialReplica(s, r, hello);
     };
     return cfg;
   }

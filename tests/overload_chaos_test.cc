@@ -86,7 +86,9 @@ class OverloadChaosTest : public ::testing::Test {
       const std::string& name, shard::ShardedClientConfig cfg) {
     auto node = fabric_->CreateNode(name);
     return std::make_unique<shard::ShardedRTreeClient>(
-        node, [this](uint32_t s) { return host_->Dial(s); }, cfg);
+        node,
+        [this](uint32_t s, auto hello) { return host_->Dial(s, hello); },
+        cfg);
   }
 
   std::unique_ptr<rdma::Fabric> fabric_;
@@ -246,8 +248,8 @@ TEST_F(OverloadChaosTest, HedgedFanoutMasksDegradedShardAndMatchesOracle) {
   // against a caught-up follower, so follower routing must be wired.
   cfg.read_from_followers = true;
   cfg.max_replica_lag = 64;
-  cfg.replica_dial = [this](uint32_t s, uint32_t r) {
-    return host_->DialReplica(s, r);
+  cfg.replica_dial = [this](uint32_t s, uint32_t r, auto hello) {
+    return host_->DialReplica(s, r, hello);
   };
   cfg.hedge.enabled = true;
   cfg.hedge.percentile = 0.9;

@@ -254,6 +254,36 @@ TEST_F(OverloadTest, ExpiredDropAfterTheDeadlineIsADeadlineExpiry) {
   EXPECT_EQ(server_->stats().deadline_drops, 1u);
 }
 
+TEST_F(OverloadTest, QueueDelayGaugeDecaysToZero) {
+  // One request queued 30 ms behind an abandoned one spikes the
+  // dequeue-delay gauge; quick searches afterwards must bring it back to
+  // 0, not leave it stuck a few µs above.
+  SetUpServer();
+  server_->SetServiceDelayForTest(30'000);
+  auto client = MakeClient();
+  Xoshiro256 rng(6);
+  client->SearchFastAbandon(client->SearchFastBegin(RandomRect(rng, 0.05)));
+  client->SetOpDeadline(NowMicros() + 3'000);
+  const uint64_t queued = client->SearchFastBegin(RandomRect(rng, 0.05));
+  client->SetOpDeadline(0);
+  std::this_thread::sleep_for(40ms);
+  EXPECT_THROW((void)client->SearchFastCollect(queued), ClientError);
+  EXPECT_GT(server_->queue_delay_ewma_us(), 1'000u);
+
+  // A quick search waits well under 1 µs natively, so the gauge decays
+  // to 0; a sanitizer stretches pickup to dispatch to a µs or two, which
+  // the gauge then reports. Stuck, it never reads below 7. A worker
+  // preempted between pickup and dispatch lifts it for a few samples, so
+  // past 200 searches the run goes on, bounded, until it reads the floor.
+  const uint64_t floor_us = CATFISH_TEST_SANITIZED ? 3 : 0;
+  server_->SetServiceDelayForTest(0);
+  for (int i = 0; i < 1'200; ++i) {
+    (void)client->SearchFast(RandomRect(rng, 0.001));
+    if (i >= 200 && server_->queue_delay_ewma_us() <= floor_us) break;
+  }
+  EXPECT_LE(server_->queue_delay_ewma_us(), floor_us);
+}
+
 TEST_F(OverloadTest, BreakerOpensOnShedsAndRecloses) {
   SetUpServer(ForcedShedding());
   server_->OverrideUtilization(1.0);

@@ -71,7 +71,9 @@ class ShardChaosTest : public ::testing::Test {
     // plus server-side dedup, is the exactly-once protocol under test.
     cfg.client.write_attempts = 50;
     return std::make_unique<shard::ShardedRTreeClient>(
-        node, [this](uint32_t s) { return host_->Dial(s); }, cfg);
+        node,
+        [this](uint32_t s, auto hello) { return host_->Dial(s, hello); },
+        cfg);
   }
 
   std::unique_ptr<rdma::Fabric> fabric_;

@@ -198,7 +198,9 @@ class ShardStackTest : public ::testing::Test {
     shard::ShardedClientConfig cfg;
     cfg.client.adaptive.heartbeat_interval_us = 1'000;
     clients_.push_back(std::make_unique<shard::ShardedRTreeClient>(
-        node, [this](uint32_t s) { return host_->Dial(s); }, cfg));
+        node,
+        [this](uint32_t s, auto hello) { return host_->Dial(s, hello); },
+        cfg));
     return *clients_.back();
   }
 
@@ -344,7 +346,7 @@ TEST(ShardBreakerTest, FastOnlyFanOutBrownsOutTheOpenShard) {
   cfg.client.breaker.open_max_us = 10'000'000;
   shard::ShardedRTreeClient client(
       fabric.CreateNode("client-breaker"),
-      [&host](uint32_t s) { return host.Dial(s); }, cfg);
+      [&host](uint32_t s, auto hello) { return host.Dial(s, hello); }, cfg);
 
   RTreeClient& shedding = client.shard_client(kShedding);
   for (int i = 0; i < 2; ++i) {
