@@ -33,18 +33,20 @@ enum class UtilPredictor : uint8_t {
   kEwma,        ///< U = α·last + (1-α)·previous prediction
 };
 
-/// Counters the controller keeps about its own decisions (telemetry):
-/// how often each path was chosen, how often the chosen path flipped,
-/// and how many times the back-off window escalated. Cheap enough to be
-/// always on — reading them is how the benches and the telemetry layer
-/// observe Algorithm 1 without touching its state machine.
+/// Counters the controller keeps about its own decisions: how often
+/// each path was chosen, how often the chosen path flipped, and how many
+/// times the back-off window escalated. Cheap enough to be always on —
+/// reading them is how the benches and the telemetry layer observe
+/// Algorithm 1 without touching its state machine. Each field is a
+/// `telemetry::Tally`, so it also bumps its `adaptive.*` counter.
 struct AdaptiveStats {
-  uint64_t fast_decisions = 0;
-  uint64_t offload_decisions = 0;
+  using Tally = telemetry::Tally;
+  Tally fast_decisions{"adaptive.decisions.fast"};
+  Tally offload_decisions{"adaptive.decisions.offload"};
   /// Decisions that differ from the immediately preceding decision.
-  uint64_t mode_switches = 0;
+  Tally mode_switches{"adaptive.mode_switches"};
   /// Back-off window extensions (r_busy increments on busy heartbeats).
-  uint64_t escalations = 0;
+  Tally escalations{"adaptive.escalations"};
 };
 
 struct AdaptiveConfig {
@@ -94,10 +96,9 @@ class AdaptiveController {
     if (predicted > cfg_.busy_threshold) {
       if (r_off_ == 0) {
         ++r_busy_;
-        ++stats_.escalations;
+        stats_.escalations.Add();
         r_off_ = rng_.NextBounded(cfg_.window) +
                  static_cast<uint64_t>(r_busy_ - 1) * cfg_.window;
-        CATFISH_COUNT("adaptive.escalations");
         CATFISH_GAUGE_SET("adaptive.r_busy", r_busy_);
         CATFISH_EVENT(kBackoffEscalate, now_us, id_,
                       static_cast<double>(r_busy_),
@@ -133,15 +134,12 @@ class AdaptiveController {
  private:
   void Record(AccessMode mode, [[maybe_unused]] uint64_t now_us) noexcept {
     if (mode == AccessMode::kRdmaOffloading) {
-      ++stats_.offload_decisions;
-      CATFISH_COUNT("adaptive.decisions.offload");
+      stats_.offload_decisions.Add();
     } else {
-      ++stats_.fast_decisions;
-      CATFISH_COUNT("adaptive.decisions.fast");
+      stats_.fast_decisions.Add();
     }
     if (have_last_mode_ && mode != last_mode_) {
-      ++stats_.mode_switches;
-      CATFISH_COUNT("adaptive.mode_switches");
+      stats_.mode_switches.Add();
       CATFISH_EVENT(kModeSwitch, now_us, id_,
                     mode == AccessMode::kRdmaOffloading ? 1.0 : 0.0,
                     static_cast<double>(r_off_));

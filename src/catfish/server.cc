@@ -160,8 +160,7 @@ bool RTreeServer::ShedIfNeeded(Connection& conn, uint64_t req_id,
   // (or its shard parent) stopped waiting. Reply with hint 0 — "do not
   // retry" — so the typed error surfaces instead of a silent drop.
   if (deadline_us != 0 && now >= deadline_us) {
-    deadline_drops_.fetch_add(1, std::memory_order_relaxed);
-    CATFISH_COUNT("overload.server.deadline_drops");
+    conn.deadline_drops.Add();
     CATFISH_EVENT(kShed, now, req_id, 0.0, 0.0);
     msg::EncodeInto(msg::OverloadReply{req_id, 0}, conn.reply_scratch);
     SendResponse(conn, msg::MsgType::kOverloaded, msg::kFlagEnd,
@@ -185,8 +184,7 @@ bool RTreeServer::ShedIfNeeded(Connection& conn, uint64_t req_id,
   constexpr uint64_t kRetryAfterMaxUs = 100'000;
   const uint64_t hint =
       std::clamp(queued_us * 2, kRetryAfterMinUs, kRetryAfterMaxUs);
-  sheds_.fetch_add(1, std::memory_order_relaxed);
-  CATFISH_COUNT("overload.server.sheds");
+  conn.sheds.Add();
   CATFISH_EVENT(kShed, now, req_id, static_cast<double>(queued_us),
                 static_cast<double>(hint));
   msg::EncodeInto(msg::OverloadReply{req_id, static_cast<uint32_t>(hint)},
@@ -256,8 +254,7 @@ void RTreeServer::HandleMessage(Connection& conn, const msg::Message& m,
     maybe_delay();
     run(results);
     span_end(traverse);
-    searches_.fetch_add(1, std::memory_order_relaxed);
-    CATFISH_COUNT("catfish.server.search");
+    conn.searches.Add();
     msg::EncodeSearchResponseInto(req_id, results,
                                   conn.response_tx->MaxPayload(),
                                   conn.seg_scratch);
@@ -299,13 +296,7 @@ void RTreeServer::HandleMessage(Connection& conn, const msg::Message& m,
       ok = tree_->Delete(req.rect, req.rect_id);
     }
     span_end(traverse);
-    if (insert) {
-      inserts_.fetch_add(1, std::memory_order_relaxed);
-      CATFISH_COUNT("catfish.server.insert");
-    } else {
-      deletes_.fetch_add(1, std::memory_order_relaxed);
-      CATFISH_COUNT("catfish.server.delete");
-    }
+    (insert ? conn.inserts : conn.deletes).Add();
     msg::EncodeInto(msg::WriteAck{req.req_id, ok ? uint8_t{1} : uint8_t{0}},
                     conn.reply_scratch);
     const auto respond = span_begin("respond");
@@ -413,8 +404,11 @@ void RTreeServer::WorkerLoop(Connection& conn) {
     if (undrained >= kCqDrainChunk) drain_cq();
     return n != 0;
   };
+  const auto bump = [](std::atomic<uint64_t>& count) {
+    telemetry::OwnerAdd<uint64_t>(count, 1);
+  };
   uint64_t poll_until_ns = 0;  // 0 = blocked on the recv CQ
-  blocks_.fetch_add(1, std::memory_order_relaxed);
+  bump(conn.blocks);
   while (!stop_.load(std::memory_order_relaxed)) {
     if (poll_until_ns != 0) {
       if (!serve()) {
@@ -430,22 +424,22 @@ void RTreeServer::WorkerLoop(Connection& conn) {
         drain_cq();
         if (!serve()) {
           poll_until_ns = 0;
-          blocks_.fetch_add(1, std::memory_order_relaxed);
+          bump(conn.blocks);
           continue;
         }
       }
-      spin_pickups_.fetch_add(1, std::memory_order_relaxed);
+      bump(conn.spin_pickups);
       poll_until_ns = NowNanos() + kPollBudgetNs;
       continue;
     }
     if (!conn.recv_cq->Wait(1ms)) continue;
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
+    bump(conn.wakeups);
     if (serve()) {
       poll_until_ns = NowNanos() + kPollBudgetNs;
     } else {
       // The completion of a request already served: block again.
-      spurious_wakeups_.fetch_add(1, std::memory_order_relaxed);
-      blocks_.fetch_add(1, std::memory_order_relaxed);
+      bump(conn.spurious_wakeups);
+      bump(conn.blocks);
     }
   }
 }
@@ -524,26 +518,29 @@ void RTreeServer::MonitorLoop() {
             static_cast<uint16_t>(msg::MsgType::kHeartbeat), msg::kFlagEnd,
             hb);
       };
-      if (send() || send()) {
-        heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
-        CATFISH_COUNT("catfish.server.heartbeats");
-      }
+      if (send() || send()) heartbeats_sent_.Add();
     }
   }
 }
 
 ServerStats RTreeServer::stats() const {
   ServerStats s;
-  s.searches = searches_.load(std::memory_order_relaxed);
-  s.inserts = inserts_.load(std::memory_order_relaxed);
-  s.deletes = deletes_.load(std::memory_order_relaxed);
-  s.heartbeats_sent = heartbeats_sent_.load(std::memory_order_relaxed);
-  s.sheds = sheds_.load(std::memory_order_relaxed);
-  s.deadline_drops = deadline_drops_.load(std::memory_order_relaxed);
-  s.wakeups = wakeups_.load(std::memory_order_relaxed);
-  s.spurious_wakeups = spurious_wakeups_.load(std::memory_order_relaxed);
-  s.spin_pickups = spin_pickups_.load(std::memory_order_relaxed);
-  s.blocks = blocks_.load(std::memory_order_relaxed);
+  s.heartbeats_sent = heartbeats_sent_;
+  const auto load = [](const std::atomic<uint64_t>& count) {
+    return count.load(std::memory_order_relaxed);
+  };
+  const std::scoped_lock lock(conns_mu_);
+  for (const auto& conn : conns_) {
+    s.searches += conn->searches;
+    s.inserts += conn->inserts;
+    s.deletes += conn->deletes;
+    s.sheds += conn->sheds;
+    s.deadline_drops += conn->deadline_drops;
+    s.wakeups += load(conn->wakeups);
+    s.spurious_wakeups += load(conn->spurious_wakeups);
+    s.spin_pickups += load(conn->spin_pickups);
+    s.blocks += load(conn->blocks);
+  }
   return s;
 }
 

@@ -33,6 +33,7 @@
 #include "msg/ring.h"
 #include "rdmasim/rdma.h"
 #include "rtree/rstar.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace catfish::durable {
@@ -243,6 +244,18 @@ class RTreeServer {
     std::mutex send_mu;  ///< worker (responses) vs monitor (heartbeats)
     std::thread worker;
     std::atomic<uint64_t> busy_ns{0};
+    /// This connection's share of ServerStats. Only its worker writes
+    /// them (OwnerAdd, or a Tally, which also bumps its registry
+    /// counter); stats() sums them over the connections.
+    telemetry::Tally searches{"catfish.server.search"};
+    telemetry::Tally inserts{"catfish.server.insert"};
+    telemetry::Tally deletes{"catfish.server.delete"};
+    telemetry::Tally sheds{"overload.server.sheds"};
+    telemetry::Tally deadline_drops{"overload.server.deadline_drops"};
+    std::atomic<uint64_t> wakeups{0};
+    std::atomic<uint64_t> spurious_wakeups{0};
+    std::atomic<uint64_t> spin_pickups{0};
+    std::atomic<uint64_t> blocks{0};
     /// Worker-private query and reply scratch: the steady-state request
     /// loop collects matches into `results` and encodes every response
     /// into these instead of fresh vectors, so it never touches the
@@ -288,16 +301,8 @@ class RTreeServer {
   std::atomic<double> util_override_{-1.0};
   std::atomic<uint64_t> service_delay_us_{0};
 
-  std::atomic<uint64_t> searches_{0};
-  std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> deletes_{0};
-  std::atomic<uint64_t> heartbeats_sent_{0};
-  std::atomic<uint64_t> sheds_{0};
-  std::atomic<uint64_t> deadline_drops_{0};
-  std::atomic<uint64_t> wakeups_{0};
-  std::atomic<uint64_t> spurious_wakeups_{0};
-  std::atomic<uint64_t> spin_pickups_{0};
-  std::atomic<uint64_t> blocks_{0};
+  /// Written only by the monitor thread.
+  telemetry::Tally heartbeats_sent_{"catfish.server.heartbeats"};
   /// EWMA of per-request ring-dequeue delay, in µs scaled by 8 (as TCP
   /// keeps its srtt), so whole-µs updates keep decaying to 0 — the
   /// pending-work gauge exported as overload.server.queue_delay_us and

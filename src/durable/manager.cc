@@ -12,8 +12,9 @@
 namespace catfish::durable {
 
 DurabilityManager::DurabilityManager(
-    std::shared_ptr<LogStorage> wal_storage,
-    std::shared_ptr<CheckpointStore> checkpoint_store, DurabilityConfig cfg)
+    std::shared_ptr<MemLogStorage> wal_storage,
+    std::shared_ptr<MemCheckpointStore> checkpoint_store,
+    DurabilityConfig cfg)
     : cfg_(cfg),
       wal_storage_(std::move(wal_storage)),
       checkpoint_store_(std::move(checkpoint_store)),
@@ -60,9 +61,7 @@ rtree::RStarTree DurabilityManager::Recover(rtree::NodeArena& arena,
     std::vector<std::byte> image = wal_storage_->ReadAll();
     image.resize(decoded.valid_bytes);
     wal_storage_->Reset(image);
-    report_.tail_bytes_truncated = decoded.truncated_bytes;
-    CATFISH_COUNT_ADD("recovery.tail_truncated_bytes",
-                      static_cast<int64_t>(decoded.truncated_bytes));
+    report_.tail_bytes_truncated.Add(decoded.truncated_bytes);
   }
 
   // 3. Restore the arena image (or start fresh) and attach the tree.
@@ -94,7 +93,7 @@ rtree::RStarTree DurabilityManager::Recover(rtree::NodeArena& arena,
     if (rec.epoch > epoch_.load(std::memory_order_relaxed)) {
       epoch_.store(rec.epoch, std::memory_order_relaxed);
     }
-    ++report_.records_replayed;
+    report_.records_replayed.Add();
   }
 
   // Everything surviving in the log is durable; new appends continue
@@ -111,8 +110,6 @@ rtree::RStarTree DurabilityManager::Recover(rtree::NodeArena& arena,
 
   report_.replay_us = NowMicros() - began_us;
   report_.dedup_sessions = dedup_.sessions();
-  CATFISH_COUNT_ADD("recovery.records_replayed",
-                    static_cast<int64_t>(report_.records_replayed));
   CATFISH_TIMER_RECORD_US("recovery.replay_us", report_.replay_us);
   CATFISH_GAUGE_SET("wal.bytes", static_cast<int64_t>(wal_->log_bytes()));
   CATFISH_EVENT(kReplay, NowMicros(), report_.records_replayed,
@@ -270,8 +267,7 @@ uint64_t DurabilityManager::Checkpoint(rtree::RStarTree& tree) {
   // follower has acked must stay resyncable.
   wal_->TruncateThrough(std::min(
       meta.applied_lsn, truncate_floor_.load(std::memory_order_relaxed)));
-  ++checkpoints_;
-  CATFISH_COUNT("durable.checkpoints");
+  checkpoints_.Add();
   CATFISH_COUNT_ADD("durable.checkpoint_bytes",
                     static_cast<int64_t>(blob.size()));
   CATFISH_EVENT(kCheckpoint, NowMicros(), meta.applied_lsn,
@@ -281,7 +277,6 @@ uint64_t DurabilityManager::Checkpoint(rtree::RStarTree& tree) {
 }
 
 uint64_t DurabilityManager::checkpoints_written() const {
-  const std::scoped_lock lock(write_mu_);
   return checkpoints_;
 }
 
@@ -321,7 +316,6 @@ bool DurabilityManager::ApplyReplicated(rtree::RStarTree& tree,
   if (rec.epoch > epoch_.load(std::memory_order_relaxed)) {
     epoch_.store(rec.epoch, std::memory_order_relaxed);
   }
-  CATFISH_COUNT("repl.records_applied");
   return true;
 }
 

@@ -33,6 +33,7 @@
 #include "durable/storage.h"
 #include "durable/wal.h"
 #include "rtree/rstar.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace catfish::durable {
@@ -47,13 +48,15 @@ struct DurabilityConfig {
   size_t dedup_window = 64;
 };
 
-/// What Recover() did, for telemetry, benches and tests.
+/// What Recover() did, for telemetry, benches and tests. A
+/// `telemetry::Tally` field also bumps its `recovery.*` counter.
 struct RecoveryReport {
   bool checkpoint_loaded = false;
   uint64_t checkpoint_applied_lsn = 0;
-  uint64_t records_replayed = 0;
-  uint64_t records_skipped = 0;      ///< lsn <= checkpoint applied_lsn
-  uint64_t tail_bytes_truncated = 0; ///< torn/corrupt log tail dropped
+  telemetry::Tally records_replayed{"recovery.records_replayed"};
+  uint64_t records_skipped = 0;  ///< lsn <= checkpoint applied_lsn
+  /// Torn/corrupt log tail dropped.
+  telemetry::Tally tail_bytes_truncated{"recovery.tail_truncated_bytes"};
   uint64_t replay_us = 0;
   uint64_t dedup_sessions = 0;
 };
@@ -68,8 +71,8 @@ class DurabilityManager {
  public:
   /// Storages model "the disk": they are shared so a test harness can
   /// keep them alive across simulated server crashes. Both required.
-  DurabilityManager(std::shared_ptr<LogStorage> wal_storage,
-                    std::shared_ptr<CheckpointStore> checkpoint_store,
+  DurabilityManager(std::shared_ptr<MemLogStorage> wal_storage,
+                    std::shared_ptr<MemCheckpointStore> checkpoint_store,
                     DurabilityConfig cfg = {});
 
   DurabilityManager(const DurabilityManager&) = delete;
@@ -185,8 +188,8 @@ class DurabilityManager {
                       telemetry::SpanId parent);
 
   DurabilityConfig cfg_;
-  std::shared_ptr<LogStorage> wal_storage_;
-  std::shared_ptr<CheckpointStore> checkpoint_store_;
+  std::shared_ptr<MemLogStorage> wal_storage_;
+  std::shared_ptr<MemCheckpointStore> checkpoint_store_;
   std::optional<Wal> wal_;  ///< constructed by Recover()
 
   /// Serializes append+apply (and checkpoints) so apply order == LSN
@@ -196,7 +199,7 @@ class DurabilityManager {
   mutable std::mutex write_mu_;
   DedupTable dedup_;
   uint64_t applied_lsn_ = 0;
-  uint64_t checkpoints_ = 0;
+  telemetry::Tally checkpoints_{"durable.checkpoints"};  ///< bumped under write_mu_
   CommitSink commit_sink_;
   ReplicationGate* gate_ = nullptr;
   std::atomic<uint64_t> epoch_{0};

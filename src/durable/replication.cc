@@ -158,14 +158,11 @@ void ReplicationShipper::Stop() {
 }
 
 std::vector<uint64_t> ReplicationShipper::follower_acked() const {
-  const std::scoped_lock lock(stats_mu_);
+  const std::scoped_lock lock(acked_mu_);
   return acked_snapshot_;
 }
 
-ShipperStats ReplicationShipper::stats() const {
-  const std::scoped_lock lock(stats_mu_);
-  return stats_;
-}
+ShipperStats ReplicationShipper::stats() const { return stats_; }
 
 void ReplicationShipper::Loop() {
   while (!stop_.load(std::memory_order_relaxed)) {
@@ -198,11 +195,7 @@ void ReplicationShipper::DrainAcks(Follower& f) {
         ack->epoch > mgr_->epoch()) {
       // The follower serves a newer epoch: we lost a promotion race and
       // are a zombie. Never ack a client again.
-      {
-        const std::scoped_lock lock(stats_mu_);
-        ++stats_.epoch_rejects;
-      }
-      CATFISH_COUNT("repl.shipper_epoch_rejects");
+      stats_.epoch_rejects.Add();
       gate_.Fence();
       continue;
     }
@@ -210,8 +203,7 @@ void ReplicationShipper::DrainAcks(Follower& f) {
       // Follower's tail is behind what we sent: rewind and resync.
       f.next_lsn = ack->durable_lsn + 1;
       f.inflight = 0;
-      const std::scoped_lock lock(stats_mu_);
-      ++stats_.resyncs;
+      stats_.resyncs.Add();
       continue;
     }
     f.acked_lsn = std::max(f.acked_lsn, ack->durable_lsn);
@@ -251,8 +243,7 @@ bool ReplicationShipper::ShipNext(Follower& f) {
       tail.resize(cfg_.max_batch_records);
     }
     run = std::move(tail);
-    const std::scoped_lock lock(stats_mu_);
-    ++stats_.resyncs;
+    stats_.resyncs.Add();
   }
 
   msg::ReplBatch batch;
@@ -279,9 +270,7 @@ bool ReplicationShipper::ShipNext(Follower& f) {
     f.backoff_us = JitteredBackoff(f.jitter, f.retry_streak++,
                                    kRetryInitialUs, kRetryMaxUs);
     f.next_send_us = now + f.backoff_us;
-    const std::scoped_lock lock(stats_mu_);
-    ++stats_.retries;
-    CATFISH_COUNT("repl.ship_retries");
+    stats_.retries.Add();
     return false;
   }
   f.backoff_us = 0;
@@ -289,14 +278,8 @@ bool ReplicationShipper::ShipNext(Follower& f) {
   f.retry_streak = 0;
   f.next_lsn = run.back().lsn + 1;
   ++f.inflight;
-  {
-    const std::scoped_lock lock(stats_mu_);
-    ++stats_.batches_sent;
-    stats_.records_shipped += run.size();
-  }
-  CATFISH_COUNT("repl.batches_sent");
-  CATFISH_COUNT_ADD("repl.records_shipped",
-                    static_cast<int64_t>(run.size()));
+  stats_.batches_sent.Add();
+  stats_.records_shipped.Add(run.size());
   return true;
 }
 
@@ -312,7 +295,7 @@ void ReplicationShipper::PublishProgress() {
   // floor moves before either becomes visible.
   mgr_->SetTruncateFloor(*std::min_element(acked.begin(), acked.end()));
   {
-    const std::scoped_lock lock(stats_mu_);
+    const std::scoped_lock lock(acked_mu_);
     acked_snapshot_ = acked;
   }
   // Quorum LSN: the k-th highest acked LSN covers >= k followers.
@@ -356,10 +339,7 @@ void FollowerApplier::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-ApplierStats FollowerApplier::stats() const {
-  const std::scoped_lock lock(stats_mu_);
-  return stats_;
-}
+ApplierStats FollowerApplier::stats() const { return stats_; }
 
 void FollowerApplier::SendAck(msg::ReplAckStatus status) {
   msg::ReplAck ack;
@@ -390,19 +370,13 @@ void FollowerApplier::Loop() {
     msg::ReplDecodeStatus ds;
     const auto batch = msg::DecodeReplBatch(m.payload, &ds);
     if (!batch) {
-      const std::scoped_lock lock(stats_mu_);
-      ++stats_.decode_errors;
-      CATFISH_COUNT("repl.decode_errors");
+      stats_.decode_errors.Add();
       continue;  // drop; the shipper's window retries cover it
     }
     if (batch->epoch < mgr_->epoch()) {
       // Zombie primary: this stream lost a promotion. Bounce it with
       // our epoch so the sender fences itself.
-      {
-        const std::scoped_lock lock(stats_mu_);
-        ++stats_.epoch_rejects;
-      }
-      CATFISH_COUNT("repl.epoch_rejects");
+      stats_.epoch_rejects.Add();
       SendAck(msg::ReplAckStatus::kEpochReject);
       continue;
     }
@@ -426,16 +400,11 @@ void FollowerApplier::Loop() {
       }
       ++applied;
     }
-    if (gap) {
-      const std::scoped_lock lock(stats_mu_);
-      ++stats_.gaps;
-      CATFISH_COUNT("repl.gaps");
-    }
+    if (gap) stats_.gaps.Add();
     if (applied > 0) {
       mgr_->CommitThrough(batch->first_lsn + applied - 1);
-      const std::scoped_lock lock(stats_mu_);
-      ++stats_.batches_applied;
-      stats_.records_applied += applied;
+      stats_.batches_applied.Add();
+      stats_.records_applied.Add(applied);
     }
     SendAck(gap ? msg::ReplAckStatus::kGap : msg::ReplAckStatus::kOk);
   }

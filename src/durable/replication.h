@@ -49,6 +49,7 @@
 #include "msg/repl.h"
 #include "msg/ring.h"
 #include "rdmasim/rdma.h"
+#include "telemetry/metrics.h"
 
 namespace catfish::durable {
 
@@ -128,12 +129,18 @@ struct ReplicationShipperConfig {
   uint64_t gate_timeout_us = 2'000'000;
 };
 
+/// Each field is a `telemetry::Tally` bound to its `repl.*` counter;
+/// only the shipping thread writes them.
 struct ShipperStats {
-  uint64_t batches_sent = 0;
-  uint64_t records_shipped = 0;
-  uint64_t retries = 0;       ///< ring-full backoffs
-  uint64_t resyncs = 0;       ///< window misses re-fed from log storage
-  uint64_t epoch_rejects = 0; ///< acks that fenced us (zombie detection)
+  using Tally = telemetry::Tally;
+  Tally batches_sent{"repl.batches_sent"};
+  Tally records_shipped{"repl.records_shipped"};
+  /// Ring-full backoffs.
+  Tally retries{"repl.ship_retries"};
+  /// Rewinds: kGap acks, and window misses re-fed from log storage.
+  Tally resyncs{"repl.resyncs"};
+  /// Acks that fenced us (zombie detection).
+  Tally epoch_rejects{"repl.shipper_epoch_rejects"};
 };
 
 /// The primary-side shipping thread. Install on a recovered manager
@@ -207,8 +214,8 @@ class ReplicationShipper {
   std::atomic<bool> stop_{true};
   bool started_ = false;
 
-  mutable std::mutex stats_mu_;
   ShipperStats stats_;
+  mutable std::mutex acked_mu_;  ///< guards acked_snapshot_
   std::vector<uint64_t> acked_snapshot_;
 };
 
@@ -216,12 +223,18 @@ struct FollowerApplierConfig {
   uint32_t shard = 0;
 };
 
+/// Each field is a `telemetry::Tally` bound to its `repl.*` counter;
+/// only the apply thread writes them.
 struct ApplierStats {
-  uint64_t batches_applied = 0;
-  uint64_t records_applied = 0;
-  uint64_t epoch_rejects = 0;  ///< zombie batches bounced
-  uint64_t gaps = 0;           ///< out-of-order batches forcing resync
-  uint64_t decode_errors = 0;
+  using Tally = telemetry::Tally;
+  Tally batches_applied{"repl.batches_applied"};
+  /// Records ApplyReplicated accepted, a replayed overlap included.
+  Tally records_applied{"repl.records_applied"};
+  /// Zombie batches bounced.
+  Tally epoch_rejects{"repl.epoch_rejects"};
+  /// Out-of-order batches forcing resync.
+  Tally gaps{"repl.gaps"};
+  Tally decode_errors{"repl.decode_errors"};
 };
 
 /// The follower-side apply thread: receives batches, applies them
@@ -259,7 +272,6 @@ class FollowerApplier {
   std::atomic<bool> stop_{true};
   bool started_ = false;
 
-  mutable std::mutex stats_mu_;
   ApplierStats stats_;
 };
 

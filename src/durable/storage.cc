@@ -1,13 +1,7 @@
 #include "durable/storage.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
-#include <system_error>
 
 namespace catfish::durable {
 
@@ -96,135 +90,6 @@ std::optional<std::vector<std::byte>> MemCheckpointStore::Read() const {
 uint64_t MemCheckpointStore::writes() const {
   const std::scoped_lock lock(mu_);
   return writes_;
-}
-
-// ---------------------------------------------------------------------------
-// FileLogStorage
-// ---------------------------------------------------------------------------
-
-namespace {
-
-[[noreturn]] void ThrowErrno(const std::string& what) {
-  throw std::system_error(errno, std::generic_category(), what);
-}
-
-std::vector<std::byte> ReadWholeFile(const std::string& path) {
-  std::vector<std::byte> out;
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return out;
-    ThrowErrno("durable: open " + path);
-  }
-  std::byte buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      ::close(fd);
-      ThrowErrno("durable: read " + path);
-    }
-    if (n == 0) break;
-    out.insert(out.end(), buf, buf + n);
-  }
-  ::close(fd);
-  return out;
-}
-
-void WriteAll(int fd, std::span<const std::byte> bytes,
-              const std::string& what) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) ThrowErrno(what);
-    off += static_cast<size_t>(n);
-  }
-}
-
-}  // namespace
-
-FileLogStorage::FileLogStorage(std::string path) : path_(std::move(path)) {
-  bytes_ = ReadWholeFile(path_);
-  flushed_len_ = bytes_.size();
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) ThrowErrno("durable: open " + path_);
-}
-
-FileLogStorage::~FileLogStorage() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void FileLogStorage::Append(std::span<const std::byte> bytes) {
-  const std::scoped_lock lock(mu_);
-  bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
-}
-
-void FileLogStorage::Sync() {
-  const std::scoped_lock lock(mu_);
-  if (flushed_len_ < bytes_.size()) {
-    WriteAll(fd_,
-             std::span<const std::byte>(bytes_).subspan(flushed_len_),
-             "durable: write " + path_);
-    flushed_len_ = bytes_.size();
-  }
-  if (::fsync(fd_) != 0) ThrowErrno("durable: fsync " + path_);
-}
-
-void FileLogStorage::Reset(std::span<const std::byte> bytes) {
-  const std::scoped_lock lock(mu_);
-  const std::string tmp = path_ + ".tmp";
-  const int tfd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (tfd < 0) ThrowErrno("durable: open " + tmp);
-  WriteAll(tfd, bytes, "durable: write " + tmp);
-  if (::fsync(tfd) != 0) {
-    ::close(tfd);
-    ThrowErrno("durable: fsync " + tmp);
-  }
-  ::close(tfd);
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    ThrowErrno("durable: rename " + tmp);
-  }
-  ::close(fd_);
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND, 0644);
-  if (fd_ < 0) ThrowErrno("durable: reopen " + path_);
-  if (::fsync(fd_) != 0) ThrowErrno("durable: fsync " + path_);
-  bytes_.assign(bytes.begin(), bytes.end());
-  flushed_len_ = bytes_.size();
-}
-
-std::vector<std::byte> FileLogStorage::ReadAll() const {
-  const std::scoped_lock lock(mu_);
-  return bytes_;
-}
-
-size_t FileLogStorage::size() const {
-  const std::scoped_lock lock(mu_);
-  return bytes_.size();
-}
-
-// ---------------------------------------------------------------------------
-// FileCheckpointStore
-// ---------------------------------------------------------------------------
-
-void FileCheckpointStore::Write(std::span<const std::byte> blob) {
-  const std::scoped_lock lock(mu_);
-  const std::string tmp = path_ + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) ThrowErrno("durable: open " + tmp);
-  WriteAll(fd, blob, "durable: write " + tmp);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ThrowErrno("durable: fsync " + tmp);
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    ThrowErrno("durable: rename " + tmp);
-  }
-}
-
-std::optional<std::vector<std::byte>> FileCheckpointStore::Read() const {
-  const std::scoped_lock lock(mu_);
-  auto bytes = ReadWholeFile(path_);
-  if (bytes.empty()) return std::nullopt;
-  return bytes;
 }
 
 }  // namespace catfish::durable

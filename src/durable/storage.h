@@ -1,9 +1,9 @@
-// Storage backends for the durability subsystem: an append-only log
-// device and an atomic checkpoint slot, both behind small interfaces so
-// the unit tests and the DES can inject crash points at exact fsync
+// Storage for the durability subsystem: an append-only log device and
+// an atomic checkpoint slot, both in memory so the unit tests, the
+// chaos fixtures and the DES can inject crash points at exact fsync
 // boundaries instead of pulling power on real disks.
 //
-// The contract mirrors what a WAL needs from a file:
+// The log's contract mirrors what a WAL needs from a file:
 //
 //  * Append()  buffers bytes (a page-cache write; NOT yet durable);
 //  * Sync()    is the fsync boundary — everything appended so far
@@ -12,7 +12,7 @@
 //              rename on a real filesystem) and is itself a sync point,
 //              used for checkpoint-time log truncation.
 //
-// MemStorage additionally records the byte length at every sync and can
+// MemLogStorage also records the byte length at every sync and can
 // clone "the disk as a crash at boundary k would have left it" — the
 // primitive behind the crash-point matrix test (kill after every fsync
 // in a scripted burst, recover, diff against the oracle).
@@ -24,56 +24,27 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace catfish::durable {
 
-/// Append-only log device with an explicit durability boundary.
-class LogStorage {
+/// In-memory append-only log device with an explicit durability
+/// boundary. Survives "process" restarts as long as the object lives —
+/// the chaos fixture holds one per simulated disk and hands it to each
+/// server incarnation. Thread-safe.
+class MemLogStorage {
  public:
-  virtual ~LogStorage() = default;
-
   /// Buffers `bytes` at the end of the log. Not durable until Sync().
-  virtual void Append(std::span<const std::byte> bytes) = 0;
-
+  void Append(std::span<const std::byte> bytes);
   /// The fsync boundary: all appended bytes are durable on return.
-  virtual void Sync() = 0;
-
-  /// Atomically replaces the whole log with `bytes` (temp-file + rename
-  /// semantics) and syncs. Used for checkpoint-time truncation.
-  virtual void Reset(std::span<const std::byte> bytes) = 0;
-
+  void Sync();
+  /// Atomically replaces the whole log with `bytes` and syncs. Used for
+  /// checkpoint-time truncation.
+  void Reset(std::span<const std::byte> bytes);
   /// Reads the entire current content — what a recovery would see.
-  virtual std::vector<std::byte> ReadAll() const = 0;
-
+  std::vector<std::byte> ReadAll() const;
   /// Bytes appended so far (durable or not).
-  virtual size_t size() const = 0;
-};
-
-/// Atomic single-slot checkpoint store (a real deployment would use a
-/// temp file renamed over the previous checkpoint).
-class CheckpointStore {
- public:
-  virtual ~CheckpointStore() = default;
-
-  /// Atomically replaces the stored checkpoint.
-  virtual void Write(std::span<const std::byte> blob) = 0;
-
-  /// The last completely written checkpoint, or nullopt when none.
-  virtual std::optional<std::vector<std::byte>> Read() const = 0;
-};
-
-/// In-memory log device. Survives "process" restarts as long as the
-/// object lives — the chaos fixture holds one per simulated disk and
-/// hands it to each server incarnation. Thread-safe.
-class MemLogStorage : public LogStorage {
- public:
-  void Append(std::span<const std::byte> bytes) override;
-  void Sync() override;
-  void Reset(std::span<const std::byte> bytes) override;
-  std::vector<std::byte> ReadAll() const override;
-  size_t size() const override;
+  size_t size() const;
 
   /// Bytes guaranteed durable (length at the last sync boundary).
   size_t durable_size() const;
@@ -97,54 +68,19 @@ class MemLogStorage : public LogStorage {
   std::vector<size_t> sync_lens_;
 };
 
-/// In-memory checkpoint slot. Thread-safe.
-class MemCheckpointStore : public CheckpointStore {
+/// In-memory atomic single-slot checkpoint store. Thread-safe.
+class MemCheckpointStore {
  public:
-  void Write(std::span<const std::byte> blob) override;
-  std::optional<std::vector<std::byte>> Read() const override;
+  /// Atomically replaces the stored checkpoint.
+  void Write(std::span<const std::byte> blob);
+  /// The last completely written checkpoint, or nullopt when none.
+  std::optional<std::vector<std::byte>> Read() const;
   uint64_t writes() const;
 
  private:
   mutable std::mutex mu_;
   std::optional<std::vector<std::byte>> blob_;
   uint64_t writes_ = 0;
-};
-
-/// File-backed log device (POSIX): Append buffers in memory, Sync
-/// write()s the delta and fsyncs, Reset writes a temp file and renames
-/// it over the log. For the recovery bench and any real deployment of
-/// the simulation harness. Not safe for concurrent external writers.
-class FileLogStorage : public LogStorage {
- public:
-  /// Opens (creating if absent) `path` and loads its current content.
-  explicit FileLogStorage(std::string path);
-  ~FileLogStorage() override;
-
-  void Append(std::span<const std::byte> bytes) override;
-  void Sync() override;
-  void Reset(std::span<const std::byte> bytes) override;
-  std::vector<std::byte> ReadAll() const override;
-  size_t size() const override;
-
- private:
-  mutable std::mutex mu_;
-  std::string path_;
-  int fd_ = -1;
-  std::vector<std::byte> bytes_;   // full logical content
-  size_t flushed_len_ = 0;         // bytes already write()n to fd_
-};
-
-/// File-backed checkpoint slot with temp-file + rename atomicity.
-class FileCheckpointStore : public CheckpointStore {
- public:
-  explicit FileCheckpointStore(std::string path) : path_(std::move(path)) {}
-
-  void Write(std::span<const std::byte> blob) override;
-  std::optional<std::vector<std::byte>> Read() const override;
-
- private:
-  mutable std::mutex mu_;
-  std::string path_;
 };
 
 }  // namespace catfish::durable

@@ -108,7 +108,8 @@ WalDecodeResult DecodeWalStream(std::span<const std::byte> bytes,
 // Wal (group commit)
 // ---------------------------------------------------------------------------
 
-Wal::Wal(LogStorage* storage, uint64_t next_lsn, uint64_t stall_threshold_us)
+Wal::Wal(MemLogStorage* storage, uint64_t next_lsn,
+         uint64_t stall_threshold_us)
     : storage_(storage),
       stall_threshold_us_(stall_threshold_us),
       next_lsn_(next_lsn) {
@@ -121,8 +122,7 @@ uint64_t Wal::Append(WalRecord rec) {
   encode_buf_.clear();
   EncodeWalRecord(rec, encode_buf_);
   storage_->Append(encode_buf_);
-  ++stats_.appends;
-  CATFISH_COUNT("wal.appends");
+  stats_.appends.Add();
   return rec.lsn;
 }
 
@@ -133,16 +133,14 @@ bool Wal::AppendAt(const WalRecord& rec) {
   encode_buf_.clear();
   EncodeWalRecord(rec, encode_buf_);
   storage_->Append(encode_buf_);
-  ++stats_.appends;
-  CATFISH_COUNT("wal.appends");
+  stats_.appends.Add();
   return true;
 }
 
 void Wal::Commit(uint64_t lsn) {
   std::unique_lock lock(mu_);
   if (durable_lsn_ >= lsn) return;
-  ++stats_.commits;
-  CATFISH_COUNT("wal.commits");
+  stats_.commits.Add();
   const uint64_t began_us = NowMicros();
   while (durable_lsn_ < lsn) {
     if (!sync_in_flight_) {
@@ -155,8 +153,7 @@ void Wal::Commit(uint64_t lsn) {
       lock.lock();
       sync_in_flight_ = false;
       durable_lsn_ = std::max(durable_lsn_, covers);
-      ++stats_.syncs;
-      CATFISH_COUNT("wal.syncs");
+      stats_.syncs.Add();
       cv_.notify_all();
     } else {
       cv_.wait(lock, [this] { return !sync_in_flight_; });
@@ -165,8 +162,7 @@ void Wal::Commit(uint64_t lsn) {
   const uint64_t waited_us = NowMicros() - began_us;
   CATFISH_TIMER_RECORD_US("wal.commit_us", waited_us);
   if (waited_us > stall_threshold_us_) {
-    ++stats_.stalls;
-    CATFISH_COUNT("wal.stalls");
+    stats_.stalls.Add();
     CATFISH_EVENT(kWalStall, NowMicros(), lsn,
                   static_cast<double>(waited_us),
                   static_cast<double>(stall_threshold_us_));
@@ -183,9 +179,8 @@ void Wal::TruncateThrough(uint64_t through_lsn) {
   storage_->Reset(tail);
   // Reset is a sync point: the surviving tail is durable.
   durable_lsn_ = std::max(durable_lsn_, through_lsn);
-  ++stats_.truncations;
-  ++stats_.syncs;
-  CATFISH_COUNT("wal.truncations");
+  stats_.truncations.Add();
+  stats_.syncs.Add();
   CATFISH_GAUGE_SET("wal.bytes", static_cast<int64_t>(storage_->size()));
 }
 

@@ -38,6 +38,7 @@
 #include "common/crc32.h"
 #include "durable/storage.h"
 #include "geo/rect.h"
+#include "telemetry/metrics.h"
 
 namespace catfish::durable {
 
@@ -91,19 +92,26 @@ struct WalDecodeResult {
 WalDecodeResult DecodeWalStream(std::span<const std::byte> bytes,
                                 std::optional<uint64_t> first_lsn = {});
 
+/// Each field is a `telemetry::Tally` bound to its `wal.*` counter;
+/// the Wal bumps them under its mutex.
 struct WalStats {
-  uint64_t appends = 0;
-  uint64_t commits = 0;      ///< Commit() calls that had to wait or sync
-  uint64_t syncs = 0;        ///< actual storage Sync() boundaries
-  uint64_t stalls = 0;       ///< commits that waited past the stall threshold
-  uint64_t truncations = 0;  ///< checkpoint-time tail rewrites
+  using Tally = telemetry::Tally;
+  Tally appends{"wal.appends"};
+  /// Commit() calls that had to wait or sync.
+  Tally commits{"wal.commits"};
+  /// Storage sync boundaries: Sync() calls and truncating Resets.
+  Tally syncs{"wal.syncs"};
+  /// Commits that waited past the stall threshold.
+  Tally stalls{"wal.stalls"};
+  /// Checkpoint-time tail rewrites.
+  Tally truncations{"wal.truncations"};
 };
 
 class Wal {
  public:
   /// `storage` must outlive the Wal. `next_lsn` seeds the sequence (1
   /// for an empty log; recovery passes last-seen + 1).
-  Wal(LogStorage* storage, uint64_t next_lsn = 1,
+  Wal(MemLogStorage* storage, uint64_t next_lsn = 1,
       uint64_t stall_threshold_us = 1000);
 
   Wal(const Wal&) = delete;
@@ -135,7 +143,7 @@ class Wal {
   WalStats stats() const;
 
  private:
-  LogStorage* storage_;
+  MemLogStorage* storage_;
   const uint64_t stall_threshold_us_;
   mutable std::mutex mu_;
   std::condition_variable cv_;

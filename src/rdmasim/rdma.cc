@@ -250,15 +250,6 @@ NicStats SimNode::stats() const {
   return s;
 }
 
-void SimNode::ResetStats() {
-  bytes_sent_.store(0, std::memory_order_relaxed);
-  bytes_received_.store(0, std::memory_order_relaxed);
-  writes_posted_.store(0, std::memory_order_relaxed);
-  reads_posted_.store(0, std::memory_order_relaxed);
-  reads_served_.store(0, std::memory_order_relaxed);
-  imm_delivered_.store(0, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // QueuePair
 // ---------------------------------------------------------------------------

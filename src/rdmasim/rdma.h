@@ -208,7 +208,6 @@ class SimNode : public std::enable_shared_from_this<SimNode> {
                                       std::shared_ptr<CompletionQueue> recv_cq);
 
   NicStats stats() const;
-  void ResetStats();
 
   /// Deregisters every memory region after waiting out in-flight
   /// one-sided ops against this node — the sim equivalent of

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <csignal>
 #include <cinttypes>
 
 #include "telemetry/export.h"
@@ -210,37 +209,6 @@ void DumpEvents(std::FILE* f, const std::vector<Event>& events) {
                  " a=%-12.4g b=%-12.4g thr=%u\n",
                  e.t_us, EventTypeName(e.type), e.actor, e.a, e.b, e.thread);
   }
-}
-
-void DumpGlobalEventsToStderr(const char* why) {
-  EventRecorder& rec = EventRecorder::Global();
-  const std::vector<Event> events = rec.Peek();
-  std::fprintf(stderr,
-               "--- flight recorder (%s): %zu events, %" PRIu64
-               " dropped ---\n",
-               why ? why : "dump", events.size(), rec.dropped());
-  DumpEvents(stderr, events);
-  std::fprintf(stderr, "--- end flight recorder ---\n");
-}
-
-namespace {
-
-void (*g_prev_abort_handler)(int) = nullptr;
-
-void AbortDumpHandler(int signo) {
-  DumpGlobalEventsToStderr("SIGABRT");
-  std::signal(signo, g_prev_abort_handler ? g_prev_abort_handler : SIG_DFL);
-  std::raise(signo);
-}
-
-}  // namespace
-
-void InstallAbortDump() {
-  static bool installed = false;
-  if (installed) return;
-  installed = true;
-  g_prev_abort_handler = std::signal(SIGABRT, AbortDumpHandler);
-  if (g_prev_abort_handler == SIG_ERR) g_prev_abort_handler = nullptr;
 }
 
 }  // namespace catfish::telemetry

@@ -129,16 +129,6 @@ std::string EventsToJson(const std::vector<Event>& events,
 /// Human-readable table of the same events, one line each, to `f`.
 void DumpEvents(std::FILE* f, const std::vector<Event>& events);
 
-/// Dumps the global recorder to stderr with a header line; the helper
-/// tests and benches call from failure paths (and what the SIGABRT hook
-/// below installs), so assertion failures ship the flight recorder.
-void DumpGlobalEventsToStderr(const char* why);
-
-/// Installs a SIGABRT handler that dumps the global recorder to stderr
-/// before re-raising. Idempotent. Best effort: the handler formats text,
-/// which is fine for the debugging contexts abort() implies.
-void InstallAbortDump();
-
 }  // namespace catfish::telemetry
 
 #if CATFISH_TELEMETRY_ENABLED

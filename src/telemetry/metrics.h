@@ -239,21 +239,28 @@ inline void Counter::Add(uint64_t n) noexcept {
 /// pointer is kept until the first Add): Add(n) bumps both, so a
 /// stats field and its registry twin are one statement and cannot
 /// drift. The handle is resolved on the first Add, so an object that
-/// never counts adds no name to snapshots. A copy carries the value but
-/// is bound to nothing, and an assignment takes only the value: a copy
+/// never counts adds no name to snapshots.
+///
+/// The value is an owner-written atomic (OwnerAdd): one writer at a
+/// time — the owning thread, or writers serialized by a lock — and any
+/// thread may read it. A move keeps the binding, so a Tally held in a
+/// growing vector still counts; a copy carries the value but is bound
+/// to nothing, and an assignment takes only the value, so a snapshot
 /// or an aggregate can never count into the registry (there is no +=).
 /// With telemetry compiled out, Add bumps only the object's value.
 class Tally {
  public:
   explicit Tally(const char* name) noexcept : name_(name) {}
-  Tally(const Tally& o) noexcept : value_(o.value_) {}
+  Tally(const Tally& o) noexcept : value_(o.value()) {}
+  Tally(Tally&& o) noexcept
+      : value_(o.value()), name_(o.name_), counter_(o.counter_) {}
   Tally& operator=(const Tally& o) noexcept {
-    value_ = o.value_;
+    value_.store(o.value(), std::memory_order_relaxed);
     return *this;
   }
 
   void Add(uint64_t n = 1) {
-    value_ += n;
+    OwnerAdd(value_, n);
 #if CATFISH_TELEMETRY_ENABLED
     if (counter_ == nullptr) {
       if (name_ == nullptr) return;  // a copy
@@ -263,11 +270,13 @@ class Tally {
 #endif
   }
 
-  uint64_t value() const noexcept { return value_; }
-  operator uint64_t() const noexcept { return value_; }
+  uint64_t value() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
+  operator uint64_t() const noexcept { return value(); }
 
  private:
-  uint64_t value_ = 0;
+  std::atomic<uint64_t> value_{0};
   const char* name_ = nullptr;
   Counter* counter_ = nullptr;
 };

@@ -10,6 +10,7 @@
 #include <span>
 
 #include "rtree/bulk_load.h"
+#include "telemetry/metrics.h"
 #include "workload/generators.h"
 
 namespace catfish::model {
@@ -282,6 +283,28 @@ TEST(ClusterSimTest, OneShardMatchesSingleServer) {
   EXPECT_EQ(sharded.oracle_checks, single.oracle_checks);
   EXPECT_EQ(single.oracle_mismatches, 0u);
   EXPECT_EQ(sharded.oracle_mismatches, 0u);
+}
+
+TEST(ClusterSimTest, ShardedAdaptiveCountersReachTheRegistry) {
+#if !CATFISH_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out (CATFISH_TELEMETRY=OFF)";
+#endif
+  // Each client keeps one controller per shard in a vector that grows
+  // as the sim is built: the controllers' adaptive.* Tallies must still
+  // count after those moves.
+  const auto items = workload::UniformDataset(50'000, 1e-4, 99);
+  auto cfg = BaseConfig(Scheme::kCatfish, 128, 1e-5, 120);
+  cfg.num_shards = 4;
+  cfg.server_cores = 2;
+  const auto count = [] {
+    return telemetry::Registry::Global().TakeSnapshot().counter(
+        "adaptive.mode_switches");
+  };
+  const uint64_t before = count();
+  const auto r =
+      ClusterSim(std::span<const rtree::Entry>(items), cfg).Run();
+  ASSERT_GT(r.mode_switches, 0u);
+  EXPECT_EQ(count() - before, r.mode_switches);
 }
 
 TEST(ClusterSimTest, MoreClientsMoreThroughputUntilSaturation) {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "durable/storage.h"
 #include "durable/wal.h"
 #include "rtree/node.h"
+#include "telemetry/metrics.h"
 #include "test_util.h"
 
 namespace catfish::durable {
@@ -447,6 +449,43 @@ TEST_F(DurabilityManagerTest, CheckpointTruncatesLogAndSeedsRecovery) {
   EXPECT_TRUE(mgr2->ExecuteInsert(tree2, 2, 1, geo::Rect{0, 0, 0.1, 0.1},
                                   999).ok);
   EXPECT_EQ(mgr2->wal().last_lsn(), 151u);
+}
+
+TEST_F(DurabilityManagerTest, WalStatsMatchTheirRegistryCounters) {
+#if !CATFISH_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out (CATFISH_TELEMETRY=OFF)";
+#endif
+  // A checkpoint's log truncation is a sync boundary: the WAL's own
+  // count and the registry's must both see it.
+  const telemetry::Snapshot before =
+      telemetry::Registry::Global().TakeSnapshot();
+  auto mgr = NewManager();
+  rtree::NodeArena arena(rtree::kChunkSize, kChunks);
+  rtree::RStarTree tree = mgr->Recover(arena);
+  Xoshiro256 rng(41);
+  for (uint64_t id = 0; id < 20; ++id) {
+    ASSERT_TRUE(
+        mgr->ExecuteInsert(tree, 1, id + 1, testutil::RandomRect(rng, 0.04),
+                           id)
+            .ok);
+  }
+  mgr->Checkpoint(tree);
+  ASSERT_TRUE(mgr->ExecuteInsert(tree, 1, 21, geo::Rect{0, 0, 0.1, 0.1}, 20)
+                  .ok);
+  const telemetry::Snapshot after =
+      telemetry::Registry::Global().TakeSnapshot();
+  const auto delta = [&](std::string_view name) {
+    return after.counter(name) - before.counter(name);
+  };
+  const WalStats st = mgr->wal().stats();
+  EXPECT_EQ(st.truncations, 1u);
+  EXPECT_EQ(st.syncs, st.commits + 1);  // one sync per lone commit
+  EXPECT_EQ(st.appends, delta("wal.appends"));
+  EXPECT_EQ(st.commits, delta("wal.commits"));
+  EXPECT_EQ(st.syncs, delta("wal.syncs"));
+  EXPECT_EQ(st.stalls, delta("wal.stalls"));
+  EXPECT_EQ(st.truncations, delta("wal.truncations"));
+  EXPECT_EQ(mgr->checkpoints_written(), delta("durable.checkpoints"));
 }
 
 TEST_F(DurabilityManagerTest, CrashBetweenCheckpointAndTruncationIsSafe) {

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -252,6 +253,50 @@ TEST_F(OverloadTest, ExpiredDropAfterTheDeadlineIsADeadlineExpiry) {
   EXPECT_EQ(client->stats().deadline_expired, 1u);
   EXPECT_EQ(client->stats().overloaded, 0u);
   EXPECT_EQ(server_->stats().deadline_drops, 1u);
+}
+
+TEST_F(OverloadTest, ServerStatsMatchTheirRegistryCounters) {
+#if !CATFISH_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out (CATFISH_TELEMETRY=OFF)";
+#endif
+  // Every ServerStats field with a registry twin moves with it: the
+  // per-connection counts summed by stats(), and the monitor's
+  // heartbeats.
+  const telemetry::Snapshot before =
+      telemetry::Registry::Global().TakeSnapshot();
+  SetUpServer(ForcedShedding());
+  server_->OverrideUtilization(0.0);  // below the gate: nothing sheds
+  auto client = MakeClient();
+  Xoshiro256 rng(6);
+  for (int i = 0; i < 4; ++i) (void)client->SearchFast(RandomRect(rng, 0.05));
+  (void)client->NearestNeighbors(geo::Point{0.5, 0.5}, 3);
+  const geo::Rect r{0.4, 0.4, 0.41, 0.41};
+  ASSERT_TRUE(client->Insert(r, 900'001));
+  ASSERT_TRUE(client->Insert(r, 900'002));
+  ASSERT_TRUE(client->Delete(r, 900'001));
+  EXPECT_FALSE(client->Delete(r, 900'003));
+  server_->OverrideUtilization(1.0);
+  EXPECT_THROW(client->SearchFast(RandomRect(rng, 0.05)), ClientError);
+  std::this_thread::sleep_for(30ms);  // a few heartbeats
+  server_->Stop();
+
+  const telemetry::Snapshot after =
+      telemetry::Registry::Global().TakeSnapshot();
+  const auto delta = [&](std::string_view name) {
+    return after.counter(name) - before.counter(name);
+  };
+  const ServerStats st = server_->stats();
+  EXPECT_EQ(st.searches, 5u);  // a kNN counts as a search
+  EXPECT_EQ(st.inserts, 2u);
+  EXPECT_EQ(st.deletes, 2u);
+  EXPECT_EQ(st.sheds, 1u);
+  EXPECT_GT(st.heartbeats_sent, 0u);
+  EXPECT_EQ(st.searches, delta("catfish.server.search"));
+  EXPECT_EQ(st.inserts, delta("catfish.server.insert"));
+  EXPECT_EQ(st.deletes, delta("catfish.server.delete"));
+  EXPECT_EQ(st.heartbeats_sent, delta("catfish.server.heartbeats"));
+  EXPECT_EQ(st.sheds, delta("overload.server.sheds"));
+  EXPECT_EQ(st.deadline_drops, delta("overload.server.deadline_drops"));
 }
 
 TEST_F(OverloadTest, QueueDelayGaugeDecaysToZero) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -18,9 +19,12 @@
 #include "durable/replication.h"
 #include "durable/storage.h"
 #include "durable/wal.h"
+#include "msg/protocol.h"
 #include "msg/repl.h"
+#include "msg/ring.h"
 #include "rdmasim/rdma.h"
 #include "rtree/node.h"
+#include "telemetry/metrics.h"
 #include "test_util.h"
 
 namespace catfish::durable {
@@ -342,6 +346,57 @@ TEST_F(ReplicationStackTest, WritesReachEveryFollowerExactlyOnce) {
   EXPECT_TRUE(resend.duplicate);
   EXPECT_EQ(f1.tree->size(), kWrites);
   a2.Stop();
+}
+
+TEST_F(ReplicationStackTest, ApplierStatsMatchTheirRegistryCounters) {
+#if !CATFISH_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out (CATFISH_TELEMETRY=OFF)";
+#endif
+  // The same batch twice: the second is a replayed overlap, which the
+  // applier accepts record by record. Its stats and the registry must
+  // count those records the same way.
+  const telemetry::Snapshot before =
+      telemetry::Registry::Global().TakeSnapshot();
+  Stack primary = MakeStack("primary");
+  Stack follower = MakeStack("follower");
+  ReplChannel ch(primary.node, follower.node);
+  FollowerApplier applier(*follower.mgr, *follower.tree, &ch.batch_rx(),
+                          &ch.ack_tx(), {/*shard=*/0});
+  applier.Start();
+
+  msg::ReplBatch batch;
+  batch.first_lsn = 1;
+  for (uint64_t i = 0; i < 3; ++i) {
+    msg::ReplRecord r;
+    r.op = static_cast<uint8_t>(WalOp::kInsert);
+    r.client_gen = 3;
+    r.req_id = i + 1;
+    r.rect = geo::Rect{0.1, 0.1, 0.2, 0.2};
+    r.rect_id = i;
+    batch.records.push_back(r);
+  }
+  const auto frame = msg::Encode(batch);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(ch.batch_tx().TrySend(
+        static_cast<uint16_t>(msg::MsgType::kReplBatch), msg::kFlagEnd,
+        frame));
+  }
+  ASSERT_TRUE(WaitUntil([&] { return applier.stats().batches_applied == 2; }));
+  applier.Stop();
+  EXPECT_EQ(follower.tree->size(), 3u);
+
+  const telemetry::Snapshot after =
+      telemetry::Registry::Global().TakeSnapshot();
+  const auto delta = [&](std::string_view name) {
+    return after.counter(name) - before.counter(name);
+  };
+  const ApplierStats st = applier.stats();
+  EXPECT_EQ(st.records_applied, 6u);
+  EXPECT_EQ(st.batches_applied, delta("repl.batches_applied"));
+  EXPECT_EQ(st.records_applied, delta("repl.records_applied"));
+  EXPECT_EQ(st.epoch_rejects, delta("repl.epoch_rejects"));
+  EXPECT_EQ(st.gaps, delta("repl.gaps"));
+  EXPECT_EQ(st.decode_errors, delta("repl.decode_errors"));
 }
 
 TEST_F(ReplicationStackTest, GateTimesOutWhenNoFollowerAcks) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "json_util.h"
@@ -422,6 +423,35 @@ TEST(TallyTest, CopyKeepsValueAndNeverCounts) {
   EXPECT_EQ(GlobalCount("tally.test.copy"), before);
   live.Add();
   EXPECT_EQ(GlobalCount("tally.test.copy"), before + kBound);
+}
+
+TEST(TallyTest, MoveKeepsTheBindingCopyDoesNot) {
+  // A Tally in a vector that reallocates is moved: it must still count
+  // whether it was moved before its first Add or after it.
+  const uint64_t before = GlobalCount("tally.test.move");
+  Tally fresh("tally.test.move");
+  Tally moved_fresh(std::move(fresh));
+  moved_fresh.Add(2);
+  EXPECT_EQ(moved_fresh.value(), 2u);
+  EXPECT_EQ(GlobalCount("tally.test.move") - before, 2 * kBound);
+
+  Tally used("tally.test.move");
+  used.Add(3);
+  Tally moved_used(std::move(used));
+  EXPECT_EQ(moved_used.value(), 3u);
+  moved_used.Add(4);
+  EXPECT_EQ(moved_used.value(), 7u);
+  EXPECT_EQ(GlobalCount("tally.test.move") - before, 9 * kBound);
+
+  Tally copy(moved_used);
+  copy.Add(5);
+  EXPECT_EQ(copy.value(), 12u);
+  EXPECT_EQ(GlobalCount("tally.test.move") - before, 9 * kBound);
+
+  std::vector<Tally> grown;
+  for (int i = 0; i < 9; ++i) grown.emplace_back("tally.test.move");
+  for (Tally& t : grown) t.Add();
+  EXPECT_EQ(GlobalCount("tally.test.move") - before, 18 * kBound);
 }
 
 TEST(TallyTest, CountsWithTelemetryCompiledOut) {
